@@ -5,10 +5,13 @@ exactly one edge that meets both parts.  A graph is path-bipartite of
 (A, B) when it is the union of such paths; equivalently, when A ∪ B covers
 the vertices and every connected component meets both parts.
 
-`bpath_pairs` computes the joinable cross pairs through the component
-criterion (connectivity of the induced graph on the two components hosting
-the endpoints), which is polynomial; `enumerate_be_paths` is the
-exponential brute-force oracle used to cross-check it on small instances.
+`bpath_pairs` reads the joinable cross pairs off the component quotient:
+a block A1 of G[A] and a block B1 of G[B] are joinable exactly when G[A1 ∪ B1]
+is connected, and since both blocks are connected that holds exactly when
+some crossing edge joins them, so B_path costs O(V + E + |B_path|).  Two
+independent routes check it: `enumerate_be_paths`, the exponential
+brute-force oracle of sweep t3.4, and the induced-connectivity criterion
+itself, kept in `theorems` as the oracle of sweep t3.6.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .graphs import (
     edge_key,
     find_path,
     induced_subgraph,
-    is_connected,
+    require_cover,
     validate_path,
 )
 
@@ -52,14 +55,6 @@ class BePathWitness:
             edge_key(self.path[i], self.path[i + 1]) for i in range(len(self.path) - 1)
         )
         return SimpleGraph(frozenset(self.path), edges)
-
-
-def _require_covering(graph: SimpleGraph, parts: Bipartition) -> None:
-    if parts.union != graph.vertices:
-        raise GraphError(
-            f"parts must cover the vertex set exactly; uncovered={sorted(graph.vertices - parts.union)},"
-            f" extraneous={sorted(parts.union - graph.vertices)}"
-        )
 
 
 def is_be_path(
@@ -91,20 +86,19 @@ def is_path_bipartite(graph: SimpleGraph, parts: Bipartition) -> bool:
 def bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tuple[str, str]]:
     """All (a, b) in A × B joined by some be-path.
 
-    Uses the component criterion: (a, b) is joinable iff the subgraph
-    induced on A1 ∪ B1 is connected, where A1 is the component of a in
-    G[A] and B1 the component of b in G[B].  Whole blocks A1 × B1 enter
-    together.
+    Expands the quotient edges: (a, b) is joinable iff a crossing edge
+    joins A1 and B1, where A1 is the component of a in G[A] and B1 the
+    component of b in G[B].  Whole blocks A1 × B1 enter together.  The
+    induced form of the criterion (G[A1 ∪ B1] connected) is the oracle of
+    sweep t3.6, and `enumerate_be_paths` that of sweep t3.4.
     """
-    _require_covering(graph, parts)
-    a_comps = connected_components(induced_subgraph(graph, parts.a))
-    b_comps = connected_components(induced_subgraph(graph, parts.b))
-    pairs: set[tuple[str, str]] = set()
-    for a_block in a_comps:
-        for b_block in b_comps:
-            if is_connected(induced_subgraph(graph, a_block | b_block)):
-                pairs.update((a, b) for a in a_block for b in b_block)
-    return frozenset(pairs)
+    quotient = quotient_graph(graph, parts)
+    return frozenset(
+        (a, b)
+        for i, j in quotient.edges
+        for a in quotient.a_components[i]
+        for b in quotient.b_components[j]
+    )
 
 
 def be_path_witness(
@@ -120,7 +114,7 @@ def be_path_witness(
         raise GraphError(f"{a!r} is not in part A")
     if b not in parts.b:
         raise GraphError(f"{b!r} is not in part B")
-    _require_covering(graph, parts)
+    require_cover(graph.vertices, parts)
     g_a = induced_subgraph(graph, parts.a)
     g_b = induced_subgraph(graph, parts.b)
     a_block = next(blk for blk in connected_components(g_a) if a in blk)
@@ -155,7 +149,7 @@ def enumerate_be_paths(
         raise GraphError(
             f"graph has {len(graph.vertices)} vertices; enumeration is limited to {max_vertices}"
         )
-    _require_covering(graph, parts)
+    require_cover(graph.vertices, parts)
     adjacency = graph.adjacency
     in_a = parts.a
     out: list[BePathWitness] = []
@@ -212,7 +206,7 @@ def pairs_from_witnesses(witnesses: list[BePathWitness], parts: Bipartition) -> 
 
 def is_path_complete(graph: SimpleGraph, parts: Bipartition) -> bool:
     """True iff every pair of A × B is joined by a be-path."""
-    return len(bpath_pairs(graph, parts)) == len(parts.a) * len(parts.b)
+    return is_quotient_complete_bipartite(quotient_graph(graph, parts))
 
 
 @dataclass(frozen=True)
@@ -239,7 +233,7 @@ class QuotientGraph:
 
 def quotient_graph(graph: SimpleGraph, parts: Bipartition) -> QuotientGraph:
     """Contract the components of G[A] and G[B] and keep the B_path relation."""
-    _require_covering(graph, parts)
+    require_cover(graph.vertices, parts)
     a_comps = tuple(connected_components(induced_subgraph(graph, parts.a)))
     b_comps = tuple(connected_components(induced_subgraph(graph, parts.b)))
     a_of = {v: i for i, block in enumerate(a_comps) for v in block}

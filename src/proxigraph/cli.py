@@ -23,7 +23,7 @@ from .bepaths import (
     is_path_complete,
     quotient_graph,
 )
-from .graphs import Bipartition, GraphError, SimpleGraph, connected_components
+from .graphs import Bipartition, GraphError, SimpleGraph, connected_components, require_cover
 from .path_proximinal import (
     build_threshold_graph,
     is_path_proximinal_graph,
@@ -35,7 +35,6 @@ from .proximinal import verify_proximinal_graph, witness_proximinal_metric
 from .spaces import SpaceError, classify, set_distance
 from .theorems import SWEEPS
 
-HARD_MAX_N = 7
 ENV_MAX_N = "PROXIGRAPH_MAX_N"
 
 
@@ -43,25 +42,10 @@ class UsageError(Exception):
     """Input problems that map to exit status 2."""
 
 
-def _load_graph(path: str) -> SimpleGraph:
-    return fileio.load_graph(path)
-
-
-def _load_partition(path: str) -> Bipartition:
-    return fileio.load_partition(path)
-
-
 def _check_partition_vertices(graph: SimpleGraph, parts: Bipartition) -> None:
     unknown = parts.union - graph.vertices
     if unknown:
         raise UsageError(f"partition mentions vertices missing from the graph: {sorted(unknown)}")
-
-
-def _require_covering(graph: SimpleGraph, parts: Bipartition) -> None:
-    _check_partition_vertices(graph, parts)
-    uncovered = graph.vertices - parts.union
-    if uncovered:
-        raise UsageError(f"partition does not cover the graph vertices: {sorted(uncovered)}")
 
 
 def _path_bipartite_reason(graph: SimpleGraph, parts: Bipartition) -> str:
@@ -83,8 +67,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph_file)
-    parts = _load_partition(args.partition_file)
+    graph = fileio.load_graph(args.graph_file)
+    parts = fileio.load_partition(args.partition_file)
     kind = args.kind
     if kind in ("proximinal", "path-proximinal"):
         if args.space_file is None:
@@ -116,7 +100,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         verdict = is_path_bipartite(graph, parts)
         reason = _path_bipartite_reason(graph, parts)
     else:  # path-complete
-        _require_covering(graph, parts)
         pairs = bpath_pairs(graph, parts)
         verdict = len(pairs) == len(parts.a) * len(parts.b)
         if verdict:
@@ -132,9 +115,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bpath(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph_file)
-    parts = _load_partition(args.partition_file)
-    _require_covering(graph, parts)
+    graph = fileio.load_graph(args.graph_file)
+    parts = fileio.load_partition(args.partition_file)
+    require_cover(graph.vertices, parts)
     if args.witness is not None:
         a, b = args.witness
         if a not in parts.a or b not in parts.b:
@@ -165,7 +148,7 @@ def _output_prefix(args: argparse.Namespace, kind: str) -> Path:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph_file)
+    graph = fileio.load_graph(args.graph_file)
     kind = args.kind
     prefix = _output_prefix(args, kind)
     if kind == "ultrametric":
@@ -185,8 +168,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
         return 0
     if args.partition_file is None:
         raise UsageError(f"witness {kind} requires a partition file")
-    parts = _load_partition(args.partition_file)
-    _require_covering(graph, parts)
+    parts = fileio.load_partition(args.partition_file)
+    require_cover(graph.vertices, parts)
     if kind == "metric":
         if not is_path_bipartite(graph, parts):
             print("false")
@@ -212,8 +195,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_max_n(args: argparse.Namespace, default: int) -> int:
-    value = default
+def _resolve_max_n(args: argparse.Namespace) -> Optional[int]:
+    """The vertex bound set by --max-n or the environment, or None to keep the sweep's default."""
+    value = None
     env = os.environ.get(ENV_MAX_N)
     if env is not None:
         try:
@@ -222,8 +206,8 @@ def _resolve_max_n(args: argparse.Namespace, default: int) -> int:
             raise UsageError(f"{ENV_MAX_N} must be an integer, got {env!r}")
     if args.max_n is not None:
         value = args.max_n
-    if value < 1 or value > HARD_MAX_N:
-        raise UsageError(f"vertex bound {value} outside 1..{HARD_MAX_N}")
+    if value is not None and not 1 <= value <= instances.MAX_ENUMERATION_VERTICES:
+        raise UsageError(f"vertex bound {value} outside 1..{instances.MAX_ENUMERATION_VERTICES}")
     return value
 
 
@@ -231,8 +215,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = SWEEPS[args.theorem]
     kwargs = {}
     if spec.exhaustive:
-        defaults = {"t3.9": 5, "t3.4": 5, "t3.6": 5, "c2.9": 5, "p3.22": 5, "p3.9": 5}
-        kwargs["max_n"] = _resolve_max_n(args, defaults.get(args.theorem, 6))
+        max_n = _resolve_max_n(args)
+        if max_n is not None:
+            kwargs["max_n"] = max_n
     if spec.randomized:
         if args.count is not None:
             kwargs["count"] = args.count
@@ -361,7 +346,7 @@ def cmd_example(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph_file)
+    graph = fileio.load_graph(args.graph_file)
     text = fileio.graph_to_dot(graph)
     if args.output is not None:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -405,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an equivalence sweep")
     p.add_argument("theorem", choices=sorted(SWEEPS))
-    p.add_argument("--max-n", type=int, default=None, help=f"exhaustive vertex bound (cap {HARD_MAX_N})")
+    p.add_argument("--max-n", type=int, default=None,
+                   help=f"exhaustive vertex bound (cap {instances.MAX_ENUMERATION_VERTICES})")
     p.add_argument("--count", type=int, default=None, help="randomized instance count")
     p.add_argument("--seed", type=int, default=None, help="randomized sweep seed")
     p.set_defaults(func=cmd_verify)
@@ -441,3 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -111,6 +111,15 @@ class Bipartition:
         return Bipartition(self.b, self.a)
 
 
+def require_cover(vertices: frozenset[str], parts: Bipartition, what: str = "vertex set") -> None:
+    """Raise GraphError unless A ∪ B is exactly `vertices`."""
+    if parts.union != vertices:
+        raise GraphError(
+            f"parts must cover the {what} exactly; uncovered={sorted(vertices - parts.union)},"
+            f" extraneous={sorted(parts.union - vertices)}"
+        )
+
+
 def build_graph(vertices: Sequence[str], edges: Iterable[Sequence[str]]) -> SimpleGraph:
     """Build a validated simple graph from raw label lists.
 

@@ -11,7 +11,6 @@ ultrametric realizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .bepaths import find_path_bipartite_partition, is_path_bipartite, is_path_complete
@@ -24,8 +23,9 @@ from .graphs import (
     induced_bipartite_subgraph,
     induced_subgraph,
     is_connected,
+    require_cover,
 )
-from .proximinal import is_bipartite_with_parts, verify_proximinal_graph
+from .proximinal import adjacency_metric, is_bipartite_with_parts, verify_proximinal_graph
 from .spaces import (
     FiniteSemimetricSpace,
     SpaceClass,
@@ -36,22 +36,13 @@ from .spaces import (
 )
 
 
-def _require_partition_of_points(space: FiniteSemimetricSpace, parts: Bipartition) -> None:
-    pts = space.point_set()
-    if parts.union != pts:
-        raise GraphError(
-            f"parts must cover the point set exactly; uncovered={sorted(pts - parts.union)},"
-            f" extraneous={sorted(parts.union - pts)}"
-        )
-
-
 def build_threshold_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> SimpleGraph:
     """Graph on all points with edges where 0 < d(x, y) <= dist(A, B).
 
     Unlike a proximinal graph, within-part edges are allowed whenever the
     distance stays at or below the part separation.
     """
-    _require_partition_of_points(space, parts)
+    require_cover(space.point_set(), parts, "point set")
     threshold = set_distance(space, parts.a, parts.b)
     pts = space.points
     edges = frozenset(
@@ -89,7 +80,7 @@ def check_structural_conditions(space: FiniteSemimetricSpace, parts: Bipartition
     through a path lying in the part A, and symmetrically for B.  This is
     equivalent to the threshold graph being path-bipartite of (A, B).
     """
-    _require_partition_of_points(space, parts)
+    require_cover(space.point_set(), parts, "point set")
     graph = build_threshold_graph(space, parts)
     report = proximity_report(space, parts)
     for part, core in ((parts.a, report.a0), (parts.b, report.b0)):
@@ -109,13 +100,7 @@ def witness_metric_for_path_bipartite(
     """
     if not is_path_bipartite(graph, parts):
         raise GraphError("graph is not path-bipartite of the given parts")
-    pts = tuple(graph.sorted_vertices())
-    zero, one, two = Fraction(0), Fraction(1), Fraction(2)
-    table = tuple(
-        tuple(zero if p == q else (one if graph.has_edge(p, q) else two) for q in pts)
-        for p in pts
-    )
-    return FiniteSemimetricSpace(pts, table)
+    return adjacency_metric(graph)
 
 
 @dataclass(frozen=True)
@@ -162,7 +147,7 @@ def check_prop_3_22(
 
 def check_within_part_separation(space: FiniteSemimetricSpace, parts: Bipartition) -> bool:
     """True iff all distinct same-part pairs are strictly farther than dist(A, B)."""
-    _require_partition_of_points(space, parts)
+    require_cover(space.point_set(), parts, "point set")
     threshold = set_distance(space, parts.a, parts.b)
     for part in (parts.a, parts.b):
         block = sorted(part)
@@ -193,13 +178,7 @@ def witness_ultrametric(graph: SimpleGraph) -> Optional[PathProximinalCertificat
         return None
     a = frozenset(e[0] for e in graph.edges)
     parts = Bipartition(a, graph.vertices - a)
-    pts = tuple(graph.sorted_vertices())
-    zero, one, two = Fraction(0), Fraction(1), Fraction(2)
-    table = tuple(
-        tuple(zero if p == q else (one if graph.has_edge(p, q) else two) for q in pts)
-        for p in pts
-    )
-    space = FiniteSemimetricSpace(pts, table)
+    space = adjacency_metric(graph)
     certificate = PathProximinalCertificate(graph, parts, space)
     assert classify(space) is SpaceClass.ULTRAMETRIC
     assert certificate.verify()

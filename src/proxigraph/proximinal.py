@@ -10,17 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Bipartition, GraphError, SimpleGraph, edge_key
+from .graphs import Bipartition, GraphError, SimpleGraph, edge_key, require_cover
 from .spaces import FiniteSemimetricSpace, is_proximinal, set_distance
 
 
-def _require_partition_of_points(space: FiniteSemimetricSpace, parts: Bipartition) -> None:
-    pts = space.point_set()
-    if parts.union != pts:
-        raise GraphError(
-            f"parts must cover the point set exactly; uncovered={sorted(pts - parts.union)},"
-            f" extraneous={sorted(parts.union - pts)}"
-        )
+def adjacency_metric(graph: SimpleGraph) -> FiniteSemimetricSpace:
+    """The {0,1,2}-valued space on the vertices: 1 on edges, 2 on other distinct pairs."""
+    pts = tuple(graph.sorted_vertices())
+    zero, one, two = Fraction(0), Fraction(1), Fraction(2)
+    table = tuple(
+        tuple(zero if p == q else (one if graph.has_edge(p, q) else two) for q in pts)
+        for p in pts
+    )
+    return FiniteSemimetricSpace(pts, table)
 
 
 def is_bipartite_with_parts(graph: SimpleGraph, parts: Bipartition) -> bool:
@@ -32,7 +34,7 @@ def is_bipartite_with_parts(graph: SimpleGraph, parts: Bipartition) -> bool:
 
 def build_proximinal_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> SimpleGraph:
     """Graph on A ∪ B whose edges are the cross pairs at distance dist(A, B)."""
-    _require_partition_of_points(space, parts)
+    require_cover(space.point_set(), parts, "point set")
     dist = set_distance(space, parts.a, parts.b)
     edges = frozenset(
         edge_key(x, y) for x in parts.a for y in parts.b if space.d(x, y) == dist
@@ -66,12 +68,7 @@ def witness_proximinal_metric(graph: SimpleGraph, parts: Bipartition) -> FiniteS
         raise GraphError("graph is not bipartite with the given parts")
     if not graph.edges:
         raise GraphError("an empty bipartite graph has no proximinal witness metric")
-    pts = tuple(graph.sorted_vertices())
-    one, two, zero = Fraction(1), Fraction(2), Fraction(0)
-    table = [
-        [zero if p == q else (one if graph.has_edge(p, q) else two) for q in pts] for p in pts
-    ]
-    return FiniteSemimetricSpace(pts, tuple(tuple(row) for row in table))
+    return adjacency_metric(graph)
 
 
 @dataclass(frozen=True)

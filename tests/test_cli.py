@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, first-line verdicts, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import proxigraph
 from proxigraph import build_graph, build_space
 from proxigraph.cli import main
 from proxigraph.fileio import (
@@ -15,6 +20,7 @@ from proxigraph.fileio import (
     space_to_obj,
 )
 from proxigraph.instances import (
+    MAX_ENUMERATION_VERTICES,
     TruncationParams,
     example_3_1,
     example_3_2,
@@ -221,7 +227,14 @@ def test_verify_unknown_theorem_exits_2(capsys):
 
 def test_verify_bound_cap(capsys):
     assert main(["verify", "t3.9", "--max-n", "9"]) == 2
-    assert "outside 1..7" in capsys.readouterr().err
+    assert f"outside 1..{MAX_ENUMERATION_VERTICES}" in capsys.readouterr().err
+
+
+def test_verify_bound_past_enumeration_fails_before_any_work(capsys):
+    assert main(["verify", "c3.12", "--max-n", str(MAX_ENUMERATION_VERTICES + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"outside 1..{MAX_ENUMERATION_VERTICES}" in err
+    assert "instances checked" not in err
 
 
 def test_verify_env_override(monkeypatch, capsys):
@@ -277,3 +290,14 @@ def test_export_dot_to_file(bundle, tmp_path, capsys):
 
 def test_missing_file_exits_2(capsys):
     assert main(["classify", "/nonexistent/space.json"]) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(proxigraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "proxigraph", "verify", "t3.9", "--max-n", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "true"

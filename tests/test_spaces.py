@@ -1,6 +1,7 @@
 """Semimetric spaces: validation, classification, distances, proximity."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -200,6 +201,16 @@ def test_is_proximinal_always_true_in_finite_spaces():
     assert is_proximinal(s, {"101", "010"})
     with pytest.raises(SpaceError, match="nonempty"):
         is_proximinal(s, set())
+
+
+def test_is_proximinal_agrees_with_best_approximation_oracle():
+    # every point has a nonempty best approximation in every nonempty subset
+    for seed in range(12):
+        space = random_semimetric_space(2 + seed % 5, seed)
+        for size in range(1, space.size + 1):
+            for subset in combinations(space.points, size):
+                assert is_proximinal(space, subset)
+                assert all(best_approximations(space, x, subset) for x in space.points)
 
 
 def test_proximity_report_hypercube_saturates_both_parts():
