@@ -4,7 +4,8 @@
 Every decision procedure in the library is paired with an independent
 route (brute-force enumeration, axiom scans, or a second
 characterization); the sweeps run both sides over small instance families
-and demand zero disagreements.
+and demand zero disagreements.  Each sweep's description printed below
+is the first line of its docstring.
 
     python demos/05_verification_sweeps.py
 """

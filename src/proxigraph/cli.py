@@ -31,7 +31,7 @@ from .path_proximinal import (
     witness_metric_for_path_bipartite,
     witness_ultrametric,
 )
-from .proximinal import verify_proximinal_graph, witness_proximinal_metric
+from .proximinal import is_bipartite_with_parts, verify_proximinal_graph, witness_proximinal_metric
 from .spaces import SpaceError, classify, set_distance
 from .theorems import SWEEPS
 
@@ -182,7 +182,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
             print("false")
             print("reason: empty-graph: an empty bipartite graph has no proximinal witness")
             return 1
-        if any((u in parts.a) == (v in parts.a) for u, v in graph.edges):
+        if not is_bipartite_with_parts(graph, parts):
             print("false")
             print("reason: not-bipartite-with-parts: some edge stays inside one part")
             return 1
@@ -213,16 +213,15 @@ def _resolve_max_n(args: argparse.Namespace) -> Optional[int]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = SWEEPS[args.theorem]
-    kwargs = {}
-    if spec.exhaustive:
+    flags = {"max_n": args.max_n, "count": args.count, "seed": args.seed}
+    kwargs = {name: value for name, value in flags.items() if value is not None}
+    for name in kwargs:
+        if name not in spec.parameters:
+            raise UsageError(f"sweep {args.theorem} takes no --{name.replace('_', '-')}")
+    if "max_n" in spec.parameters:
         max_n = _resolve_max_n(args)
         if max_n is not None:
             kwargs["max_n"] = max_n
-    if spec.randomized:
-        if args.count is not None:
-            kwargs["count"] = args.count
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
 
     def progress(done: int) -> None:
         print(f"... {done} instances checked", file=sys.stderr)
@@ -234,111 +233,102 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _write_bundle(out_dir: Path, name: str, **objs) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for suffix, obj in objs.items():
-        path = out_dir / f"{name}.{suffix}.json"
-        fileio.save_json(path, obj)
-        written.append(path)
-    return written
+# Each example returns (bundle objects by file suffix, checks, extra report lines).
+Example = tuple[dict[str, object], dict[str, bool], list[str]]
+
+
+def _example_3_1(args: argparse.Namespace) -> Example:
+    graph, parts = instances.example_3_1()
+    checks = {
+        "|E| = 25": len(graph.edges) == 25,
+        "connected": len(connected_components(graph)) == 1,
+        "path-bipartite of (A, B)": is_path_bipartite(graph, parts),
+    }
+    return {"graph": graph, "partition": parts}, checks, [
+        f"erratum: x14 {instances.EXAMPLE_ERRATA['x14']}"
+    ]
+
+
+def _example_3_2(args: argparse.Namespace) -> Example:
+    space, parts = instances.example_3_2()
+    graph = build_threshold_graph(space, parts)
+    pairs = bpath_pairs(graph, parts)
+    published = set(instances.PUBLISHED_BPATH_PAIRS)
+    omitted = sorted(pairs - published)
+    checks = {
+        "dist(A, B) = 1": set_distance(space, parts.a, parts.b) == 1,
+        "threshold graph has 32 edges": len(graph.edges) == 32,
+        "path-proximinal": verify_path_proximinal(graph, parts, space),
+        "path-complete": is_path_complete(graph, parts),
+        "B_path = A x B (64 pairs)": len(pairs) == 64,
+        "published 46-pair list is a strict subset": published < pairs,
+    }
+    witness = be_path_witness(graph, parts, "x2", "x5")
+    assert witness is not None
+    return {"graph": graph, "partition": parts, "space": space}, checks, [
+        f"erratum: published B_path list has {len(published)} pairs; computed {len(pairs)};"
+        f" omitted pairs include {omitted[:3]}",
+        f"witness be-path for omitted pair (x2, x5): {list(witness.path)}",
+    ]
+
+
+def _example_3_7(args: argparse.Namespace) -> Example:
+    graph, parts = instances.example_3_7()
+    pairs = bpath_pairs(graph, parts)
+    checks = {
+        "connected": len(connected_components(graph)) == 1,
+        "B_path has 3 pairs": len(pairs) == 3,
+        "(a1, b2) not joinable": ("a1", "b2") not in pairs,
+        "not path-complete": not is_path_complete(graph, parts),
+    }
+    return {"graph": graph, "partition": parts}, checks, []
+
+
+def _example_3_12(args: argparse.Namespace) -> Example:
+    space, parts = instances.example_3_12_truncation(instances.TruncationParams(args.N, args.M, args.K))
+    graph = build_threshold_graph(space, parts)
+    checks = {
+        "dist(A, B) = 2": set_distance(space, parts.a, parts.b) == 2,
+        "satisfies the triangle inequality": classify(space).value in ("Metric", "Ultrametric"),
+        "path-complete": is_path_complete(graph, parts),
+        "path-proximinal": verify_path_proximinal(graph, parts, space),
+    }
+    return {"graph": graph, "partition": parts, "space": space}, checks, []
+
+
+def _example_3_16(args: argparse.Namespace) -> Example:
+    graph = instances.example_3_16()
+    checks = {
+        "x1 isolated": "x1" in graph.isolated_vertices(),
+        "not path-proximinal": is_path_proximinal_graph(graph) is None,
+    }
+    return {"graph": graph}, checks, []
+
+
+EXAMPLES = {
+    "ex3.1": _example_3_1,
+    "ex3.2": _example_3_2,
+    "ex3.7": _example_3_7,
+    "ex3.12": _example_3_12,
+    "ex3.16": _example_3_16,
+}
+_TO_OBJ = {"graph": fileio.graph_to_obj, "partition": fileio.partition_to_obj, "space": fileio.space_to_obj}
 
 
 def cmd_example(args: argparse.Namespace) -> int:
+    bundle, checks, notes = EXAMPLES[args.name](args)
     out_dir = Path(args.out_dir)
-    name = args.name
-    report: list[str] = []
-    ok = True
-    if name == "ex3.1":
-        graph, parts = instances.example_3_1()
-        written = _write_bundle(
-            out_dir, "ex3.1",
-            graph=fileio.graph_to_obj(graph),
-            partition=fileio.partition_to_obj(parts),
-        )
-        checks = {
-            "|E| = 25": len(graph.edges) == 25,
-            "connected": len(connected_components(graph)) == 1,
-            "path-bipartite of (A, B)": is_path_bipartite(graph, parts),
-        }
-        report.extend(f"{k}: {v}" for k, v in checks.items())
-        report.append(f"erratum: x14 {instances.EXAMPLE_ERRATA['x14']}")
-        ok = all(checks.values())
-    elif name == "ex3.2":
-        space, parts = instances.example_3_2()
-        graph = build_threshold_graph(space, parts)
-        written = _write_bundle(
-            out_dir, "ex3.2",
-            graph=fileio.graph_to_obj(graph),
-            partition=fileio.partition_to_obj(parts),
-            space=fileio.space_to_obj(space),
-        )
-        pairs = bpath_pairs(graph, parts)
-        published = set(instances.PUBLISHED_BPATH_PAIRS)
-        omitted = sorted(pairs - published)
-        checks = {
-            "dist(A, B) = 1": set_distance(space, parts.a, parts.b) == 1,
-            "threshold graph has 32 edges": len(graph.edges) == 32,
-            "path-proximinal": verify_path_proximinal(graph, parts, space),
-            "path-complete": is_path_complete(graph, parts),
-            "B_path = A x B (64 pairs)": len(pairs) == 64,
-            "published 46-pair list is a strict subset": published < pairs,
-        }
-        report.extend(f"{k}: {v}" for k, v in checks.items())
-        report.append(
-            f"erratum: published B_path list has {len(published)} pairs; computed {len(pairs)};"
-            f" omitted pairs include {omitted[:3]}"
-        )
-        witness = be_path_witness(graph, parts, "x2", "x5")
-        assert witness is not None
-        report.append(f"witness be-path for omitted pair (x2, x5): {list(witness.path)}")
-        ok = all(checks.values())
-    elif name == "ex3.7":
-        graph, parts = instances.example_3_7()
-        written = _write_bundle(
-            out_dir, "ex3.7",
-            graph=fileio.graph_to_obj(graph),
-            partition=fileio.partition_to_obj(parts),
-        )
-        pairs = bpath_pairs(graph, parts)
-        checks = {
-            "connected": len(connected_components(graph)) == 1,
-            "B_path has 3 pairs": len(pairs) == 3,
-            "(a1, b2) not joinable": ("a1", "b2") not in pairs,
-            "not path-complete": not is_path_complete(graph, parts),
-        }
-        report.extend(f"{k}: {v}" for k, v in checks.items())
-        ok = all(checks.values())
-    elif name == "ex3.12":
-        params = instances.TruncationParams(args.N, args.M, args.K)
-        space, parts = instances.example_3_12_truncation(params)
-        graph = build_threshold_graph(space, parts)
-        written = _write_bundle(
-            out_dir, "ex3.12",
-            graph=fileio.graph_to_obj(graph),
-            partition=fileio.partition_to_obj(parts),
-            space=fileio.space_to_obj(space),
-        )
-        checks = {
-            "dist(A, B) = 2": set_distance(space, parts.a, parts.b) == 2,
-            "satisfies the triangle inequality": classify(space).value in ("Metric", "Ultrametric"),
-            "path-complete": is_path_complete(graph, parts),
-            "path-proximinal": verify_path_proximinal(graph, parts, space),
-        }
-        report.extend(f"{k}: {v}" for k, v in checks.items())
-        ok = all(checks.values())
-    else:  # ex3.16
-        graph = instances.example_3_16()
-        written = _write_bundle(out_dir, "ex3.16", graph=fileio.graph_to_obj(graph))
-        certificate = is_path_proximinal_graph(graph)
-        checks = {
-            "x1 isolated": "x1" in graph.isolated_vertices(),
-            "not path-proximinal": certificate is None,
-        }
-        report.extend(f"{k}: {v}" for k, v in checks.items())
-        ok = all(checks.values())
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for suffix, value in bundle.items():
+        path = out_dir / f"{args.name}.{suffix}.json"
+        fileio.save_json(path, _TO_OBJ[suffix](value))
+        written.append(path)
+    ok = all(checks.values())
     print("true" if ok else "false")
-    for line in report:
+    for key, value in checks.items():
+        print(f"{key}: {value}")
+    for line in notes:
         print(line)
     for path in written:
         print(f"wrote: {path}")
@@ -397,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("example", help="write a worked example bundle and re-check its claims")
-    p.add_argument("name", choices=["ex3.1", "ex3.2", "ex3.7", "ex3.12", "ex3.16"])
+    p.add_argument("name", choices=list(EXAMPLES))
     p.add_argument("--out-dir", default=".")
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--M", type=int, default=2)

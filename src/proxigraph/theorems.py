@@ -5,14 +5,20 @@ route (brute-force enumeration, direct axiom scans, or a second
 characterization) over a family of small instances, and reports the first
 counterexample if any.  Sweep ids follow the short names used by the
 command-line `verify` subcommand.
+
+A sweep is a generator yielding, per instance, the problems found on it
+(empty when the two routes agree); one driver counts the instances and
+collects the counterexamples.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bepaths import (
     bpath_pairs,
@@ -61,6 +67,7 @@ from .spaces import (
 )
 
 Progress = Optional[Callable[[int], None]]
+Problems = Iterable[list[str]]  # per instance: its counterexamples, [] when the routes agree
 
 
 @dataclass
@@ -85,27 +92,42 @@ class SweepResult:
         return out
 
 
-class _Ticker:
-    """Counts instances and reports every 1000 to an optional callback."""
-
-    def __init__(self, result: SweepResult, progress: Progress):
-        self.result = result
-        self.progress = progress
-
-    def tick(self) -> None:
-        self.result.checked += 1
-        if self.progress is not None and self.result.checked % 1000 == 0:
-            self.progress(self.result.checked)
+def _run(sweep: str, problems: Problems, progress: Progress) -> SweepResult:
+    """Count each instance `problems` yields, keep its counterexamples, report every 1000."""
+    result = SweepResult(sweep)
+    for found in problems:
+        result.checked += 1
+        result.counterexamples.extend(found)
+        if progress is not None and result.checked % 1000 == 0:
+            progress(result.checked)
+    return result
 
 
-def _describe(graph: SimpleGraph, parts: Optional[Bipartition] = None) -> str:
-    txt = f"G(V={graph.sorted_vertices()}, E={graph.sorted_edges()})"
+def _describe(
+    subject: SimpleGraph | FiniteSemimetricSpace, parts: Optional[Bipartition] = None
+) -> str:
+    if isinstance(subject, FiniteSemimetricSpace):
+        txt = f"points={subject.points}"
+    else:
+        txt = f"G(V={subject.sorted_vertices()}, E={subject.sorted_edges()})"
     if parts is not None:
         txt += f" A={sorted(parts.a)} B={sorted(parts.b)}"
     return txt
 
 
-def _graphs_and_partitions(max_n: int):
+def _compare(instance: tuple, names: tuple[str, str], values: tuple[bool, bool]) -> list[str]:
+    """No problem when the two routes agree, else one naming both routes' answers."""
+    if values[0] == values[1]:
+        return []
+    return [f"{_describe(*instance)}: {names[0]}={values[0]}, {names[1]}={values[1]}"]
+
+
+def _labeled_graphs(max_n: int) -> Iterator[SimpleGraph]:
+    for n in range(1, max_n + 1):
+        yield from enumerate_labeled_graphs(n)
+
+
+def _graphs_and_partitions(max_n: int) -> Iterator[tuple[SimpleGraph, Bipartition]]:
     for n in range(2, max_n + 1):
         graphs = list(enumerate_labeled_graphs(n))
         partitions = list(all_bipartitions(graphs[0].vertices))
@@ -114,46 +136,54 @@ def _graphs_and_partitions(max_n: int):
                 yield graph, parts
 
 
+def _spaces_and_partitions(
+    make_space: Callable[[int, int], FiniteSemimetricSpace], count: int, max_points: int, seed: int
+) -> Iterator[tuple[FiniteSemimetricSpace, Bipartition]]:
+    """`count` seeded spaces of 2..max_points points, each with all its bipartitions.
+
+    Each space costs one `randint` and then one `randrange(2**32)` draw;
+    `perfbench/workloads.py` replays these draws to predict instance counts.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        space = make_space(rng.randint(2, max_points), rng.randrange(2**32))
+        for parts in all_bipartitions(space.point_set()):
+            yield space, parts
+
+
 def sweep_t3_9(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Path-bipartite decision vs. equality with the union of all be-paths."""
-    result = SweepResult("t3.9")
-    ticker = _Ticker(result, progress)
-    for graph, parts in _graphs_and_partitions(max_n):
-        fast = is_path_bipartite(graph, parts)
-        oracle = union_of_be_paths(graph, parts) == graph
-        ticker.tick()
-        if fast != oracle:
-            result.counterexamples.append(
-                f"{_describe(graph, parts)}: decision={fast}, union-oracle={oracle}"
-            )
-    return result
+    return _run("t3.9", (
+        _compare((graph, parts), ("decision", "union-oracle"),
+                 (is_path_bipartite(graph, parts), union_of_be_paths(graph, parts) == graph))
+        for graph, parts in _graphs_and_partitions(max_n)
+    ), progress)
 
 
 def sweep_t3_4(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Quotient-based B_path vs. brute-force enumeration, plus block saturation."""
-    result = SweepResult("t3.4")
-    ticker = _Ticker(result, progress)
-    for graph, parts in _graphs_and_partitions(max_n):
-        fast = bpath_pairs(graph, parts)
-        oracle = pairs_from_witnesses(enumerate_be_paths(graph, parts), parts)
-        ticker.tick()
-        if fast != oracle:
-            result.counterexamples.append(
-                f"{_describe(graph, parts)}: component-set {sorted(fast)} != enumerated {sorted(oracle)}"
-            )
-            continue
-        # Statement 3: membership is all-or-nothing on component block pairs.
-        a_comps = connected_components(induced_subgraph(graph, parts.a))
-        b_comps = connected_components(induced_subgraph(graph, parts.b))
-        for a_block in a_comps:
-            for b_block in b_comps:
-                inside = sum(1 for a in a_block for b in b_block if (a, b) in oracle)
-                if inside not in (0, len(a_block) * len(b_block)):
-                    result.counterexamples.append(
-                        f"{_describe(graph, parts)}: block pair {sorted(a_block)} x {sorted(b_block)}"
-                        f" only partially joinable ({inside} pairs)"
-                    )
-    return result
+    def problems() -> Problems:
+        for graph, parts in _graphs_and_partitions(max_n):
+            fast = bpath_pairs(graph, parts)
+            oracle = pairs_from_witnesses(enumerate_be_paths(graph, parts), parts)
+            if fast != oracle:
+                yield [f"{_describe(graph, parts)}: component-set {sorted(fast)} != enumerated {sorted(oracle)}"]
+                continue
+            # Statement 3: membership is all-or-nothing on component block pairs.
+            a_comps = connected_components(induced_subgraph(graph, parts.a))
+            b_comps = connected_components(induced_subgraph(graph, parts.b))
+            found = []
+            for a_block in a_comps:
+                for b_block in b_comps:
+                    inside = sum(1 for a in a_block for b in b_block if (a, b) in oracle)
+                    if inside not in (0, len(a_block) * len(b_block)):
+                        found.append(
+                            f"{_describe(graph, parts)}: block pair {sorted(a_block)} x {sorted(b_block)}"
+                            f" only partially joinable ({inside} pairs)"
+                        )
+            yield found
+
+    return _run("t3.4", problems(), progress)
 
 
 def induced_bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tuple[str, str]]:
@@ -178,111 +208,70 @@ def induced_bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tup
 
 def sweep_t3_6(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Quotient completeness vs. induced connectivity of every block pair."""
-    result = SweepResult("t3.6")
-    ticker = _Ticker(result, progress)
-    for graph, parts in _graphs_and_partitions(max_n):
-        quotient_complete = is_path_complete(graph, parts)
-        induced_complete = len(induced_bpath_pairs(graph, parts)) == len(parts.a) * len(parts.b)
-        ticker.tick()
-        if quotient_complete != induced_complete:
-            result.counterexamples.append(
-                f"{_describe(graph, parts)}: quotient-complete={quotient_complete},"
-                f" blocks-induce-connected={induced_complete}"
-            )
-    return result
+    return _run("t3.6", (
+        _compare((graph, parts), ("quotient-complete", "blocks-induce-connected"),
+                 (is_path_complete(graph, parts),
+                  len(induced_bpath_pairs(graph, parts)) == len(parts.a) * len(parts.b)))
+        for graph, parts in _graphs_and_partitions(max_n)
+    ), progress)
 
 
 def sweep_c2_9(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """With a singleton part, connectivity and path-completeness coincide."""
-    result = SweepResult("c2.9")
-    ticker = _Ticker(result, progress)
-    for graph, parts in _graphs_and_partitions(max_n):
-        if min(len(parts.a), len(parts.b)) != 1 or not is_path_bipartite(graph, parts):
-            continue
-        ticker.tick()
-        connected = is_connected(graph)
-        complete = is_path_complete(graph, parts)
-        if connected != complete:
-            result.counterexamples.append(
-                f"{_describe(graph, parts)}: connected={connected}, path-complete={complete}"
-            )
-    return result
+    return _run("c2.9", (
+        _compare((graph, parts), ("connected", "path-complete"),
+                 (is_connected(graph), is_path_complete(graph, parts)))
+        for graph, parts in _graphs_and_partitions(max_n)
+        if min(len(parts.a), len(parts.b)) == 1 and is_path_bipartite(graph, parts)
+    ), progress)
 
 
 def sweep_c3_10(max_n: int = 6, progress: Progress = None) -> SweepResult:
     """A path-bipartite partition exists exactly when no vertex is isolated."""
-    result = SweepResult("c3.10")
-    ticker = _Ticker(result, progress)
-    for n in range(1, max_n + 1):
-        for graph in enumerate_labeled_graphs(n):
-            ticker.tick()
+    def problems() -> Problems:
+        for graph in _labeled_graphs(max_n):
             parts = find_path_bipartite_partition(graph)
             unpruned = bool(graph.edges) and prune_isolated(graph) == graph
-            if (parts is not None) != unpruned:
-                result.counterexamples.append(
-                    f"{_describe(graph)}: partition-found={parts is not None},"
-                    f" equals-pruned={unpruned}"
-                )
-            elif parts is not None and not is_path_bipartite(graph, parts):
-                result.counterexamples.append(
-                    f"{_describe(graph, parts)}: returned partition is not path-bipartite"
-                )
-    return result
+            found = _compare((graph,), ("partition-found", "equals-pruned"), (parts is not None, unpruned))
+            if not found and parts is not None and not is_path_bipartite(graph, parts):
+                found = [f"{_describe(graph, parts)}: returned partition is not path-bipartite"]
+            yield found
+
+    return _run("c3.10", problems(), progress)
 
 
 def sweep_t3_16(max_n: int = 6, progress: Progress = None) -> SweepResult:
     """Certificates exist exactly for graphs without isolated vertices."""
-    result = SweepResult("t3.16")
-    ticker = _Ticker(result, progress)
-    for n in range(1, max_n + 1):
-        for graph in enumerate_labeled_graphs(n):
-            ticker.tick()
+    def problems() -> Problems:
+        for graph in _labeled_graphs(max_n):
             certificate = is_path_proximinal_graph(graph)
-            clean = not graph.isolated_vertices()
-            if (certificate is not None) != clean:
-                result.counterexamples.append(
-                    f"{_describe(graph)}: certificate={certificate is not None},"
-                    f" no-isolated-vertices={clean}"
-                )
-            elif certificate is not None and not certificate.verify():
-                result.counterexamples.append(
-                    f"{_describe(graph)}: produced certificate fails verification"
-                )
-    return result
+            found = _compare((graph,), ("certificate", "no-isolated-vertices"),
+                             (certificate is not None, not graph.isolated_vertices()))
+            if not found and certificate is not None and not certificate.verify():
+                found = [f"{_describe(graph)}: produced certificate fails verification"]
+            yield found
+
+    return _run("t3.16", problems(), progress)
 
 
 def sweep_c3_12(max_n: int = 6, progress: Progress = None) -> SweepResult:
     """All components of size two iff every degree equals one."""
-    result = SweepResult("c3.12")
-    ticker = _Ticker(result, progress)
-    for n in range(1, max_n + 1):
-        for graph in enumerate_labeled_graphs(n):
-            ticker.tick()
-            by_components = check_corollary_3_12(graph)
-            by_degrees = all_degrees_one(graph)
-            if by_components != by_degrees:
-                result.counterexamples.append(
-                    f"{_describe(graph)}: components-of-2={by_components}, degrees-one={by_degrees}"
-                )
-    return result
+    return _run("c3.12", (
+        _compare((graph,), ("components-of-2", "degrees-one"),
+                 (check_corollary_3_12(graph), all_degrees_one(graph)))
+        for graph in _labeled_graphs(max_n)
+    ), progress)
 
 
 def sweep_p3_22(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Saturation of the best-proximity core iff no isolated vertices."""
-    result = SweepResult("p3.22")
-    ticker = _Ticker(result, progress)
-    for graph, parts in _graphs_and_partitions(max_n):
-        if not graph.edges or not is_bipartite_with_parts(graph, parts):
-            continue
-        ticker.tick()
-        space = witness_proximinal_metric(graph, parts)
-        saturated = check_prop_3_22(graph, parts, space)
-        clean = not graph.isolated_vertices()
-        if saturated != clean:
-            result.counterexamples.append(
-                f"{_describe(graph, parts)}: saturated={saturated}, no-isolated={clean}"
-            )
-    return result
+    return _run("p3.22", (
+        _compare((graph, parts), ("saturated", "no-isolated"),
+                 (check_prop_3_22(graph, parts, witness_proximinal_metric(graph, parts)),
+                  not graph.isolated_vertices()))
+        for graph, parts in _graphs_and_partitions(max_n)
+        if graph.edges and is_bipartite_with_parts(graph, parts)
+    ), progress)
 
 
 def _perturbed_within_part(
@@ -313,55 +302,36 @@ def sweep_p3_9(
     perturbations per instance (cross distances stay untouched, so the
     proximinal-graph property is preserved).
     """
-    result = SweepResult("p3.9")
-    ticker = _Ticker(result, progress)
-    rng = random.Random(seed)
-    for graph, parts in _graphs_and_partitions(max_n):
-        if not graph.edges or graph.isolated_vertices():
-            continue
-        if not is_bipartite_with_parts(graph, parts):
-            continue
-        base = witness_proximinal_metric(graph, parts)
-        spaces = [base]
-        for _ in range(count):
-            perturbed = _perturbed_within_part(base, parts, rng)
-            if perturbed is not None:
-                spaces.append(perturbed)
-        for space in spaces:
-            ticker.tick()
-            if not verify_proximinal_graph(graph, parts, space):
-                result.counterexamples.append(
-                    f"{_describe(graph, parts)}: perturbation broke the proximinal certificate"
-                )
+    def problems() -> Problems:
+        rng = random.Random(seed)
+        for graph, parts in _graphs_and_partitions(max_n):
+            if not graph.edges or graph.isolated_vertices() or not is_bipartite_with_parts(graph, parts):
                 continue
-            left = verify_path_proximinal(graph, parts, space)
-            right = check_within_part_separation(space, parts)
-            if left != right:
-                result.counterexamples.append(
-                    f"{_describe(graph, parts)}: path-proximinal={left}, separation={right}"
-                )
-    return result
+            base = witness_proximinal_metric(graph, parts)
+            spaces = [base]
+            for _ in range(count):
+                perturbed = _perturbed_within_part(base, parts, rng)
+                if perturbed is not None:
+                    spaces.append(perturbed)
+            for space in spaces:
+                if not verify_proximinal_graph(graph, parts, space):
+                    yield [f"{_describe(graph, parts)}: perturbation broke the proximinal certificate"]
+                    continue
+                yield _compare((graph, parts), ("path-proximinal", "separation"),
+                               (verify_path_proximinal(graph, parts, space),
+                                check_within_part_separation(space, parts)))
+
+    return _run("p3.9", problems(), progress)
 
 
 def sweep_t2_1(
     count: int = 1000, max_points: int = 8, seed: int = 0, progress: Progress = None
 ) -> SweepResult:
     """Diameter bound vs. best-proximity saturation on random ultrametrics."""
-    result = SweepResult("t2.1")
-    ticker = _Ticker(result, progress)
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(2, max_points)
-        space = random_ultrametric_space(n, rng.randrange(2**32))
-        for parts in all_bipartitions(space.point_set()):
-            ticker.tick()
-            stmt1, stmt2 = check_theorem_2_1(space, parts)
-            if stmt1 != stmt2:
-                result.counterexamples.append(
-                    f"points={space.points} A={sorted(parts.a)} B={sorted(parts.b)}:"
-                    f" stmt1={stmt1}, stmt2={stmt2}"
-                )
-    return result
+    return _run("t2.1", (
+        _compare((space, parts), ("stmt1", "stmt2"), check_theorem_2_1(space, parts))
+        for space, parts in _spaces_and_partitions(random_ultrametric_space, count, max_points, seed)
+    ), progress)
 
 
 def sweep_t3_10(
@@ -380,49 +350,38 @@ def sweep_t3_10(
     is bipartite with the parts and verifies path-proximinal, all its
     components have exactly two vertices.
     """
-    result = SweepResult("t3.10")
-    ticker = _Ticker(result, progress)
-    for n in range(1, max_n + 1):
-        for graph in enumerate_labeled_graphs(n):
-            ticker.tick()
+    def forward() -> Problems:
+        for graph in _labeled_graphs(max_n):
             certificate = witness_ultrametric(graph)
-            matching = all_degrees_one(graph)
-            if (certificate is not None) != matching:
-                result.counterexamples.append(
-                    f"{_describe(graph)}: witness={certificate is not None}, degrees-one={matching}"
-                )
-                continue
-            if certificate is not None:
-                if classify(certificate.space) is not SpaceClass.ULTRAMETRIC:
-                    result.counterexamples.append(
-                        f"{_describe(graph)}: witness space fails the ultrametric scan"
-                    )
-                elif not certificate.verify():
-                    result.counterexamples.append(
-                        f"{_describe(graph)}: witness certificate fails verification"
-                    )
-                elif not is_bipartite_with_parts(certificate.graph, certificate.parts):
-                    result.counterexamples.append(
-                        f"{_describe(graph)}: witness parts are not a bipartition of the graph"
-                    )
+            found = _compare((graph,), ("witness", "degrees-one"),
+                             (certificate is not None, all_degrees_one(graph)))
+            if found or certificate is None:
+                yield found
+            elif classify(certificate.space) is not SpaceClass.ULTRAMETRIC:
+                yield [f"{_describe(graph)}: witness space fails the ultrametric scan"]
+            elif not certificate.verify():
+                yield [f"{_describe(graph)}: witness certificate fails verification"]
+            elif not is_bipartite_with_parts(certificate.graph, certificate.parts):
+                yield [f"{_describe(graph)}: witness parts are not a bipartition of the graph"]
+            else:
+                yield []
+
     fired = 0
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(2, max_points)
-        space = random_ultrametric_space(n, rng.randrange(2**32))
-        for parts in all_bipartitions(space.point_set()):
-            ticker.tick()
+
+    def backward() -> Problems:
+        nonlocal fired
+        for space, parts in _spaces_and_partitions(random_ultrametric_space, count, max_points, seed):
             graph = build_threshold_graph(space, parts)
-            if not is_bipartite_with_parts(graph, parts):
-                continue
-            if not verify_path_proximinal(graph, parts, space):
+            if not (is_bipartite_with_parts(graph, parts) and verify_path_proximinal(graph, parts, space)):
+                yield []
                 continue
             fired += 1
-            if not check_corollary_3_12(graph):
-                result.counterexamples.append(
-                    f"points={space.points} A={sorted(parts.a)} B={sorted(parts.b)}:"
-                    f" ultrametric path-proximinal threshold graph with a component != 2 vertices"
-                )
+            yield [] if check_corollary_3_12(graph) else [
+                f"{_describe(space, parts)}:"
+                f" ultrametric path-proximinal threshold graph with a component != 2 vertices"
+            ]
+
+    result = _run("t3.10", chain(forward(), backward()), progress)
     result.notes.append(f"backward direction fired on {fired} (space, partition) instances")
     return result
 
@@ -431,43 +390,40 @@ def sweep_t3_5(
     count: int = 300, max_points: int = 7, seed: int = 0, progress: Progress = None
 ) -> SweepResult:
     """Core reachability vs. path-bipartiteness of the threshold graph."""
-    result = SweepResult("t3.5")
-    ticker = _Ticker(result, progress)
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(2, max_points)
-        space = random_semimetric_space(n, rng.randrange(2**32))
-        for parts in all_bipartitions(space.point_set()):
-            ticker.tick()
-            structural = check_structural_conditions(space, parts)
-            bipartite = is_path_bipartite(build_threshold_graph(space, parts), parts)
-            if structural != bipartite:
-                result.counterexamples.append(
-                    f"points={space.points} A={sorted(parts.a)} B={sorted(parts.b)}:"
-                    f" structural={structural}, path-bipartite={bipartite}"
-                )
-    return result
+    return _run("t3.5", (
+        _compare((space, parts), ("structural", "path-bipartite"),
+                 (check_structural_conditions(space, parts),
+                  is_path_bipartite(build_threshold_graph(space, parts), parts)))
+        for space, parts in _spaces_and_partitions(random_semimetric_space, count, max_points, seed)
+    ), progress)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     run: Callable[..., SweepResult]
-    description: str
-    exhaustive: bool  # accepts max_n
-    randomized: bool  # accepts count/seed
+
+    @property
+    def description(self) -> str:
+        """The first line of the sweep's docstring."""
+        return self.run.__doc__.splitlines()[0].rstrip(".")
+
+    @property
+    def parameters(self) -> frozenset[str]:
+        """The bounds the sweep takes: every parameter of `run` but `progress`."""
+        return frozenset(inspect.signature(self.run).parameters) - {"progress"}
 
 
 SWEEPS: dict[str, SweepSpec] = {
-    "t3.9": SweepSpec(sweep_t3_9, "path-bipartite decision vs. union of be-paths", True, False),
-    "t3.4": SweepSpec(sweep_t3_4, "component B_path vs. enumeration oracle", True, False),
-    "t3.6": SweepSpec(sweep_t3_6, "path-completeness vs. quotient completeness", True, False),
-    "c2.9": SweepSpec(sweep_c2_9, "singleton part: connected iff path-complete", True, False),
-    "c3.10": SweepSpec(sweep_c3_10, "canonical partition exists iff no isolated vertices", True, False),
-    "t3.16": SweepSpec(sweep_t3_16, "path-proximinal certificate iff no isolated vertices", True, False),
-    "c3.12": SweepSpec(sweep_c3_12, "components of size two iff all degrees one", True, False),
-    "p3.22": SweepSpec(sweep_p3_22, "proximity core saturation iff no isolated vertices", True, False),
-    "p3.9": SweepSpec(sweep_p3_9, "path-proximinality iff within-part separation", True, True),
-    "t2.1": SweepSpec(sweep_t2_1, "diameter bound iff best-proximity saturation", False, True),
-    "t3.10": SweepSpec(sweep_t3_10, "degree-one iff ultrametric path-proximinal", True, True),
-    "t3.5": SweepSpec(sweep_t3_5, "core reachability iff threshold graph path-bipartite", False, True),
+    "t3.9": SweepSpec(sweep_t3_9),
+    "t3.4": SweepSpec(sweep_t3_4),
+    "t3.6": SweepSpec(sweep_t3_6),
+    "c2.9": SweepSpec(sweep_c2_9),
+    "c3.10": SweepSpec(sweep_c3_10),
+    "t3.16": SweepSpec(sweep_t3_16),
+    "c3.12": SweepSpec(sweep_c3_12),
+    "p3.22": SweepSpec(sweep_p3_22),
+    "p3.9": SweepSpec(sweep_p3_9),
+    "t2.1": SweepSpec(sweep_t2_1),
+    "t3.10": SweepSpec(sweep_t3_10),
+    "t3.5": SweepSpec(sweep_t3_5),
 }

@@ -237,6 +237,24 @@ def test_verify_bound_past_enumeration_fails_before_any_work(capsys):
     assert "instances checked" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "t2.1", "--max-n", "99", "--count", "2"], "--max-n"),
+    (["verify", "t3.9", "--count", "5", "--max-n", "2"], "--count"),
+])
+def test_verify_rejects_flag_the_sweep_does_not_take(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"sweep {argv[1]} takes no {flag}" in captured.err
+    assert "instances checked" not in captured.err
+    assert captured.out == ""
+
+
+def test_verify_env_bound_only_reaches_sweeps_with_max_n(monkeypatch, capsys):
+    monkeypatch.setenv("PROXIGRAPH_MAX_N", "99")
+    assert main(["verify", "t2.1", "--count", "2", "--seed", "1"]) == 0
+    assert first_line(capsys)[0] == "true"
+
+
 def test_verify_env_override(monkeypatch, capsys):
     monkeypatch.setenv("PROXIGRAPH_MAX_N", "3")
     assert main(["verify", "t3.9"]) == 0

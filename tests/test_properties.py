@@ -24,6 +24,22 @@ def graphs_with_parts(draw, max_vertices: int, max_edges: int):
     return graph, parts
 
 
+@st.composite
+def few_block_graphs(draw):
+    """Parts of 1-3 blocks each, every block a path of 1-3 vertices, plus random crossing edges."""
+
+    def blocks(side: str) -> list[list[str]]:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        return [[f"{side}{i}{k}" for k in range(size)] for i, size in enumerate(sizes)]
+
+    a_blocks, b_blocks = blocks("a"), blocks("b")
+    a = [v for block in a_blocks for v in block]
+    b = [v for block in b_blocks for v in block]
+    paths = [(block[k], block[k + 1]) for block in a_blocks + b_blocks for k in range(len(block) - 1)]
+    crossing = draw(st.sets(st.sampled_from([(x, y) for x in a for y in b])))
+    return build_graph(a + b, paths + sorted(crossing)), Bipartition.of(a, b)
+
+
 @PROPERTY_SETTINGS
 @given(graphs_with_parts(max_vertices=40, max_edges=80))
 def test_bpath_pairs_match_induced_connectivity(case):
@@ -38,3 +54,12 @@ def test_bpath_pairs_match_induced_connectivity(case):
 def test_bpath_pairs_match_enumeration(case):
     graph, parts = case
     assert bpath_pairs(graph, parts) == pairs_from_witnesses(enumerate_be_paths(graph, parts), parts)
+
+
+@PROPERTY_SETTINGS
+@given(few_block_graphs())
+def test_path_completeness_on_few_block_graphs(case):
+    graph, parts = case
+    pairs = induced_bpath_pairs(graph, parts)
+    assert bpath_pairs(graph, parts) == pairs
+    assert is_path_complete(graph, parts) == (len(pairs) == len(parts.a) * len(parts.b))

@@ -1,7 +1,13 @@
 """Sweep smoke runs at small bounds; the full bounds run in the acceptance suite."""
 
+import functools
+
+import pytest
+
+from proxigraph import theorems
 from proxigraph.theorems import (
     SWEEPS,
+    SweepSpec,
     sweep_c2_9,
     sweep_c3_10,
     sweep_c3_12,
@@ -95,3 +101,32 @@ def test_sweep_result_lines():
     lines = result.lines()
     assert lines[0].startswith("sweep t3.9: checked")
     assert any("counterexamples: 0" in line for line in lines)
+
+
+def test_spec_reads_description_and_bounds_through_a_wrapper():
+    spec = SweepSpec(functools.wraps(sweep_t2_1)(lambda **kwargs: sweep_t2_1(**kwargs)))
+    assert spec.parameters == {"count", "max_points", "seed"}
+    assert spec.description == "Diameter bound vs. best-proximity saturation on random ultrametrics"
+    assert SWEEPS["t3.10"].parameters == {"max_n", "count", "max_points", "seed"}
+
+
+def _negated(route):
+    return lambda *args: not route(*args)
+
+
+@pytest.mark.parametrize("sweep_id, bounds, route, wrong, names", [
+    ("t3.9", dict(max_n=3), "is_path_bipartite", _negated, ("decision=", "union-oracle=")),
+    ("c3.10", dict(max_n=4), "find_path_bipartite_partition", lambda route: lambda graph: None,
+     ("partition-found=", "equals-pruned=")),
+    ("t3.5", dict(count=10, max_points=5, seed=2), "check_structural_conditions", _negated,
+     ("structural=", "path-bipartite=")),
+], ids=["t3.9", "c3.10", "t3.5"])
+def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, wrong, names):
+    run = SWEEPS[sweep_id].run
+    clean = run(**bounds)
+    monkeypatch.setattr(theorems, route, wrong(getattr(theorems, route)))
+    result = run(**bounds)
+    assert clean.ok
+    assert not result.ok
+    assert result.checked == clean.checked
+    assert all(name in result.counterexamples[0] for name in names)
