@@ -218,6 +218,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in kwargs:
         if name not in spec.parameters:
             raise UsageError(f"sweep {args.theorem} takes no --{name.replace('_', '-')}")
+    if kwargs.get("count", 1) < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     if "max_n" in spec.parameters:
         max_n = _resolve_max_n(args)
         if max_n is not None:

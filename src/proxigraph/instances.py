@@ -11,16 +11,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .graphs import Bipartition, SimpleGraph, build_graph, edge_key, induced_subgraph
-from .spaces import (
-    FiniteSemimetricSpace,
-    RationalLike,
-    build_space,
-    space_from_distance,
-    to_rational,
-)
+from .spaces import FiniteSemimetricSpace, RationalLike, space_from_distance, to_rational
 
 MAX_HYPERCUBE_DIM = 10
 MAX_ENUMERATION_VERTICES = 6
@@ -28,16 +22,16 @@ MAX_RANDOM_ULTRAMETRIC_POINTS = 16
 MAX_TRUNCATION_POINTS = 200
 
 
+def _hamming(p: Sequence, q: Sequence) -> int:
+    """Number of coordinates where two equal-length sequences differ."""
+    return sum(c1 != c2 for c1, c2 in zip(p, q))
+
+
 def hypercube_space(n: int) -> FiniteSemimetricSpace:
     """Hamming space on all n-bit strings (2**n points)."""
     if not 1 <= n <= MAX_HYPERCUBE_DIM:
         raise ValueError(f"hypercube dimension must be in 1..{MAX_HYPERCUBE_DIM}, got {n}")
-    points = [format(i, f"0{n}b") for i in range(2**n)]
-    zero = Fraction(0)
-    table = [
-        [zero + sum(c1 != c2 for c1, c2 in zip(p, q)) for q in points] for p in points
-    ]
-    return build_space(points, table)
+    return space_from_distance([format(i, f"0{n}b") for i in range(2**n)], _hamming)
 
 
 def hamming_graph(space: FiniteSemimetricSpace) -> SimpleGraph:
@@ -101,11 +95,8 @@ def example_3_1() -> tuple[SimpleGraph, Bipartition]:
 
 def example_3_2() -> tuple[FiniteSemimetricSpace, Bipartition]:
     """Hamming space over the 16 example points, with the same partition."""
-
-    def dist(p: str, q: str) -> int:
-        return sum(c1 != c2 for c1, c2 in zip(EXAMPLE_COORDINATES[p], EXAMPLE_COORDINATES[q]))
-
-    space = space_from_distance(list(EXAMPLE_COORDINATES), dist)
+    coords = EXAMPLE_COORDINATES
+    space = space_from_distance(list(coords), lambda p, q: _hamming(coords[p], coords[q]))
     return space, Bipartition.of(_EXAMPLE_PART_A, _EXAMPLE_PART_B)
 
 
@@ -138,7 +129,7 @@ def truncation_distance(z1: tuple[int, int], z2: tuple[int, int]) -> Fraction:
     """Half the real gap plus the imaginary gap plus one, for distinct points."""
     if z1 == z2:
         return Fraction(0)
-    return Fraction(abs(z1[0] - z2[0]), 2) + abs(z1[1] - z2[1]) + 1
+    return Fraction(abs(z1[0] - z2[0]) + 2 * abs(z1[1] - z2[1]) + 2, 2)
 
 
 def example_3_12_truncation(params: TruncationParams) -> tuple[FiniteSemimetricSpace, Bipartition]:
@@ -159,10 +150,8 @@ def example_3_12_truncation(params: TruncationParams) -> tuple[FiniteSemimetricS
     def label(z: tuple[int, int]) -> str:
         return f"{z[0]}+{z[1]}i"
 
-    coords = a_coords + b_coords
-    labels = [label(z) for z in coords]
-    table = [[truncation_distance(z1, z2) for z2 in coords] for z1 in coords]
-    space = build_space(labels, table)
+    coords = {label(z): z for z in a_coords + b_coords}
+    space = space_from_distance(list(coords), lambda p, q: truncation_distance(coords[p], coords[q]))
     parts = Bipartition.of([label(z) for z in a_coords], [label(z) for z in b_coords])
     return space, parts
 
@@ -218,9 +207,7 @@ def random_ultrametric_space(n: int, seed: int) -> FiniteSemimetricSpace:
                 split(chunk, level * Fraction(rng.randint(1, 7), 8))
 
     split(labels, Fraction(rng.randint(8, 24), rng.randint(1, 4)))
-    zero = Fraction(0)
-    table = [[zero if p == q else dist[edge_key(p, q)] for q in labels] for p in labels]
-    return build_space(labels, table)
+    return space_from_distance(labels, lambda p, q: 0 if p == q else dist[edge_key(p, q)])
 
 
 def random_semimetric_space(n: int, seed: int) -> FiniteSemimetricSpace:
@@ -231,9 +218,7 @@ def random_semimetric_space(n: int, seed: int) -> FiniteSemimetricSpace:
     labels = [f"q{i:02d}" for i in range(1, n + 1)]
     values = [Fraction(num, den) for num in range(1, 7) for den in (1, 2)]
     dist = {edge_key(p, q): rng.choice(values) for p, q in combinations(labels, 2)}
-    zero = Fraction(0)
-    table = [[zero if p == q else dist[edge_key(p, q)] for q in labels] for p in labels]
-    return build_space(labels, table)
+    return space_from_distance(labels, lambda p, q: 0 if p == q else dist[edge_key(p, q)])
 
 
 def random_graph(n: int, edge_probability: Union[RationalLike, float], seed: int) -> SimpleGraph:

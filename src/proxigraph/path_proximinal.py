@@ -80,7 +80,6 @@ def check_structural_conditions(space: FiniteSemimetricSpace, parts: Bipartition
     through a path lying in the part A, and symmetrically for B.  This is
     equivalent to the threshold graph being path-bipartite of (A, B).
     """
-    require_cover(space.point_set(), parts, "point set")
     graph = build_threshold_graph(space, parts)
     report = proximity_report(space, parts)
     for part, core in ((parts.a, report.a0), (parts.b, report.b0)):

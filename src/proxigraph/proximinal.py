@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Bipartition, GraphError, SimpleGraph, edge_key, require_cover
-from .spaces import FiniteSemimetricSpace, is_proximinal, set_distance
+from .spaces import FiniteSemimetricSpace, is_proximinal, proximity_report, set_distance
 
 
 def adjacency_metric(graph: SimpleGraph) -> FiniteSemimetricSpace:
@@ -35,10 +35,7 @@ def is_bipartite_with_parts(graph: SimpleGraph, parts: Bipartition) -> bool:
 def build_proximinal_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> SimpleGraph:
     """Graph on A ∪ B whose edges are the cross pairs at distance dist(A, B)."""
     require_cover(space.point_set(), parts, "point set")
-    dist = set_distance(space, parts.a, parts.b)
-    edges = frozenset(
-        edge_key(x, y) for x in parts.a for y in parts.b if space.d(x, y) == dist
-    )
+    edges = frozenset(edge_key(x, y) for x, y in proximity_report(space, parts).pairs)
     return SimpleGraph(parts.union, edges)
 
 

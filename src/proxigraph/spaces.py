@@ -6,6 +6,7 @@ and set-distance comparisons are exact; floating point never enters.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,16 +25,18 @@ RationalLike = Union[Fraction, int, str]
 
 
 def to_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact Fraction."""
+    """Coerce an int, Fraction, or 'p/q' string of plain digits to an exact Fraction."""
     if isinstance(value, bool):
         raise SpaceError(f"not a rational value: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpaceError(f"malformed rational {value!r}: {exc}") from None
+        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):  # zero denominator, or too many digits
+                pass
+        raise SpaceError(f"malformed rational {value!r}: expected an integer or 'p/q' with q > 0")
     raise SpaceError(f"not a rational value: {value!r}")
 
 
@@ -110,8 +113,7 @@ def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) 
 def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace:
     """Build a space by tabulating a distance function over the points."""
     pts = tuple(points)
-    table = [[to_rational(dist_fn(p, q)) for q in pts] for p in pts]
-    return build_space(pts, table)
+    return build_space(pts, [[dist_fn(p, q) for q in pts] for p in pts])
 
 
 def classify(space: FiniteSemimetricSpace) -> SpaceClass:
@@ -120,24 +122,16 @@ def classify(space: FiniteSemimetricSpace) -> SpaceClass:
     The hierarchy is Ultrametric ⊂ Metric ⊂ Semimetric; symmetry and
     positive-definiteness are already enforced at construction.
     """
-    is_metric = True
     is_ultra = True
-    n = space.size
     t = space.table
-    for i, j, k in combinations(range(n), 3):
+    for i, j, k in combinations(range(space.size), 3):
         # For an unordered triple it suffices to test the largest side.
-        dij, dik, djk = t[i][j], t[i][k], t[j][k]
-        big = max(dij, dik, djk)
-        rest = sorted((dij, dik, djk))[:2]
-        if is_ultra and big > rest[1]:
-            is_ultra = False
-        if is_metric and big > rest[0] + rest[1]:
-            is_metric = False
-        if not is_metric:
+        low, mid, high = sorted((t[i][j], t[i][k], t[j][k]))
+        if high > low + mid:
             return SpaceClass.SEMIMETRIC
-    if is_ultra:
-        return SpaceClass.ULTRAMETRIC
-    return SpaceClass.METRIC if is_metric else SpaceClass.SEMIMETRIC
+        if is_ultra and high > mid:
+            is_ultra = False
+    return SpaceClass.ULTRAMETRIC if is_ultra else SpaceClass.METRIC
 
 
 def _check_subset(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> frozenset[str]:
@@ -205,10 +199,8 @@ class ProximityReport:
 
 def proximity_report(space: FiniteSemimetricSpace, parts: Bipartition) -> ProximityReport:
     """Distance between the parts, plus all pairs realizing it."""
-    sa = _check_subset(space, parts.a, "part A")
-    sb = _check_subset(space, parts.b, "part B")
-    dist = set_distance(space, sa, sb)
-    pairs = frozenset((x, y) for x in sa for y in sb if space.d(x, y) == dist)
+    dist = set_distance(space, parts.a, parts.b)
+    pairs = frozenset((x, y) for x in parts.a for y in parts.b if space.d(x, y) == dist)
     a0 = frozenset(x for x, _ in pairs)
     b0 = frozenset(y for _, y in pairs)
     return ProximityReport(dist, a0, b0, pairs)

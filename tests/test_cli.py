@@ -81,6 +81,13 @@ def test_classify_malformed_space_exits_2(tmp_path, capsys):
     assert "asymmetric" in err and "(a, b)" in err
 
 
+def test_classify_rejects_exponent_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    save_json(path, {"points": ["a", "b"], "distances": [[0, "1e3"], ["1e3", 0]]})
+    assert main(["classify", str(path)]) == 2
+    assert "malformed rational '1e3'" in capsys.readouterr().err
+
+
 def test_check_path_bipartite_true(bundle, capsys):
     assert main(["check", "path-bipartite", bundle["g31"], bundle["p31"]]) == 0
     line, _ = first_line(capsys)
@@ -237,14 +244,17 @@ def test_verify_bound_past_enumeration_fails_before_any_work(capsys):
     assert "instances checked" not in err
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["verify", "t2.1", "--max-n", "99", "--count", "2"], "--max-n"),
-    (["verify", "t3.9", "--count", "5", "--max-n", "2"], "--count"),
-])
-def test_verify_rejects_flag_the_sweep_does_not_take(argv, flag, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "t2.1", "--max-n", "99", "--count", "2"], "sweep t2.1 takes no --max-n"),
+    (["verify", "t3.9", "--count", "5", "--max-n", "2"], "sweep t3.9 takes no --count"),
+    (["verify", "t2.1", "--count", "-5"], "--count must be at least 1, got -5"),
+    (["verify", "t3.5", "--count", "0"], "--count must be at least 1, got 0"),
+    (["verify", "p3.9", "--count", "-1"], "--count must be at least 1, got -1"),
+], ids=["t2.1-max-n", "t3.9-count", "t2.1-count-negative", "t3.5-count-zero", "p3.9-count-negative"])
+def test_verify_rejects_flag_the_sweep_does_not_take(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"sweep {argv[1]} takes no {flag}" in captured.err
+    assert message in captured.err
     assert "instances checked" not in captured.err
     assert captured.out == ""
 

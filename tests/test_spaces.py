@@ -10,6 +10,7 @@ from proxigraph import (
     SpaceClass,
     SpaceError,
     best_approximations,
+    build_graph,
     build_space,
     check_theorem_2_1,
     classify,
@@ -22,6 +23,7 @@ from proxigraph import (
     set_distance,
 )
 from proxigraph.instances import all_bipartitions, example_3_2, example_3_12_truncation, TruncationParams
+from proxigraph.proximinal import adjacency_metric
 from proxigraph.spaces import to_rational
 
 
@@ -116,6 +118,9 @@ def test_to_rational():
         to_rational("abc")
     with pytest.raises(SpaceError, match="not a rational"):
         to_rational(True)
+    for text in ("2.5", " 3/4 ", "1_000", "1e3", "1e-20000000", "+1", "1/-2", "", "1/", "\u0663"):
+        with pytest.raises(SpaceError, match="malformed rational"):
+            to_rational(text)
 
 
 def test_classify_hamming_is_metric_not_ultrametric():
@@ -136,12 +141,24 @@ def test_classify_triangle_violation_is_semimetric():
 
 
 def test_classify_matches_axiom_scans_on_random_spaces():
+    # metric inputs with triangle equalities, so the oracle sees all three classes
+    spaces = [
+        hypercube_space(3),
+        example_3_12_truncation(TruncationParams(2, 1, 2))[0],
+        example_3_2()[0],
+        adjacency_metric(build_graph(["a", "b", "c"], [["a", "b"], ["b", "c"]])),
+        adjacency_metric(build_graph(["a", "b", "c", "d"], [["a", "b"], ["b", "c"], ["c", "d"]])),
+    ]
     for seed in range(30):
-        for space in (random_ultrametric_space(6, seed), random_semimetric_space(5, seed)):
-            got = classify(space)
-            assert semimetric_axioms_hold(space)
-            assert metric_axiom_holds(space) == (got in (SpaceClass.METRIC, SpaceClass.ULTRAMETRIC))
-            assert ultrametric_axiom_holds(space) == (got is SpaceClass.ULTRAMETRIC)
+        spaces += [random_ultrametric_space(6, seed), random_semimetric_space(5, seed)]
+    seen = set()
+    for space in spaces:
+        got = classify(space)
+        seen.add(got)
+        assert semimetric_axioms_hold(space)
+        assert metric_axiom_holds(space) == (got in (SpaceClass.METRIC, SpaceClass.ULTRAMETRIC))
+        assert ultrametric_axiom_holds(space) == (got is SpaceClass.ULTRAMETRIC)
+    assert seen == set(SpaceClass)
 
 
 def test_set_distance_hypercube_partition():
