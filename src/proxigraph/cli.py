@@ -32,7 +32,7 @@ from .path_proximinal import (
     witness_ultrametric,
 )
 from .proximinal import is_bipartite_with_parts, verify_proximinal_graph, witness_proximinal_metric
-from .spaces import SpaceError, classify, set_distance
+from .spaces import SpaceClass, SpaceError, classify, set_distance
 from .theorems import SWEEPS
 
 ENV_MAX_N = "PROXIGRAPH_MAX_N"
@@ -58,6 +58,13 @@ def _path_bipartite_reason(graph: SimpleGraph, parts: Bipartition) -> str:
         if not block & parts.b:
             return f"component {sorted(block)} does not meet part B"
     return "all components meet both parts"
+
+
+def _false(reason: str) -> int:
+    """Report a false verdict with its reason; exit status 1."""
+    print("false")
+    print(f"reason: {reason}")
+    return 1
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -124,9 +131,7 @@ def cmd_bpath(args: argparse.Namespace) -> int:
             raise UsageError(f"witness endpoints must satisfy {a!r} in A and {b!r} in B")
         witness = be_path_witness(graph, parts, a, b)
         if witness is None:
-            print("false")
-            print(f"reason: pair ({a}, {b}) is not joined by any be-path")
-            return 1
+            return _false(f"pair ({a}, {b}) is not joined by any be-path")
         print(json.dumps(list(witness.path)))
         print(f"crossing-edge: {list(witness.crossing_edge)}")
         return 0
@@ -136,6 +141,19 @@ def cmd_bpath(args: argparse.Namespace) -> int:
     pairs = sorted(bpath_pairs(graph, parts))
     print(json.dumps([list(p) for p in pairs]))
     return 0
+
+
+_TO_OBJ = {"graph": fileio.graph_to_obj, "partition": fileio.partition_to_obj, "space": fileio.space_to_obj}
+
+
+def _write_bundle(prefix: Path, bundle: dict[str, object]) -> list[Path]:
+    """Write each object to `<prefix>.<suffix>.json`; the paths, in bundle order."""
+    written = []
+    for suffix, value in bundle.items():
+        path = Path(f"{prefix}.{suffix}.json")
+        fileio.save_json(path, _TO_OBJ[suffix](value))
+        written.append(path)
+    return written
 
 
 def _output_prefix(args: argparse.Namespace, kind: str) -> Path:
@@ -150,48 +168,36 @@ def _output_prefix(args: argparse.Namespace, kind: str) -> Path:
 def cmd_witness(args: argparse.Namespace) -> int:
     graph = fileio.load_graph(args.graph_file)
     kind = args.kind
-    prefix = _output_prefix(args, kind)
     if kind == "ultrametric":
         certificate = witness_ultrametric(graph)
         if certificate is None:
-            print("false")
-            print("reason: not-degree-one: some vertex does not have exactly one neighbor")
-            return 1
-        space_path = Path(f"{prefix}.space.json")
-        parts_path = Path(f"{prefix}.partition.json")
-        fileio.save_json(space_path, fileio.space_to_obj(certificate.space))
-        fileio.save_json(parts_path, fileio.partition_to_obj(certificate.parts))
-        assert certificate.verify()
-        print("true")
-        print(f"wrote: {space_path}")
-        print(f"wrote: {parts_path}")
-        return 0
-    if args.partition_file is None:
-        raise UsageError(f"witness {kind} requires a partition file")
-    parts = fileio.load_partition(args.partition_file)
-    require_cover(graph.vertices, parts)
-    if kind == "metric":
-        if not is_path_bipartite(graph, parts):
-            print("false")
-            print(f"reason: not-path-bipartite: {_path_bipartite_reason(graph, parts)}")
-            return 1
-        space = witness_metric_for_path_bipartite(graph, parts)
-        assert verify_path_proximinal(graph, parts, space)
-    else:  # proximinal-metric
-        if not graph.edges:
-            print("false")
-            print("reason: empty-graph: an empty bipartite graph has no proximinal witness")
-            return 1
-        if not is_bipartite_with_parts(graph, parts):
-            print("false")
-            print("reason: not-bipartite-with-parts: some edge stays inside one part")
-            return 1
-        space = witness_proximinal_metric(graph, parts)
-        assert verify_proximinal_graph(graph, parts, space)
-    space_path = Path(f"{prefix}.space.json")
-    fileio.save_json(space_path, fileio.space_to_obj(space))
+            return _false("not-degree-one: some vertex does not have exactly one neighbor")
+        bundle = {"space": certificate.space, "partition": certificate.parts}
+        verified = classify(certificate.space) is SpaceClass.ULTRAMETRIC and certificate.verify()
+    else:
+        if args.partition_file is None:
+            raise UsageError(f"witness {kind} requires a partition file")
+        parts = fileio.load_partition(args.partition_file)
+        require_cover(graph.vertices, parts)
+        if kind == "metric":
+            if not is_path_bipartite(graph, parts):
+                return _false(f"not-path-bipartite: {_path_bipartite_reason(graph, parts)}")
+            space = witness_metric_for_path_bipartite(graph, parts)
+            verified = verify_path_proximinal(graph, parts, space)
+        else:  # proximinal-metric
+            if not graph.edges:
+                return _false("empty-graph: an empty bipartite graph has no proximinal witness")
+            if not is_bipartite_with_parts(graph, parts):
+                return _false("not-bipartite-with-parts: some edge stays inside one part")
+            space = witness_proximinal_metric(graph, parts)
+            verified = verify_proximinal_graph(graph, parts, space)
+        bundle = {"space": space}
+    if not verified:
+        return _false(f"the {kind} witness fails its verification")
+    written = _write_bundle(_output_prefix(args, kind), bundle)
     print("true")
-    print(f"wrote: {space_path}")
+    for path in written:
+        print(f"wrote: {path}")
     return 0
 
 
@@ -314,18 +320,13 @@ EXAMPLES = {
     "ex3.12": _example_3_12,
     "ex3.16": _example_3_16,
 }
-_TO_OBJ = {"graph": fileio.graph_to_obj, "partition": fileio.partition_to_obj, "space": fileio.space_to_obj}
 
 
 def cmd_example(args: argparse.Namespace) -> int:
     bundle, checks, notes = EXAMPLES[args.name](args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for suffix, value in bundle.items():
-        path = out_dir / f"{args.name}.{suffix}.json"
-        fileio.save_json(path, _TO_OBJ[suffix](value))
-        written.append(path)
+    written = _write_bundle(out_dir / args.name, bundle)
     ok = all(checks.values())
     print("true" if ok else "false")
     for key, value in checks.items():

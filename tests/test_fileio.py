@@ -96,6 +96,10 @@ def test_space_obj_validation():
         space_from_obj({"points": ["a", "b"], "distances": [[0, "1/0"], ["1/0", 0]]})
     with pytest.raises(FormatError, match="asymmetric"):
         space_from_obj({"points": ["a", "b"], "distances": [[0, 1], [2, 0]]})
+    with pytest.raises(FormatError, match="bad vertex label 'a b'"):
+        space_from_obj({"points": ["a b"], "distances": [[0]]})
+    with pytest.raises(FormatError, match="bad vertex label ''"):
+        space_from_obj({"points": [""], "distances": [[0]]})
 
 
 def test_graph_to_dot_vertices_in_label_order():

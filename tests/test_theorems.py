@@ -1,10 +1,11 @@
 """Sweep smoke runs at small bounds; the full bounds run in the acceptance suite."""
 
 import functools
+from fractions import Fraction
 
 import pytest
 
-from proxigraph import theorems
+from proxigraph import FiniteSemimetricSpace, path_proximinal, theorems
 from proxigraph.theorems import (
     SWEEPS,
     SweepSpec,
@@ -130,3 +131,24 @@ def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, 
     assert not result.ok
     assert result.checked == clean.checked
     assert all(name in result.counterexamples[0] for name in names)
+
+
+def _all_ones_table(graph):
+    """A wrong witness table: every distinct pair at distance 1, edge or not."""
+    pts = tuple(graph.sorted_vertices())
+    return FiniteSemimetricSpace(pts, tuple(tuple(Fraction(p != q) for q in pts) for p in pts))
+
+
+@pytest.mark.parametrize("sweep_id, bounds, message", [
+    ("t3.16", dict(max_n=4), "produced certificate fails verification"),
+    ("t3.10", dict(max_n=4, count=5, max_points=5, seed=1), "witness certificate fails verification"),
+], ids=["t3.16", "t3.10"])
+def test_sweep_reports_a_certificate_failing_verification(monkeypatch, sweep_id, bounds, message):
+    run = SWEEPS[sweep_id].run
+    clean = run(**bounds)
+    monkeypatch.setattr(path_proximinal, "adjacency_metric", _all_ones_table)
+    result = run(**bounds)
+    assert clean.ok
+    assert not result.ok
+    assert result.checked == clean.checked
+    assert result.counterexamples[0].endswith(message)
