@@ -50,12 +50,6 @@ class BePathWitness:
     def crossing_edge(self) -> tuple[str, str]:
         return edge_key(self.path[self.crossing_index], self.path[self.crossing_index + 1])
 
-    def as_graph(self) -> SimpleGraph:
-        edges = frozenset(
-            edge_key(self.path[i], self.path[i + 1]) for i in range(len(self.path) - 1)
-        )
-        return SimpleGraph(frozenset(self.path), edges)
-
 
 def is_be_path(
     graph: SimpleGraph, seq: tuple[str, ...] | list[str], parts: Bipartition

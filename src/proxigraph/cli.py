@@ -168,32 +168,33 @@ def _output_prefix(args: argparse.Namespace, kind: str) -> Path:
 def cmd_witness(args: argparse.Namespace) -> int:
     graph = fileio.load_graph(args.graph_file)
     kind = args.kind
+    parts = None if args.partition_file is None else fileio.load_partition(args.partition_file)
+    if parts is not None:
+        require_cover(graph.vertices, parts)
+    elif kind != "ultrametric":
+        raise UsageError(f"witness {kind} requires a partition file")
+    # only the metric witness allows an edge inside a part
+    if kind != "metric" and parts is not None and not is_bipartite_with_parts(graph, parts):
+        return _false("not-bipartite-with-parts: some edge stays inside one part")
     if kind == "ultrametric":
         certificate = witness_ultrametric(graph)
         if certificate is None:
             return _false("not-degree-one: some vertex does not have exactly one neighbor")
-        bundle = {"space": certificate.space, "partition": certificate.parts}
-        verified = classify(certificate.space) is SpaceClass.ULTRAMETRIC and certificate.verify()
-    else:
-        if args.partition_file is None:
-            raise UsageError(f"witness {kind} requires a partition file")
-        parts = fileio.load_partition(args.partition_file)
-        require_cover(graph.vertices, parts)
-        if kind == "metric":
-            if not is_path_bipartite(graph, parts):
-                return _false(f"not-path-bipartite: {_path_bipartite_reason(graph, parts)}")
-            space = witness_metric_for_path_bipartite(graph, parts)
-            verified = verify_path_proximinal(graph, parts, space)
-        else:  # proximinal-metric
-            if not graph.edges:
-                return _false("empty-graph: an empty bipartite graph has no proximinal witness")
-            if not is_bipartite_with_parts(graph, parts):
-                return _false("not-bipartite-with-parts: some edge stays inside one part")
-            space = witness_proximinal_metric(graph, parts)
-            verified = verify_proximinal_graph(graph, parts, space)
-        bundle = {"space": space}
+        space, parts = certificate.space, certificate.parts if parts is None else parts
+        verified = classify(space) is SpaceClass.ULTRAMETRIC and verify_path_proximinal(graph, parts, space)
+    elif kind == "metric":
+        if not is_path_bipartite(graph, parts):
+            return _false(f"not-path-bipartite: {_path_bipartite_reason(graph, parts)}")
+        space = witness_metric_for_path_bipartite(graph, parts)
+        verified = verify_path_proximinal(graph, parts, space)
+    else:  # proximinal-metric
+        if not graph.edges:
+            return _false("empty-graph: an empty bipartite graph has no proximinal witness")
+        space = witness_proximinal_metric(graph, parts)
+        verified = verify_proximinal_graph(graph, parts, space)
     if not verified:
         return _false(f"the {kind} witness fails its verification")
+    bundle = {"space": space, "partition": parts} if kind == "ultrametric" else {"space": space}
     written = _write_bundle(_output_prefix(args, kind), bundle)
     print("true")
     for path in written:

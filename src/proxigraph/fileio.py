@@ -124,7 +124,7 @@ def load_json(path: PathLike) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bad UTF-8, or an integer past the digit limit
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise FormatError(f"{path}: invalid JSON: nesting too deep") from None

@@ -49,14 +49,6 @@ class SimpleGraph:
             nbrs[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        if v not in self.vertices:
-            raise GraphError(f"unknown vertex {v!r}")
-        return self.adjacency[v]
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
-
     def has_edge(self, u: str, v: str) -> bool:
         return edge_key(u, v) in self.edges
 
@@ -69,9 +61,6 @@ class SimpleGraph:
 
     def sorted_edges(self) -> list[tuple[str, str]]:
         return sorted(self.edges)
-
-    def is_subgraph_of(self, other: "SimpleGraph") -> bool:
-        return self.vertices <= other.vertices and self.edges <= other.edges
 
 
 EMPTY_GRAPH = SimpleGraph(frozenset(), frozenset())

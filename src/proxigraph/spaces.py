@@ -12,6 +12,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
+from operator import add
 from typing import Iterable, Sequence, Union
 
 from .graphs import Bipartition, check_label
@@ -56,6 +58,10 @@ class FiniteSemimetricSpace:
     @cached_property
     def index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def space_class(self) -> SpaceClass:
+        return _table_class(self.table)
 
     def __contains__(self, point: str) -> bool:
         return point in self.index
@@ -116,22 +122,32 @@ def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace
     return build_space(pts, [[dist_fn(p, q) for q in pts] for p in pts])
 
 
+def _table_class(table: Sequence[Sequence[Fraction]]) -> SpaceClass:
+    """Axiom class of a distance table, in ints over one common denominator.
+
+    As d(i, i) = 0, the minimum over k of d(i, k) + d(k, j), or of max(d(i, k), d(k, j)),
+    is at most d(i, j), and below it iff some k breaks the (strong) triangle inequality.
+    """
+    scale = lcm(*{v.denominator for row in table for v in row})
+    if scale.bit_length() <= 512:  # past that an int entry outgrows the Fraction it replaces
+        table = [[v.numerator * (scale // v.denominator) for v in row] for row in table]
+    is_ultra = True
+    for i, row_i in enumerate(table):
+        for j, row_j in enumerate(table[i + 1:], i + 1):
+            if min(map(add, row_i, row_j)) < row_i[j]:
+                return SpaceClass.SEMIMETRIC
+            if is_ultra and min(map(max, row_i, row_j)) < row_i[j]:
+                is_ultra = False
+    return SpaceClass.ULTRAMETRIC if is_ultra else SpaceClass.METRIC
+
+
 def classify(space: FiniteSemimetricSpace) -> SpaceClass:
-    """Strongest axiom class holding over all triples of points.
+    """Strongest axiom class holding over all triples of points, cached per space.
 
     The hierarchy is Ultrametric ⊂ Metric ⊂ Semimetric; symmetry and
     positive-definiteness are already enforced at construction.
     """
-    is_ultra = True
-    t = space.table
-    for i, j, k in combinations(range(space.size), 3):
-        # For an unordered triple it suffices to test the largest side.
-        low, mid, high = sorted((t[i][j], t[i][k], t[j][k]))
-        if high > low + mid:
-            return SpaceClass.SEMIMETRIC
-        if is_ultra and high > mid:
-            is_ultra = False
-    return SpaceClass.ULTRAMETRIC if is_ultra else SpaceClass.METRIC
+    return space.space_class
 
 
 def _check_subset(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> frozenset[str]:

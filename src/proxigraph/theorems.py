@@ -344,8 +344,8 @@ def sweep_t3_10(
     """Degree-one graphs vs. ultrametric path-proximinal certificates.
 
     Forward: over all labeled graphs, the ultrametric witness succeeds
-    exactly on the graphs where every degree is one, and its space passes
-    the exhaustive strong-triangle scan.  Backward: over seeded random
+    exactly on the graphs where every degree is one, and `classify` finds
+    its space ultrametric.  Backward: over seeded random
     ultrametric spaces and all bipartitions, whenever the threshold graph
     is bipartite with the parts and verifies path-proximinal, all its
     components have exactly two vertices.

@@ -14,6 +14,7 @@ from proxigraph import FiniteSemimetricSpace, build_graph, build_space, path_pro
 from proxigraph.cli import main
 from proxigraph.fileio import (
     graph_to_obj,
+    load_graph,
     load_partition,
     load_space,
     partition_to_obj,
@@ -196,6 +197,46 @@ def test_witness_ultrametric_rejects_p3(tmp_path, capsys):
     assert "not-degree-one" in out
 
 
+def _matching_files(tmp_path, parts):
+    """The 2K2 graph a-b, c-d and a partition file; their paths."""
+    gpath, ppath = tmp_path / "m.json", tmp_path / "p.json"
+    save_json(gpath, graph_to_obj(build_graph(["a", "b", "c", "d"], [["a", "b"], ["c", "d"]])))
+    if parts is not None:
+        save_json(ppath, parts)
+    return str(gpath), str(ppath)
+
+
+def test_witness_ultrametric_certifies_given_parts(tmp_path, capsys):
+    gpath, ppath = _matching_files(tmp_path, {"A": ["a", "d"], "B": ["b", "c"]})
+    prefix = tmp_path / "u"
+    assert main(["witness", "ultrametric", gpath, ppath, "-o", str(prefix)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "true"
+    parts = load_partition(f"{prefix}.partition.json")
+    assert (parts.a, parts.b) == ({"a", "d"}, {"b", "c"})
+    assert verify_path_proximinal(load_graph(gpath), parts, load_space(f"{prefix}.space.json"))
+
+
+def test_witness_ultrametric_rejects_parts_with_an_inner_edge(tmp_path, capsys):
+    gpath, ppath = _matching_files(tmp_path, {"A": ["a", "b"], "B": ["c", "d"]})
+    assert main(["witness", "ultrametric", gpath, ppath, "-o", str(tmp_path / "u")]) == 1
+    assert capsys.readouterr().out == "false\nreason: not-bipartite-with-parts: some edge stays inside one part\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json", "p.json"]
+
+
+@pytest.mark.parametrize("parts, message", [
+    (None, "No such file"),
+    ({"A": ["a"], "B": "b"}, '"B" must be a list of strings'),
+    ({"A": ["a"], "B": ["b", "c"]}, "uncovered=['d']"),
+], ids=["missing", "malformed", "not-covering"])
+def test_witness_ultrametric_bad_partition_exits_2(parts, message, tmp_path, capsys):
+    gpath, ppath = _matching_files(tmp_path, parts)
+    assert main(["witness", "ultrametric", gpath, ppath, "-o", str(tmp_path / "u")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert not list(tmp_path.glob("u.*"))
+
+
 def test_witness_proximinal_metric(tmp_path, capsys):
     graph = build_graph(["a", "b"], [["a", "b"]])
     gpath, ppath = tmp_path / "g.json", tmp_path / "p.json"
@@ -345,6 +386,17 @@ def test_deeply_nested_json_exits_2(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "nesting too deep" in err
+
+
+@pytest.mark.parametrize("data", [
+    b'{"points": ["a"], "distances": [[' + b"1" * 5000 + b"]]}",
+    b'{"points": ["a"]\xff}',
+], ids=["integer-past-digit-limit", "byte-0xff"])
+def test_undecodable_file_exits_2_naming_it(data, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_bytes(data)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: ")
 
 
 def test_missing_file_exits_2(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from proxigraph.cli import main
-from proxigraph.fileio import FormatError, graph_from_obj, partition_from_obj, space_from_obj
+from proxigraph.fileio import FormatError, graph_from_obj, load_json, partition_from_obj, space_from_obj
 
 FUZZ_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -17,6 +17,8 @@ GRAPH = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
 PARTITION = {"A": ["a"], "B": ["b", "c"]}
 SPACE = {"points": ["a", "b", "c"], "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
 NESTED = "[" * 100_000 + "]" * 100_000
+LONG_INTEGER = b'{"points": ["a"], "distances": [[' + b"1" * 5000 + b"]]}"  # past the int-digit limit
+BAD_UTF8 = b'{"points": ["a"]\xff}'
 
 # Strings a reader must judge: labels with and without whitespace, rationals well and badly formed.
 leaf_text = st.sampled_from(["", "a", "b", "z", "a b", "\t", "0", "1", "-1", "3/2", "1/0", "x/y"]) | st.text(max_size=4)
@@ -97,3 +99,17 @@ def test_cli_exits_0_1_or_2_on_fuzzed_files(directory, text):
         assert code in (0, 1, 2), argv
         if code == 2:
             assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+@FUZZ_SETTINGS
+@given(data=st.binary(max_size=24) | st.one_of(json_values, near_misses(SPACE)).map(
+    lambda value: json.dumps(value).encode()))
+@example(data=LONG_INTEGER)
+@example(data=BAD_UTF8)
+def test_load_json_raises_only_format_error_naming_the_file(directory, data):
+    path = directory / "fuzzed-bytes.json"
+    path.write_bytes(data)
+    try:
+        load_json(path)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}: invalid JSON: ")

@@ -1,5 +1,6 @@
 """Semimetric spaces: validation, classification, distances, proximity."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from proxigraph import (
     random_semimetric_space,
     random_ultrametric_space,
     set_distance,
+    spaces,
 )
 from proxigraph.instances import all_bipartitions, example_3_2, example_3_12_truncation, TruncationParams
 from proxigraph.proximinal import adjacency_metric
@@ -159,6 +161,92 @@ def test_classify_matches_axiom_scans_on_random_spaces():
         assert metric_axiom_holds(space) == (got in (SpaceClass.METRIC, SpaceClass.ULTRAMETRIC))
         assert ultrametric_axiom_holds(space) == (got is SpaceClass.ULTRAMETRIC)
     assert seen == set(SpaceClass)
+
+
+def oracle_class(space):
+    """The class read off the ordered-triple axiom scans."""
+    if not metric_axiom_holds(space):
+        return SpaceClass.SEMIMETRIC
+    return SpaceClass.ULTRAMETRIC if ultrametric_axiom_holds(space) else SpaceClass.METRIC
+
+
+def random_table_space(size, values, seed):
+    """A space whose distinct-pair entries are drawn from `values`."""
+    rng = random.Random(seed)
+    table = [[Fraction(0)] * size for _ in range(size)]
+    for i, j in combinations(range(size), 2):
+        table[i][j] = table[j][i] = Fraction(rng.choice(values))
+    return build_space([f"p{i}" for i in range(size)], table)
+
+
+def test_classify_exact_at_a_mixed_denominator_boundary():
+    # 1/3 + 1/2 = 5/6 exactly: a triangle equality over the common denominator 6
+    def triangle(ab):
+        return build_space(["a", "b", "c"], [[0, ab, "1/3"], [ab, 0, "1/2"], ["1/3", "1/2", 0]])
+
+    assert classify(triangle("5/6")) is SpaceClass.METRIC
+    assert classify(triangle("1")) is SpaceClass.SEMIMETRIC  # 5/6 + 1/6
+    assert classify(triangle("1/2")) is SpaceClass.ULTRAMETRIC
+    assert classify(triangle("3/7")) is SpaceClass.METRIC  # a third denominator: lcm 42
+    for ab in ("5/6", "1", "1/2", "3/7", "1/3"):
+        assert classify(triangle(ab)) is oracle_class(triangle(ab))
+    # Mersenne-prime denominators: a common denominator of over 1000 bits
+    p, q = 2**521 - 1, 2**607 - 1
+    for ab, expected in ((Fraction(1, p) + Fraction(1, q), SpaceClass.METRIC),
+                         (Fraction(1, p) + Fraction(1, q) + Fraction(1, p * q), SpaceClass.SEMIMETRIC)):
+        space = build_space(["a", "b", "c"], [[0, ab, Fraction(1, p)], [ab, 0, Fraction(1, q)],
+                                              [Fraction(1, p), Fraction(1, q), 0]])
+        assert classify(space) is oracle_class(space) is expected
+
+
+def test_classify_matches_axiom_scans_on_few_distinct_values():
+    seen = set()
+    for seed in range(60):
+        values = ([1, 2], [1, 3], [1, 2, 3], ["1/2", 1, "3/2"], [2, 3, 5])[seed % 5]
+        space = random_table_space(4 + seed % 5, values, seed)
+        got = classify(space)
+        seen.add(got)
+        assert got is oracle_class(space)
+    assert seen == set(SpaceClass)
+
+
+def test_classify_matches_axiom_scans_on_larger_metric_spaces():
+    cube = hypercube_space(5)
+    truncation = example_3_12_truncation(TruncationParams(10, 5, 5))[0]
+    assert truncation.size == 40
+    for space in (cube, truncation):
+        assert classify(space) is oracle_class(space) is SpaceClass.METRIC
+
+
+def test_classify_finds_a_violation_only_at_the_last_pair():
+    # in the 4-cube the last two points are adjacent and every other point is
+    # at distance 3 or more through them, so raising their entry to 4 breaks
+    # only triangles that use both of them
+    cube = hypercube_space(4)
+    table = [list(row) for row in cube.table]
+    table[-1][-2] = table[-2][-1] = Fraction(4)
+    space = build_space(cube.points, table)
+    violating = {
+        frozenset((a, b, c))
+        for a, b, c in combinations(space.points, 3)
+        if max(space.d(a, b), space.d(a, c), space.d(b, c)) * 2
+        > space.d(a, b) + space.d(a, c) + space.d(b, c)
+    }
+    assert violating and all(set(space.points[-2:]) <= triple for triple in violating)
+    assert classify(space) is oracle_class(space) is SpaceClass.SEMIMETRIC
+
+
+def test_class_is_computed_once_per_space(monkeypatch):
+    calls = []
+    kernel = spaces._table_class
+    monkeypatch.setattr(spaces, "_table_class", lambda table: calls.append(table) or kernel(table))
+    space = random_ultrametric_space(6, 3)
+    verdicts = [check_theorem_2_1(space, parts) for parts in all_bipartitions(space.point_set())]
+    assert len(verdicts) > 1
+    assert len(calls) == 1
+    # an equal space built afresh is a new object and classifies again
+    assert classify(build_space(space.points, space.table)) is SpaceClass.ULTRAMETRIC
+    assert len(calls) == 2
 
 
 def test_set_distance_hypercube_partition():
