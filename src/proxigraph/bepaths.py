@@ -6,25 +6,25 @@ exactly one edge that meets both parts.  A graph is path-bipartite of
 the vertices and every connected component meets both parts.
 
 `bpath_pairs` reads the joinable cross pairs off the component quotient:
-a block A1 of G[A] and a block B1 of G[B] are joinable exactly when G[A1 ∪ B1]
-is connected, and since both blocks are connected that holds exactly when
-some crossing edge joins them, so B_path costs O(V + E + |B_path|).  Two
-independent routes check it: `enumerate_be_paths`, the exponential
-brute-force oracle of sweep t3.4, and the induced-connectivity criterion
-itself, kept in `theorems` as the oracle of sweep t3.6.
+a block of G[A] and a block of G[B] are joinable exactly when some
+crossing edge joins them, so B_path costs O(V + E + |B_path|).  It is
+checked against the induced-connectivity criterion, kept in `theorems` for
+sweep t3.6, and against brute force for sweeps t3.4 and t3.9: a lazy
+depth-first search that sees each be-path once, from its end in A, read
+only until the pair set or the union of paths is settled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import (
     Bipartition,
-    EMPTY_GRAPH,
     GraphError,
     SimpleGraph,
+    component_roots,
     connected_components,
     edge_key,
     find_path,
@@ -108,19 +108,14 @@ def be_path_witness(
         raise GraphError(f"{a!r} is not in part A")
     if b not in parts.b:
         raise GraphError(f"{b!r} is not in part B")
-    require_cover(graph.vertices, parts)
-    g_a = induced_subgraph(graph, parts.a)
-    g_b = induced_subgraph(graph, parts.b)
-    a_block = next(blk for blk in connected_components(g_a) if a in blk)
-    b_block = next(blk for blk in connected_components(g_b) if b in blk)
-    crossing = sorted(
-        e
-        for e in graph.edges
-        if (e[0] in a_block and e[1] in b_block) or (e[0] in b_block and e[1] in a_block)
-    )
+    quotient = quotient_graph(graph, parts)
+    a_block = next(blk for blk in quotient.a_components if a in blk)
+    b_block = next(blk for blk in quotient.b_components if b in blk)
+    crossing = [e for e in graph.edges
+                if len(a_block.intersection(e)) == len(b_block.intersection(e)) == 1]
     if not crossing:
         return None
-    edge = crossing[0]
+    edge = min(crossing)
     a0, b0 = (edge[0], edge[1]) if edge[0] in a_block else (edge[1], edge[0])
     seg_a = (a,) if a == a0 else find_path(induced_subgraph(graph, a_block), a, a0)
     seg_b = (b0,) if b == b0 else find_path(induced_subgraph(graph, b_block), b0, b)
@@ -130,71 +125,75 @@ def be_path_witness(
     return witness
 
 
-def enumerate_be_paths(
-    graph: SimpleGraph, parts: Bipartition, max_vertices: int = DEFAULT_ENUMERATION_BOUND
-) -> list[BePathWitness]:
-    """Brute-force oracle: every be-path of (A, B), by depth-first extension.
+def _be_path_search(
+    graph: SimpleGraph, parts: Bipartition, max_vertices: int, starts: list[str]
+) -> Iterator[BePathWitness]:
+    """Lazy depth-first core: every be-path from each start in turn, neighbors in label order.
 
-    Reversed sequences count as distinct witnesses.  The search prunes any
-    branch that already used two crossing edges, but is still exponential;
-    `max_vertices` guards against oversized inputs.
+    Prunes a branch that would cross twice; checks bound and cover at the call.
     """
     if len(graph.vertices) > max_vertices:
         raise GraphError(
             f"graph has {len(graph.vertices)} vertices; enumeration is limited to {max_vertices}"
         )
     require_cover(graph.vertices, parts)
-    adjacency = graph.adjacency
-    in_a = parts.a
-    out: list[BePathWitness] = []
+    adjacency, in_a = graph.adjacency, parts.a
 
-    def extend(path: list[str], used: set[str], crossings: int, crossing_at: int) -> None:
-        tip = path[-1]
-        tip_in_a = tip in in_a
-        for nxt in adjacency[tip]:
-            if nxt in used:
-                continue
-            crossed = tip_in_a != (nxt in in_a)
-            if crossings == 1 and crossed:
-                continue
-            path.append(nxt)
-            used.add(nxt)
-            if crossed:
-                out.append(BePathWitness(tuple(path), len(path) - 2))
-                extend(path, used, 1, len(path) - 2)
-            else:
-                if crossings == 1:
-                    out.append(BePathWitness(tuple(path), crossing_at))
-                extend(path, used, crossings, crossing_at)
-            used.discard(nxt)
-            path.pop()
+    def search() -> Iterator[BePathWitness]:
+        for start in starts:
+            path, stack = [start], [(iter(adjacency[start]), -1)]  # per prefix: untried, crossing index
+            while stack:
+                untried, at = stack[-1]
+                for nxt in untried:
+                    crossed = (path[-1] in in_a) != (nxt in in_a)
+                    if nxt in path or (crossed and at >= 0):
+                        continue
+                    at = len(path) - 1 if crossed else at
+                    path.append(nxt)
+                    stack.append((iter(adjacency[nxt]), at))
+                    if at >= 0:
+                        yield BePathWitness(tuple(path), at)
+                    break
+                else:
+                    del stack[-1], path[-1]
 
-    for start in sorted(graph.vertices):
-        extend([start], {start}, 0, -1)
-    return out
+    return search()
+
+
+def enumerate_be_paths(
+    graph: SimpleGraph, parts: Bipartition, max_vertices: int = DEFAULT_ENUMERATION_BOUND
+) -> list[BePathWitness]:
+    """Brute-force oracle: every be-path of (A, B), once from each end."""
+    return list(_be_path_search(graph, parts, max_vertices, sorted(graph.vertices)))
+
+
+def be_paths_from_a(
+    graph: SimpleGraph, parts: Bipartition, max_vertices: int = DEFAULT_ENUMERATION_BOUND
+) -> Iterator[BePathWitness]:
+    """Every be-path exactly once, lazily, read from its end in A; its other end is in B."""
+    return _be_path_search(graph, parts, max_vertices, sorted(parts.a))
 
 
 def union_of_be_paths(
     graph: SimpleGraph, parts: Bipartition, max_vertices: int = DEFAULT_ENUMERATION_BOUND
 ) -> SimpleGraph:
-    """Union of all enumerated be-paths; equals the graph iff path-bipartite."""
-    witnesses = enumerate_be_paths(graph, parts, max_vertices)
-    if not witnesses:
-        return EMPTY_GRAPH
-    vertices: set[str] = set()
+    """Union of all be-paths, read until every edge is covered; equals G iff path-bipartite."""
     edges: set[tuple[str, str]] = set()
-    for w in witnesses:
-        vertices.update(w.path)
-        edges.update(edge_key(w.path[i], w.path[i + 1]) for i in range(len(w.path) - 1))
-    return SimpleGraph(frozenset(vertices), frozenset(edges))
+    for w in be_paths_from_a(graph, parts, max_vertices):
+        edges.update(map(edge_key, w.path, w.path[1:]))
+        if len(edges) == len(graph.edges):
+            break
+    return SimpleGraph(frozenset(v for e in edges for v in e), frozenset(edges))
 
 
-def pairs_from_witnesses(witnesses: list[BePathWitness], parts: Bipartition) -> frozenset[tuple[str, str]]:
-    """Deduplicated (a, b) ∈ A × B endpoint pairs of enumerated be-paths."""
+def pairs_from_witnesses(witnesses: Iterable[BePathWitness], parts: Bipartition) -> frozenset[tuple[str, str]]:
+    """Deduplicated (a, b) ∈ A × B endpoint pairs of be-paths, read until all are found."""
     pairs: set[tuple[str, str]] = set()
     for w in witnesses:
         u, v = w.path[0], w.path[-1]
         pairs.add((u, v) if u in parts.a else (v, u))
+        if len(pairs) == len(parts.a) * len(parts.b):
+            break
     return frozenset(pairs)
 
 
@@ -226,16 +225,23 @@ class QuotientGraph:
 
 
 def quotient_graph(graph: SimpleGraph, parts: Bipartition) -> QuotientGraph:
-    """Contract the components of G[A] and G[B] and keep the B_path relation."""
+    """Contract the components of G[A] and G[B] and keep the B_path relation.
+
+    One union-find pass over the within-part edges yields the blocks of
+    both parts; the crossing edges then join their blocks.
+    """
     require_cover(graph.vertices, parts)
-    a_comps = tuple(connected_components(induced_subgraph(graph, parts.a)))
-    b_comps = tuple(connected_components(induced_subgraph(graph, parts.b)))
+    in_a = parts.a
+    within = (e for e in graph.edges if (e[0] in in_a) == (e[1] in in_a))
+    blocks = component_roots(graph.vertices, within)
+    a_comps = tuple(block for r, block in blocks.items() if r in in_a)
+    b_comps = tuple(block for r, block in blocks.items() if r not in in_a)
     a_of = {v: i for i, block in enumerate(a_comps) for v in block}
     b_of = {v: j for j, block in enumerate(b_comps) for v in block}
     edges = set()
     for u, v in graph.edges:
-        if (u in parts.a) != (v in parts.a):
-            x, y = (u, v) if u in parts.a else (v, u)
+        if (u in in_a) != (v in in_a):
+            x, y = (u, v) if u in in_a else (v, u)
             edges.add((a_of[x], b_of[y]))
     return QuotientGraph(a_comps, b_comps, frozenset(edges))
 
@@ -253,6 +259,5 @@ def find_path_bipartite_partition(graph: SimpleGraph) -> Optional[Bipartition]:
     """
     if not graph.vertices or graph.isolated_vertices():
         return None
-    blocks = connected_components(graph)
-    a = frozenset(min(block) for block in blocks)
+    a = frozenset(component_roots(graph.vertices, graph.edges))  # the smallest label of each block
     return Bipartition(a, graph.vertices - a)

@@ -88,20 +88,19 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"space-only={sorted(space.point_set() - graph.vertices)}"
             )
         _check_partition_vertices(graph, parts)
-        if kind == "proximinal":
-            verdict = verify_proximinal_graph(graph, parts, space)
-            reason = "edges are exactly the best proximity pairs" if verdict else \
-                "graph is not the best-proximity-pair graph of (A, B) in this space"
+        proximinal = kind == "proximinal"
+        verdict = (verify_proximinal_graph if proximinal else verify_path_proximinal)(graph, parts, space)
+        if verdict:
+            reason = "edges are exactly the best proximity pairs" if proximinal else \
+                "threshold graph matches and is path-bipartite of (A, B)"
+        elif parts.union != graph.vertices:
+            reason = _path_bipartite_reason(graph, parts)
+        elif proximinal:
+            reason = "graph is not the best-proximity-pair graph of (A, B) in this space"
+        elif graph != build_threshold_graph(space, parts):
+            reason = "edges differ from the threshold graph of the space"
         else:
-            verdict = verify_path_proximinal(graph, parts, space)
-            if verdict:
-                reason = "threshold graph matches and is path-bipartite of (A, B)"
-            elif parts.union != graph.vertices:
-                reason = _path_bipartite_reason(graph, parts)
-            elif graph != build_threshold_graph(space, parts):
-                reason = "edges differ from the threshold graph of the space"
-            else:
-                reason = _path_bipartite_reason(graph, parts)
+            reason = _path_bipartite_reason(graph, parts)
     elif kind == "path-bipartite":
         _check_partition_vertices(graph, parts)
         verdict = is_path_bipartite(graph, parts)
@@ -236,6 +235,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"... {done} instances checked", file=sys.stderr)
 
     result = spec.run(progress=progress, **kwargs)
+    if not result.checked:
+        raise UsageError(f"sweep {args.theorem} has no instances within these bounds")
     print("true" if result.ok else "false")
     for line in result.lines():
         print(line)

@@ -63,9 +63,6 @@ class SimpleGraph:
         return sorted(self.edges)
 
 
-EMPTY_GRAPH = SimpleGraph(frozenset(), frozenset())
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """Ordered pair (A, B) of disjoint nonempty vertex sets."""
@@ -87,17 +84,6 @@ class Bipartition:
     @property
     def union(self) -> frozenset[str]:
         return self.a | self.b
-
-    def side(self, v: str) -> str:
-        """'A' or 'B' depending on which part contains v."""
-        if v in self.a:
-            return "A"
-        if v in self.b:
-            return "B"
-        raise GraphError(f"vertex {v!r} is in neither part")
-
-    def swapped(self) -> "Bipartition":
-        return Bipartition(self.b, self.a)
 
 
 def require_cover(vertices: frozenset[str], parts: Bipartition, what: str = "vertex set") -> None:
@@ -159,25 +145,36 @@ def induced_bipartite_subgraph(graph: SimpleGraph, parts: Bipartition) -> Simple
     return SimpleGraph(parts.union, kept)
 
 
+def component_roots(
+    vertices: Iterable[str], edges: Iterable[tuple[str, str]]
+) -> dict[str, frozenset[str]]:
+    """Blocks of the graph (vertices, edges) keyed by their smallest label, in label order.
+
+    Union-find with path halving, inlined for speed on tiny graphs.  Each
+    union hangs the larger root under the smaller, so root[v] <= v always
+    and every root is the smallest label of its block.
+    """
+    root = {v: v for v in vertices}
+    for u, v in edges:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        if v < u:
+            u, v = v, u
+        root[v] = u  # a no-op when u and v already share a root
+    blocks: dict[str, list[str]] = {}
+    for v in sorted(root):  # root[v] <= v was visited already and points at its final root
+        root[v] = root[root[v]]
+        blocks.setdefault(root[v], []).append(v)
+    return {r: frozenset(block) for r, block in blocks.items()}
+
+
 def connected_components(graph: SimpleGraph) -> list[frozenset[str]]:
     """Vertex blocks of the maximal connected subgraphs, ordered by smallest label."""
-    seen: set[str] = set()
-    blocks: list[frozenset[str]] = []
-    adjacency = graph.adjacency
-    for start in sorted(graph.vertices):
-        if start in seen:
-            continue
-        block = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adjacency[x]:
-                if y not in block:
-                    block.add(y)
-                    queue.append(y)
-        seen |= block
-        blocks.append(frozenset(block))
-    return blocks
+    return list(component_roots(graph.vertices, graph.edges).values())
 
 
 def is_connected(graph: SimpleGraph) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bepaths import find_path_bipartite_partition, is_path_bipartite, is_path_complete
+from .bepaths import find_path_bipartite_partition, is_path_bipartite, is_path_complete, quotient_graph
 from .graphs import (
     Bipartition,
     GraphError,
@@ -21,7 +21,6 @@ from .graphs import (
     connected_components,
     edge_key,
     induced_bipartite_subgraph,
-    induced_subgraph,
     is_connected,
     require_cover,
 )
@@ -80,13 +79,10 @@ def check_structural_conditions(space: FiniteSemimetricSpace, parts: Bipartition
     through a path lying in the part A, and symmetrically for B.  This is
     equivalent to the threshold graph being path-bipartite of (A, B).
     """
-    graph = build_threshold_graph(space, parts)
+    quotient = quotient_graph(build_threshold_graph(space, parts), parts)
     report = proximity_report(space, parts)
-    for part, core in ((parts.a, report.a0), (parts.b, report.b0)):
-        for block in connected_components(induced_subgraph(graph, part)):
-            if not block & core:
-                return False
-    return True
+    return all(block & report.a0 for block in quotient.a_components) and \
+        all(block & report.b0 for block in quotient.b_components)
 
 
 def witness_metric_for_path_bipartite(
@@ -155,10 +151,9 @@ def check_within_part_separation(space: FiniteSemimetricSpace, parts: Bipartitio
 
 
 def all_degrees_one(graph: SimpleGraph) -> bool:
-    """True iff every vertex has exactly one neighbor (a perfect matching)."""
-    if not graph.vertices:
-        return False
-    return all(len(graph.adjacency[v]) == 1 for v in graph.vertices)
+    """True iff every vertex has exactly one neighbor: the 2|E| edge ends are distinct and cover V."""
+    touched = {w for e in graph.edges for w in e}
+    return bool(touched) and 2 * len(graph.edges) == len(touched) == len(graph.vertices)
 
 
 def witness_ultrametric(graph: SimpleGraph) -> Optional[PathProximinalCertificate]:

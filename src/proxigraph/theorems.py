@@ -21,8 +21,8 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bepaths import (
+    be_paths_from_a,
     bpath_pairs,
-    enumerate_be_paths,
     find_path_bipartite_partition,
     is_path_bipartite,
     is_path_complete,
@@ -165,7 +165,7 @@ def sweep_t3_4(max_n: int = 5, progress: Progress = None) -> SweepResult:
     def problems() -> Problems:
         for graph, parts in _graphs_and_partitions(max_n):
             fast = bpath_pairs(graph, parts)
-            oracle = pairs_from_witnesses(enumerate_be_paths(graph, parts), parts)
+            oracle = pairs_from_witnesses(be_paths_from_a(graph, parts), parts)
             if fast != oracle:
                 yield [f"{_describe(graph, parts)}: component-set {sorted(fast)} != enumerated {sorted(oracle)}"]
                 continue

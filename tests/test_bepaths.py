@@ -9,8 +9,10 @@ from proxigraph import (
     be_path_witness,
     bpath_pairs,
     build_graph,
+    connected_components,
     enumerate_be_paths,
     find_path_bipartite_partition,
+    induced_subgraph,
     is_be_path,
     is_path_bipartite,
     is_path_complete,
@@ -18,7 +20,9 @@ from proxigraph import (
     quotient_graph,
     union_of_be_paths,
 )
-from proxigraph.bepaths import pairs_from_witnesses
+from proxigraph.bepaths import be_paths_from_a, pairs_from_witnesses
+from proxigraph.graphs import edge_key
+from proxigraph.theorems import _graphs_and_partitions
 from proxigraph.instances import (
     all_bipartitions,
     enumerate_labeled_graphs,
@@ -182,6 +186,54 @@ def test_enumerate_rejects_large_graphs():
         enumerate_be_paths(g, Bipartition.of(labels[:1], labels[1:]))
 
 
+def _some_instances():
+    yield from _graphs_and_partitions(4)
+    yield example_3_7()
+    for seed in range(6):
+        graph = random_graph(6, "1/2", seed)
+        for parts in list(all_bipartitions(graph.vertices))[::7]:
+            yield graph, parts
+
+
+def test_a_stream_sees_each_path_once_from_its_a_end():
+    for graph, parts in _some_instances():
+        stream = [w.path for w in be_paths_from_a(graph, parts)]
+        assert len(set(stream)) == len(stream)
+        assert all(path[0] in parts.a for path in stream)
+        both_ways = set(stream) | {path[::-1] for path in stream}
+        assert both_ways == {w.path for w in enumerate_be_paths(graph, parts)}
+
+
+def _full_union(witnesses):
+    edges = {edge_key(u, v) for w in witnesses for u, v in zip(w.path, w.path[1:])}
+    return SimpleGraph(frozenset(v for e in edges for v in e), frozenset(edges))
+
+
+def test_early_stopped_union_and_pairs_equal_their_full_list_values():
+    for graph, parts in _some_instances():
+        witnesses = enumerate_be_paths(graph, parts)
+        assert union_of_be_paths(graph, parts) == _full_union(witnesses)
+        full_pairs = pairs_from_witnesses(witnesses, parts)
+        assert pairs_from_witnesses(be_paths_from_a(graph, parts), parts) == full_pairs
+
+
+def test_pairs_from_witnesses_stops_once_every_pair_is_found():
+    g, parts = k2()
+    witnesses = iter(enumerate_be_paths(g, parts))
+    assert pairs_from_witnesses(witnesses, parts) == {("a", "b")}
+    assert [w.path for w in witnesses] == [("b", "a")]
+
+
+def test_a_stream_checks_its_bounds_before_the_first_path():
+    labels = [f"v{i}" for i in range(1, 12)]
+    g = build_graph(labels, [[labels[i], labels[i + 1]] for i in range(10)])
+    with pytest.raises(GraphError, match="limited to 10"):
+        be_paths_from_a(g, Bipartition.of(labels[:1], labels[1:]))
+    g, _ = k2_plus_isolated()
+    with pytest.raises(GraphError, match="cover"):
+        be_paths_from_a(g, Bipartition.of(["a"], ["b"]))
+
+
 def test_every_witness_revalidates():
     for seed in range(10):
         graph = random_graph(6, "1/2", seed)
@@ -263,6 +315,13 @@ def test_quotient_edges_match_bpath_block_membership():
                 for j, b_block in enumerate(q.b_components):
                     joined = any((a, b) in pairs for a in a_block for b in b_block)
                     assert joined == ((i, j) in q.edges)
+
+
+def test_quotient_blocks_are_the_components_of_each_part():
+    for graph, parts in _graphs_and_partitions(5):
+        q = quotient_graph(graph, parts)
+        assert list(q.a_components) == connected_components(induced_subgraph(graph, parts.a))
+        assert list(q.b_components) == connected_components(induced_subgraph(graph, parts.b))
 
 
 def test_find_path_bipartite_partition_k2():

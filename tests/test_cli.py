@@ -114,6 +114,22 @@ def test_check_proximinal_requires_space(bundle, capsys):
     assert "requires a space file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["proximinal", "path-proximinal"])
+def test_check_names_the_uncovered_vertex(kind, tmp_path, capsys):
+    # edge a-b plus an isolated c; the parts leave c out
+    files = {
+        "g": graph_to_obj(build_graph(["a", "b", "c"], [["a", "b"]])),
+        "p": {"A": ["a"], "B": ["b"]},
+        "s": space_to_obj(build_space(["a", "b", "c"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]])),
+    }
+    for name, obj in files.items():
+        save_json(tmp_path / f"{name}.json", obj)
+    assert main(["check", kind, *(str(tmp_path / f"{name}.json") for name in files)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "false", "reason: A and B do not cover the vertex set; uncovered: ['c']"
+    ]
+
+
 def test_check_vertex_mismatch_exits_2(bundle, tmp_path, capsys):
     other = tmp_path / "k2.json"
     save_json(other, graph_to_obj(build_graph(["a", "b"], [["a", "b"]])))
@@ -312,7 +328,10 @@ def test_verify_bound_past_enumeration_fails_before_any_work(capsys):
     (["verify", "t2.1", "--count", "-5"], "--count must be at least 1, got -5"),
     (["verify", "t3.5", "--count", "0"], "--count must be at least 1, got 0"),
     (["verify", "p3.9", "--count", "-1"], "--count must be at least 1, got -1"),
-], ids=["t2.1-max-n", "t3.9-count", "t2.1-count-negative", "t3.5-count-zero", "p3.9-count-negative"])
+    *((["verify", sweep, "--max-n", "1"], f"sweep {sweep} has no instances within these bounds")
+      for sweep in ("t3.9", "t3.4", "t3.6", "c2.9", "p3.22", "p3.9")),
+], ids=["t2.1-max-n", "t3.9-count", "t2.1-count-negative", "t3.5-count-zero", "p3.9-count-negative",
+        *(f"{sweep}-empty-family" for sweep in ("t3.9", "t3.4", "t3.6", "c2.9", "p3.22", "p3.9"))])
 def test_verify_rejects_flag_the_sweep_does_not_take(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -1,5 +1,7 @@
 """Graph core: construction, induced subgraphs, components, paths, unions."""
 
+import random
+
 import pytest
 
 from proxigraph import (
@@ -144,6 +146,39 @@ def test_components_partition_vertex_set():
             assert union == graph.vertices
 
 
+def _assert_components_match_reachability(graph, pairs):
+    blocks = connected_components(graph)
+    assert sorted(v for block in blocks for v in block) == graph.sorted_vertices()
+    assert [min(block) for block in blocks] == sorted(min(block) for block in blocks)
+    block_of = {v: i for i, block in enumerate(blocks) for v in block}
+    for u, v in pairs:
+        assert (block_of[u] == block_of[v]) == (find_path(graph, u, v) is not None)
+
+
+def test_components_match_reachability_on_small_graphs():
+    for n in range(1, 6):
+        for graph in enumerate_labeled_graphs(n):
+            labels = graph.sorted_vertices()
+            pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+            _assert_components_match_reachability(graph, pairs)
+
+
+@pytest.mark.parametrize("cut", [None, 500], ids=["path", "path-cut-at-v500"])
+def test_components_of_a_long_path_with_shuffled_edges(cut):
+    labels = [f"v{i}" for i in range(1, 801)]  # "v10" sorts before "v2"
+    edges = [[labels[i], labels[i + 1]] for i in range(799) if i + 1 != cut]
+    random.Random(3).shuffle(edges)
+    graph = build_graph(labels, edges)
+    blocks = connected_components(graph)
+    if cut is None:
+        assert blocks == [graph.vertices]
+    else:
+        assert blocks == [frozenset(labels[:cut]), frozenset(labels[cut:])]
+        assert min(blocks[1]) == "v501"
+    sample = [(labels[i], labels[j]) for i in range(0, 800, 97) for j in range(1, 800, 89)]
+    _assert_components_match_reachability(graph, [(u, v) for u, v in sample if u != v])
+
+
 def test_prune_isolated_drops_spectator():
     g = build_graph(["a", "b", "c"], [["a", "b"]])
     assert prune_isolated(g) == build_graph(["a", "b"], [["a", "b"]])
@@ -284,9 +319,7 @@ def test_bipartition_validation():
     with pytest.raises(GraphError, match="overlap"):
         Bipartition.of(["a", "b"], ["b", "c"])
     parts = Bipartition.of(["a"], ["b"])
-    assert parts.side("a") == "A"
-    assert parts.side("b") == "B"
-    assert parts.swapped().a == frozenset({"b"})
+    assert Bipartition(parts.b, parts.a).a == frozenset({"b"})
 
 
 def test_validate_path_errors():

@@ -368,7 +368,7 @@ def test_theorem_2_1_positive_instance():
     parts = Bipartition.of(["a1", "a2"], ["b1", "b2"])
     assert check_theorem_2_1(space, parts) == (True, True)
     # swapping the parts keeps both statements true: diam = 2 <= dist = 2
-    assert check_theorem_2_1(space, parts.swapped()) == (True, True)
+    assert check_theorem_2_1(space, Bipartition(parts.b, parts.a)) == (True, True)
 
 
 def test_theorem_2_1_negative_instance():

@@ -115,13 +115,19 @@ def _negated(route):
     return lambda *args: not route(*args)
 
 
+def _one_pair_short(route):
+    return lambda *args: frozenset(sorted(route(*args))[1:])
+
+
 @pytest.mark.parametrize("sweep_id, bounds, route, wrong, names", [
     ("t3.9", dict(max_n=3), "is_path_bipartite", _negated, ("decision=", "union-oracle=")),
+    ("t3.4", dict(max_n=3), "bpath_pairs", _one_pair_short, ("component-set", "enumerated")),
+    ("t3.6", dict(max_n=3), "is_path_complete", _negated, ("quotient-complete=", "blocks-induce-connected=")),
     ("c3.10", dict(max_n=4), "find_path_bipartite_partition", lambda route: lambda graph: None,
      ("partition-found=", "equals-pruned=")),
     ("t3.5", dict(count=10, max_points=5, seed=2), "check_structural_conditions", _negated,
      ("structural=", "path-bipartite=")),
-], ids=["t3.9", "c3.10", "t3.5"])
+], ids=["t3.9", "t3.4", "t3.6", "c3.10", "t3.5"])
 def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, wrong, names):
     run = SWEEPS[sweep_id].run
     clean = run(**bounds)
