@@ -42,12 +42,6 @@ class UsageError(Exception):
     """Input problems that map to exit status 2."""
 
 
-def _check_partition_vertices(graph: SimpleGraph, parts: Bipartition) -> None:
-    unknown = parts.union - graph.vertices
-    if unknown:
-        raise UsageError(f"partition mentions vertices missing from the graph: {sorted(unknown)}")
-
-
 def _path_bipartite_reason(graph: SimpleGraph, parts: Bipartition) -> str:
     uncovered = graph.vertices - parts.union
     if uncovered:
@@ -87,7 +81,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"graph-only={sorted(graph.vertices - space.point_set())}, "
                 f"space-only={sorted(space.point_set() - graph.vertices)}"
             )
-        _check_partition_vertices(graph, parts)
+        require_cover(graph.vertices, parts, exact=False)
         proximinal = kind == "proximinal"
         verdict = (verify_proximinal_graph if proximinal else verify_path_proximinal)(graph, parts, space)
         if verdict:
@@ -102,7 +96,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         else:
             reason = _path_bipartite_reason(graph, parts)
     elif kind == "path-bipartite":
-        _check_partition_vertices(graph, parts)
+        require_cover(graph.vertices, parts, exact=False)
         verdict = is_path_bipartite(graph, parts)
         reason = _path_bipartite_reason(graph, parts)
     else:  # path-complete

@@ -86,12 +86,15 @@ class Bipartition:
         return self.a | self.b
 
 
-def require_cover(vertices: frozenset[str], parts: Bipartition, what: str = "vertex set") -> None:
-    """Raise GraphError unless A ∪ B is exactly `vertices`."""
-    if parts.union != vertices:
+def require_cover(vertices: frozenset[str], parts: Bipartition, what: str = "vertex set", exact: bool = True) -> None:
+    """Raise GraphError unless A ∪ B is exactly `vertices` (with exact=False: lies inside it)."""
+    extraneous = parts.union - vertices
+    if extraneous and not exact:
+        raise GraphError(f"partition mentions unknown vertices: {sorted(extraneous)}")
+    if exact and parts.union != vertices:
         raise GraphError(
             f"parts must cover the {what} exactly; uncovered={sorted(vertices - parts.union)},"
-            f" extraneous={sorted(parts.union - vertices)}"
+            f" extraneous={sorted(extraneous)}"
         )
 
 
@@ -134,9 +137,7 @@ def induced_subgraph(graph: SimpleGraph, subset: Iterable[str]) -> SimpleGraph:
 
 def induced_bipartite_subgraph(graph: SimpleGraph, parts: Bipartition) -> SimpleGraph:
     """Subgraph on A ∪ B keeping only the edges that meet both parts."""
-    missing = parts.union - graph.vertices
-    if missing:
-        raise GraphError(f"partition mentions unknown vertices: {sorted(missing)}")
+    require_cover(graph.vertices, parts, exact=False)
     kept = frozenset(
         e
         for e in graph.edges

@@ -139,13 +139,11 @@ def example_3_12_truncation(params: TruncationParams) -> tuple[FiniteSemimetricS
     m + ik with 0 <= m <= M and 1 <= k <= K.  For M >= 1 the part
     separation is exactly 2, matching the untruncated instance.
     """
+    size = params.N + (params.M + 1) * params.K
+    if size > MAX_TRUNCATION_POINTS:
+        raise ValueError(f"truncation would have {size} points; limit is {MAX_TRUNCATION_POINTS}")
     a_coords = [(n, 0) for n in range(1, params.N + 1)]
     b_coords = [(m, k) for m in range(params.M + 1) for k in range(1, params.K + 1)]
-    if len(a_coords) + len(b_coords) > MAX_TRUNCATION_POINTS:
-        raise ValueError(
-            f"truncation would have {len(a_coords) + len(b_coords)} points; "
-            f"limit is {MAX_TRUNCATION_POINTS}"
-        )
 
     def label(z: tuple[int, int]) -> str:
         return f"{z[0]}+{z[1]}i"

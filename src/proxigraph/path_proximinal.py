@@ -28,6 +28,7 @@ from .proximinal import adjacency_metric, is_bipartite_with_parts, verify_proxim
 from .spaces import (
     FiniteSemimetricSpace,
     SpaceClass,
+    _cross_minimum,
     classify,
     is_proximinal,
     proximity_report,
@@ -42,13 +43,13 @@ def build_threshold_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> S
     distance stays at or below the part separation.
     """
     require_cover(space.point_set(), parts, "point set")
-    threshold = set_distance(space, parts.a, parts.b)
+    limit = _cross_minimum(space, parts.a, parts.b)[0]  # dist(A, B) on the scale of the rows
     pts = space.points
     edges = frozenset(
         edge_key(pts[i], pts[j])
-        for i in range(len(pts))
+        for i, row in enumerate(space._scaled[1])
         for j in range(i + 1, len(pts))
-        if space.table[i][j] <= threshold
+        if row[j] <= limit
     )
     return SimpleGraph(space.point_set(), edges)
 

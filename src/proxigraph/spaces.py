@@ -1,7 +1,9 @@
 """Finite semimetric spaces with exact rational distances.
 
-All distance values are `fractions.Fraction`, so classification thresholds
-and set-distance comparisons are exact; floating point never enters.
+`d()`, `table`, reports and files give `fractions.Fraction`s.  Each space also
+keeps its table as ints over the LCM of the entry denominators, built once on
+first use; `classify` and every dist(A, B) question compare those, and floating
+point never enters.
 """
 
 from __future__ import annotations
@@ -61,7 +63,11 @@ class FiniteSemimetricSpace:
 
     @cached_property
     def space_class(self) -> SpaceClass:
-        return _table_class(self.table)
+        return _table_class(self._scaled[1])
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple, ...]]:
+        return _scaled_table(self.table)
 
     def __contains__(self, point: str) -> bool:
         return point in self.index
@@ -122,18 +128,24 @@ def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace
     return build_space(pts, [[dist_fn(p, q) for q in pts] for p in pts])
 
 
-def _table_class(table: Sequence[Sequence[Fraction]]) -> SpaceClass:
-    """Axiom class of a distance table, in ints over one common denominator.
+def _scaled_table(table: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple, ...]]:
+    """(scale, rows): each entry times the LCM of the entry denominators, as an int."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in table]  # one call per entry, not three
+    scale = lcm(*{d for row in ratios for _, d in row})
+    if scale.bit_length() > 512:  # past that an int entry outgrows the Fraction it replaces
+        return 1, table
+    return scale, tuple(tuple(n * (scale // d) for n, d in row) for row in ratios)
+
+
+def _table_class(rows: Sequence[Sequence]) -> SpaceClass:
+    """Axiom class of the scaled rows of a distance table.
 
     As d(i, i) = 0, the minimum over k of d(i, k) + d(k, j), or of max(d(i, k), d(k, j)),
     is at most d(i, j), and below it iff some k breaks the (strong) triangle inequality.
     """
-    scale = lcm(*{v.denominator for row in table for v in row})
-    if scale.bit_length() <= 512:  # past that an int entry outgrows the Fraction it replaces
-        table = [[v.numerator * (scale // v.denominator) for v in row] for row in table]
     is_ultra = True
-    for i, row_i in enumerate(table):
-        for j, row_j in enumerate(table[i + 1:], i + 1):
+    for i, row_i in enumerate(rows):
+        for j, row_j in enumerate(rows[i + 1:], i + 1):
             if min(map(add, row_i, row_j)) < row_i[j]:
                 return SpaceClass.SEMIMETRIC
             if is_ultra and min(map(max, row_i, row_j)) < row_i[j]:
@@ -150,32 +162,41 @@ def classify(space: FiniteSemimetricSpace) -> SpaceClass:
     return space.space_class
 
 
-def _check_subset(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> frozenset[str]:
-    s = frozenset(subset)
-    unknown = [p for p in s if p not in space]
+def _indices(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> list[int]:
+    """Row indices of the distinct points of `subset`; SpaceError names any unknown point."""
+    index = space.index
+    s = set(subset)
+    unknown = [p for p in s if p not in index]
     if unknown:
         raise SpaceError(f"{what} contains unknown points: {sorted(unknown)}")
-    return s
+    return [index[p] for p in s]
+
+
+def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]):
+    """(m, ia, ib): the least scaled row entry over A x B, with the row indices of A and B."""
+    ia = _indices(space, a, "first set")
+    ib = _indices(space, b, "second set")
+    if not ia or not ib:
+        raise SpaceError("set distance needs two nonempty sets")
+    rows = space._scaled[1]
+    return min([rows[i][j] for i in ia for j in ib]), ia, ib
 
 
 def set_distance(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]) -> Fraction:
     """Minimum distance over all cross pairs of two nonempty point sets."""
-    sa = _check_subset(space, a, "first set")
-    sb = _check_subset(space, b, "second set")
-    if not sa or not sb:
-        raise SpaceError("set distance needs two nonempty sets")
-    return min(space.d(x, y) for x in sa for y in sb)
+    return Fraction(_cross_minimum(space, a, b)[0], space._scaled[0])
 
 
 def best_approximations(space: FiniteSemimetricSpace, x: str, candidates: Iterable[str]) -> frozenset[str]:
     """All points of `candidates` at minimum distance from x."""
-    s = _check_subset(space, candidates, "candidate set")
+    s = _indices(space, candidates, "candidate set")
     if not s:
         raise SpaceError("best approximation needs a nonempty candidate set")
     if x not in space:
         raise SpaceError(f"unknown point {x!r}")
-    best = min(space.d(x, a) for a in s)
-    return frozenset(a for a in s if space.d(x, a) == best)
+    row = space._scaled[1][space.index[x]]
+    best = min([row[j] for j in s])
+    return frozenset(space.points[j] for j in s if row[j] == best)
 
 
 def is_proximinal(space: FiniteSemimetricSpace, subset: Iterable[str]) -> bool:
@@ -185,18 +206,16 @@ def is_proximinal(space: FiniteSemimetricSpace, subset: Iterable[str]) -> bool:
     every nonempty subset and only the subset is validated; the tests keep
     `best_approximations` as the oracle of that fact.
     """
-    s = _check_subset(space, subset, "subset")
-    if not s:
+    if not _indices(space, subset, "subset"):
         raise SpaceError("proximinality is defined for nonempty subsets only")
     return True
 
 
 def diameter(space: FiniteSemimetricSpace, subset: Iterable[str]) -> Fraction:
     """Maximum pairwise distance within a set; 0 for empty or singleton sets."""
-    s = _check_subset(space, subset, "subset")
-    if len(s) <= 1:
-        return Fraction(0)
-    return max(space.d(x, y) for x, y in combinations(sorted(s), 2))
+    s = _indices(space, subset, "subset")
+    scale, rows = space._scaled
+    return Fraction(max((rows[i][j] for i, j in combinations(s, 2)), default=0), scale)
 
 
 @dataclass(frozen=True)
@@ -215,11 +234,12 @@ class ProximityReport:
 
 def proximity_report(space: FiniteSemimetricSpace, parts: Bipartition) -> ProximityReport:
     """Distance between the parts, plus all pairs realizing it."""
-    dist = set_distance(space, parts.a, parts.b)
-    pairs = frozenset((x, y) for x in parts.a for y in parts.b if space.d(x, y) == dist)
+    m, ia, ib = _cross_minimum(space, parts.a, parts.b)
+    scale, rows = space._scaled
+    pairs = frozenset((space.points[i], space.points[j]) for i in ia for j in ib if rows[i][j] == m)
     a0 = frozenset(x for x, _ in pairs)
     b0 = frozenset(y for _, y in pairs)
-    return ProximityReport(dist, a0, b0, pairs)
+    return ProximityReport(Fraction(m, scale), a0, b0, pairs)
 
 
 def check_theorem_2_1(space: FiniteSemimetricSpace, parts: Bipartition) -> tuple[bool, bool]:
@@ -240,6 +260,7 @@ def check_theorem_2_1(space: FiniteSemimetricSpace, parts: Bipartition) -> tuple
         bool(report.a0)
         and is_proximinal(space, report.a0)
         and report.b0 == parts.b
-        and all(space.d(x, y) == report.distance for x in report.a0 for y in report.b0)
+        # the listed pairs lie in A0 x B0, so all of it attains dist(A, B) iff all of it is listed
+        and len(report.pairs) == len(report.a0) * len(report.b0)
     )
     return stmt1, stmt2

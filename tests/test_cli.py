@@ -130,6 +130,20 @@ def test_check_names_the_uncovered_vertex(kind, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("kind", ["proximinal", "path-proximinal", "path-bipartite"])
+def test_check_partition_with_an_unknown_vertex_exits_2(kind, tmp_path, capsys):
+    files = {
+        "g": graph_to_obj(build_graph(["a", "b"], [["a", "b"]])),
+        "p": {"A": ["a"], "B": ["b", "zz"]},
+        "s": space_to_obj(build_space(["a", "b"], [[0, 1], [1, 0]])),
+    }
+    for name, obj in files.items():
+        save_json(tmp_path / f"{name}.json", obj)
+    assert main(["check", kind, *(str(tmp_path / f"{name}.json") for name in files)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: partition mentions unknown vertices: ['zz']\n"
+
+
 def test_check_vertex_mismatch_exits_2(bundle, tmp_path, capsys):
     other = tmp_path / "k2.json"
     save_json(other, graph_to_obj(build_graph(["a", "b"], [["a", "b"]])))

@@ -1,10 +1,15 @@
 """Instance generators: examples, hypercubes, enumerations, random families."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import proxigraph
 from proxigraph import (
     SpaceClass,
     classify,
@@ -119,6 +124,38 @@ def test_truncation_params_validation():
 def test_truncation_size_guard():
     with pytest.raises(ValueError, match="limit"):
         example_3_12_truncation(TruncationParams(100, 20, 10))
+
+
+def run_capped(*argv):
+    """Run Python on the package sources with 512 MiB of address space and a 60 s timeout.
+
+    Building 10**18 lattice points before the size check would stop on the cap
+    with a MemoryError instead of exhausting the machine.
+    """
+    src = str(Path(proxigraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = ("import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+           "sys.argv = sys.argv[1:]; ")
+    return subprocess.run([sys.executable, "-c", cap + argv[0], *argv[1:]],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_truncation_size_is_checked_before_any_point_is_built():
+    done = run_capped(
+        "from proxigraph.instances import TruncationParams, example_3_12_truncation\n"
+        "try:\n    example_3_12_truncation(TruncationParams(1, 10**9, 10**9))\n"
+        "except ValueError as exc:\n    print(exc)"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"truncation would have {1 + (10**9 + 1) * 10**9} points; limit is 200\n"
+
+
+def test_cli_rejects_a_huge_truncation_with_exit_2():
+    done = run_capped("runpy.run_module('proxigraph', run_name='__main__')", "proxigraph",
+                      "example", "ex3.12", "--N", "1", "--M", "1000000000", "--K", "1000000000")
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: truncation would have") and "limit is 200" in done.stderr
 
 
 def test_truncation_distances():

@@ -8,11 +8,13 @@ import pytest
 
 from proxigraph import (
     Bipartition,
+    FiniteSemimetricSpace,
     SpaceClass,
     SpaceError,
     best_approximations,
     build_graph,
     build_space,
+    build_threshold_graph,
     check_theorem_2_1,
     classify,
     diameter,
@@ -247,6 +249,75 @@ def test_class_is_computed_once_per_space(monkeypatch):
     # an equal space built afresh is a new object and classifies again
     assert classify(build_space(space.points, space.table)) is SpaceClass.ULTRAMETRIC
     assert len(calls) == 2
+
+
+def test_int_table_is_built_once_per_space_and_classify_reads_it(monkeypatch):
+    built, classified = [], []
+    scale, kernel = spaces._scaled_table, spaces._table_class
+    monkeypatch.setattr(spaces, "_scaled_table", lambda table: built.append(scale(table)) or built[-1])
+    monkeypatch.setattr(spaces, "_table_class", lambda rows: classified.append(rows) or kernel(rows))
+    space = random_ultrametric_space(6, 3)
+    for parts in all_bipartitions(space.point_set()):
+        check_theorem_2_1(space, parts)
+        build_threshold_graph(space, parts)
+    assert classify(space) is SpaceClass.ULTRAMETRIC
+    assert len(built) == 1 and built[0][0] > 1  # the table has fractional entries
+    assert len(classified) == 1 and classified[0] is built[0][1]
+
+
+# plain per-pair Fraction scans through space.d(), the oracles of the int-row distance layer
+
+def scan_set_distance(space, a, b):
+    return min(space.d(x, y) for x in a for y in b)
+
+
+def scan_threshold_edges(space, parts):
+    limit = scan_set_distance(space, parts.a, parts.b)
+    return {(x, y) for x, y in combinations(sorted(space.points), 2) if space.d(x, y) <= limit}
+
+
+def distance_layer_spaces():
+    p, q = 2**521 - 1, 2**607 - 1
+    ab = Fraction(1, p) + Fraction(1, q)
+    f = Fraction
+    return [
+        # mixed denominators 3, 2, 6 with ties at the minimum 1/3
+        build_space(["a", "b", "c", "d"], [[0, "1/3", "1/3", "5/6"], ["1/3", 0, "1/2", "1/3"],
+                                           ["1/3", "1/2", 0, "1/2"], ["5/6", "1/3", "1/2", 0]]),
+        # every threshold of {x} against the rest equals the within-part distance 3/4
+        build_space(["x", "y", "z"], [[0, "3/4", "3/4"], ["3/4", 0, "3/4"], ["3/4", "3/4", 0]]),
+        # built directly, without build_space; denominators 4, 3, 5 and 7, each needed by the scale
+        FiniteSemimetricSpace(("u", "v", "w", "z"), (
+            (f(0), f(1, 4), f(2, 3), f(3, 5)), (f(1, 4), f(0), f(2, 7), f(1, 4)),
+            (f(2, 3), f(2, 7), f(0), f(2, 3)), (f(3, 5), f(1, 4), f(2, 3), f(0)))),
+        # a common denominator past 512 bits: the rows stay Fractions
+        build_space(["a", "b", "c"], [[0, ab, Fraction(1, p)], [ab, 0, Fraction(1, q)],
+                                      [Fraction(1, p), Fraction(1, q), 0]]),
+    ]
+
+
+def test_distance_layer_matches_plain_fraction_scans():
+    within_part_ties = 0
+    for space in distance_layer_spaces():
+        assert type(diameter(space, space.points)) is Fraction
+        assert diameter(space, space.points) == max(space.d(x, y) for x in space.points for y in space.points)
+        for parts in all_bipartitions(space.point_set()):
+            dist = set_distance(space, parts.a, parts.b)
+            assert type(dist) is Fraction and dist == scan_set_distance(space, parts.a, parts.b)
+            report = proximity_report(space, parts)
+            pairs = {(x, y) for x in parts.a for y in parts.b if space.d(x, y) == dist}
+            assert report.distance == dist and report.pairs == pairs
+            assert report.a0 == {x for x, _ in pairs} and report.b0 == {y for _, y in pairs}
+            for part in (parts.a, parts.b):
+                assert diameter(space, part) == max(space.d(x, y) for x in part for y in part)
+                for x in space.points:
+                    best = min(space.d(x, y) for y in part)
+                    assert best_approximations(space, x, part) == {y for y in part if space.d(x, y) == best}
+            edges = scan_threshold_edges(space, parts)
+            assert build_threshold_graph(space, parts).edges == edges
+            within_part_ties += any(
+                space.d(x, y) == dist for x, y in edges if (x in parts.a) == (y in parts.a))
+    assert within_part_ties  # some threshold equals a within-part distance, so `<=` vs `<` shows
 
 
 def test_set_distance_hypercube_partition():
