@@ -105,10 +105,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         if verdict:
             reason = f"all {len(pairs)} pairs of A x B are joined by be-paths"
         else:
-            missing = sorted(
-                (a, b) for a in parts.a for b in parts.b if (a, b) not in pairs
-            )
-            reason = f"{len(missing)} pairs not joinable, e.g. {missing[0]}"
+            b_order = sorted(parts.b)
+            first = next((a, b) for a in sorted(parts.a) for b in b_order if (a, b) not in pairs)
+            reason = f"{len(parts.a) * len(parts.b) - len(pairs)} pairs not joinable, e.g. {first}"
     print("true" if verdict else "false")
     print(f"reason: {reason}")
     return 0 if verdict else 1

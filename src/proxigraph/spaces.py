@@ -2,8 +2,10 @@
 
 `d()`, `table`, reports and files give `fractions.Fraction`s.  Each space also
 keeps its table as ints over the LCM of the entry denominators, built once on
-first use; `classify` and every dist(A, B) question compare those, and floating
-point never enters.
+first use; `build_space` validates those, `classify` and every dist(A, B)
+question compare them, and floating point never enters.  `classify` tests the
+strong triangle inequality by single linkage in O(n² log n) and, on a table
+that fails it, the triangle inequality by an O(n³) scan.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ def to_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string of plain digits to an exact Fraction."""
     if isinstance(value, bool):
         raise SpaceError(f"not a rational value: {value!r}")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
@@ -102,24 +106,37 @@ def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) 
     n = len(pts)
     if len(table) != n:
         raise SpaceError(f"table has {len(table)} rows for {n} points")
-    rows: list[tuple[Fraction, ...]] = []
+    parsed: dict[tuple[type, RationalLike], Fraction] = {}  # each distinct int or str entry is parsed once
+
+    def parse(value: RationalLike) -> Fraction:
+        kind = type(value)
+        if kind is not int and kind is not str:  # bool, Fraction, or not a rational at all
+            return to_rational(value)
+        key = (kind, value)
+        if key not in parsed:
+            parsed[key] = to_rational(value)
+        return parsed[key]
+
+    entries = []
     for i, row in enumerate(table):
         if len(row) != n:
             raise SpaceError(f"table row {i} has {len(row)} entries for {n} points")
-        rows.append(tuple(to_rational(v) for v in row))
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise SpaceError(f"nonzero diagonal entry at ({pts[i]}, {pts[i]}): {rows[i][i]}")
+        entries.append(tuple(map(parse, row)))
+    space = FiniteSemimetricSpace(pts, tuple(entries))
+    rows = space._scaled[1]  # the checks compare scaled ints; the messages print the Fractions
+    for i, row in enumerate(rows):
+        if row[i] != 0:
+            raise SpaceError(f"nonzero diagonal entry at ({pts[i]}, {pts[i]}): {entries[i][i]}")
         for j in range(i + 1, n):
-            if rows[i][j] < 0:
-                raise SpaceError(f"negative entry at ({pts[i]}, {pts[j]}): {rows[i][j]}")
-            if rows[i][j] != rows[j][i]:
+            if row[j] < 0:
+                raise SpaceError(f"negative entry at ({pts[i]}, {pts[j]}): {entries[i][j]}")
+            if row[j] != rows[j][i]:
                 raise SpaceError(
-                    f"asymmetric entries at ({pts[i]}, {pts[j]}): {rows[i][j]} vs {rows[j][i]}"
+                    f"asymmetric entries at ({pts[i]}, {pts[j]}): {entries[i][j]} vs {entries[j][i]}"
                 )
-            if rows[i][j] == 0:
+            if row[j] == 0:
                 raise SpaceError(f"zero distance between distinct points ({pts[i]}, {pts[j]})")
-    return FiniteSemimetricSpace(pts, tuple(rows))
+    return space
 
 
 def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace:
@@ -131,26 +148,52 @@ def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace
 def _scaled_table(table: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple, ...]]:
     """(scale, rows): each entry times the LCM of the entry denominators, as an int."""
     ratios = [[v.as_integer_ratio() for v in row] for row in table]  # one call per entry, not three
-    scale = lcm(*{d for row in ratios for _, d in row})
-    if scale.bit_length() > 512:  # past that an int entry outgrows the Fraction it replaces
-        return 1, table
+    scale = 1
+    for d in {d for row in ratios for _, d in row}:
+        scale = lcm(scale, d)
+        if scale.bit_length() > 512:  # past that an int entry outgrows the Fraction it replaces
+            return 1, table
     return scale, tuple(tuple(n * (scale // d) for n, d in row) for row in ratios)
+
+
+def _is_ultrametric(rows: Sequence[Sequence]) -> bool:
+    """Single linkage (Gower & Ross 1969) over the pairs in increasing distance order.
+
+    Pairs below a level w already share a cluster, so the cross pairs of a merge at
+    level w lie at w or above.  The table is ultrametric iff all of them lie at w:
+    then it equals its single-linkage ultrametric.  Each pair is checked once.
+    """
+    cluster = [[i] for i in range(len(rows))]  # cluster[i]: the members of the cluster holding i
+    for w, i, j in sorted((w, i, j) for i, row in enumerate(rows) for j, w in enumerate(row[:i])):
+        small, big = cluster[i], cluster[j]
+        if small is big:
+            continue
+        if len(small) > len(big):
+            small, big = big, small
+        for x in small:
+            row = rows[x]
+            if any(row[y] != w for y in big):
+                return False
+        for x in small:
+            cluster[x] = big
+        big += small
+    return True
 
 
 def _table_class(rows: Sequence[Sequence]) -> SpaceClass:
     """Axiom class of the scaled rows of a distance table.
 
-    As d(i, i) = 0, the minimum over k of d(i, k) + d(k, j), or of max(d(i, k), d(k, j)),
-    is at most d(i, j), and below it iff some k breaks the (strong) triangle inequality.
+    An ultrametric table is metric.  Otherwise, as d(i, i) = 0, the minimum over k of
+    d(i, k) + d(k, j) is at most d(i, j), and below it iff some k breaks the triangle
+    inequality.
     """
-    is_ultra = True
+    if _is_ultrametric(rows):
+        return SpaceClass.ULTRAMETRIC
     for i, row_i in enumerate(rows):
         for j, row_j in enumerate(rows[i + 1:], i + 1):
             if min(map(add, row_i, row_j)) < row_i[j]:
                 return SpaceClass.SEMIMETRIC
-            if is_ultra and min(map(max, row_i, row_j)) < row_i[j]:
-                is_ultra = False
-    return SpaceClass.ULTRAMETRIC if is_ultra else SpaceClass.METRIC
+    return SpaceClass.METRIC
 
 
 def classify(space: FiniteSemimetricSpace) -> SpaceClass:

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import proxigraph
-from proxigraph import FiniteSemimetricSpace, build_graph, build_space, path_proximinal, proximinal
+from proxigraph import Bipartition, FiniteSemimetricSpace, build_graph, build_space, path_proximinal, proximinal
+from proxigraph.bepaths import bpath_pairs
 from proxigraph.cli import main
 from proxigraph.fileio import (
     graph_to_obj,
@@ -28,6 +29,7 @@ from proxigraph.instances import (
     example_3_2,
     example_3_7,
     example_3_12_truncation,
+    random_graph,
 )
 from proxigraph.path_proximinal import build_threshold_graph, verify_path_proximinal
 
@@ -101,6 +103,23 @@ def test_check_path_complete_false_with_reason(bundle, capsys):
     line, out = first_line(capsys)
     assert line == "false"
     assert "('a1', 'b2')" in out
+
+
+def test_check_path_complete_reason_matches_the_sorted_missing_pairs(tmp_path, capsys):
+    cases = [example_3_7()]
+    for seed in range(4):
+        graph = random_graph(40, "1/20", seed)
+        odd = {v for v in graph.vertices if int(v[1:]) % 2}
+        cases.append((graph, Bipartition(frozenset(odd), graph.vertices - odd)))
+    cases.append((build_graph(["a", "b", "c"], [["a", "b"]]), Bipartition.of(["a"], ["b", "c"])))
+    for k, (graph, parts) in enumerate(cases):
+        pairs = bpath_pairs(graph, parts)
+        missing = sorted((a, b) for a in parts.a for b in parts.b if (a, b) not in pairs)
+        assert missing
+        save_json(tmp_path / f"g{k}.json", graph_to_obj(graph))
+        save_json(tmp_path / f"p{k}.json", partition_to_obj(parts))
+        assert main(["check", "path-complete", str(tmp_path / f"g{k}.json"), str(tmp_path / f"p{k}.json")]) == 1
+        assert capsys.readouterr().out == f"false\nreason: {len(missing)} pairs not joinable, e.g. {missing[0]}\n"
 
 
 def test_check_path_proximinal_true(bundle, capsys):

@@ -27,6 +27,7 @@ from proxigraph import (
     spaces,
 )
 from proxigraph.instances import all_bipartitions, example_3_2, example_3_12_truncation, TruncationParams
+from proxigraph.path_proximinal import witness_ultrametric
 from proxigraph.proximinal import adjacency_metric
 from proxigraph.spaces import to_rational
 
@@ -57,22 +58,16 @@ def semimetric_axioms_hold(space):
     )
 
 
+# Each ordered triple (a, b, c) is read off the table rows as d(a, b), d(a, c) and d(c, b).
+
 def metric_axiom_holds(space):
-    return all(
-        space.d(a, b) <= space.d(a, c) + space.d(c, b)
-        for a in space.points
-        for b in space.points
-        for c in space.points
-    )
+    t = space.table
+    return all(ab <= ac + cb for row_a in t for ac, row_c in zip(row_a, t) for ab, cb in zip(row_a, row_c))
 
 
 def ultrametric_axiom_holds(space):
-    return all(
-        space.d(a, b) <= max(space.d(a, c), space.d(c, b))
-        for a in space.points
-        for b in space.points
-        for c in space.points
-    )
+    t = space.table
+    return all(ab <= max(ac, cb) for row_a in t for ac, row_c in zip(row_a, t) for ab, cb in zip(row_a, row_c))
 
 
 def test_build_space_valid():
@@ -105,6 +100,37 @@ def test_build_space_rejects_non_square():
         build_space(["a", "b"], [[0, 1]])
     with pytest.raises(SpaceError, match="entries"):
         build_space(["a", "b"], [[0, 1, 2], [1, 0, 2]])
+
+
+def test_build_space_rejects_an_unhashable_entry():
+    with pytest.raises(SpaceError, match=r"not a rational value: \[1\]"):
+        build_space(["a", "b"], [[0, [1]], [[1], 0]])
+
+
+@pytest.mark.parametrize("table, flag", [([[0, 1], [True, 0]], True), ([[0, 1], [1, False]], False)])
+def test_build_space_rejects_a_boolean_after_the_equal_int(table, flag):
+    # True == 1 and False == 0, with equal hashes; the ints come first in row-major order
+    with pytest.raises(SpaceError, match=f"not a rational value: {flag}"):
+        build_space(["a", "b"], table)
+
+
+MERSENNE_P, MERSENNE_Q = 2**521 - 1, 2**607 - 1
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, "-1/2", "1/3"], ["-1/2", 0, 1], ["1/3", 2, 0]], "negative entry at (a, b): -1/2"),
+    ([[0, 1, 2], ["3/2", 0, -1], [2, -1, 0]], "asymmetric entries at (a, b): 1 vs 3/2"),
+    ([[0, 1, 2], [-1, 0, 3], [2, 4, 0]], "asymmetric entries at (a, b): 1 vs -1"),
+    ([[0, 1, 2], [1, 0, 0], [2, 0, "1/2"]], "zero distance between distinct points (b, c)"),
+    ([[0, 1, 2], [1, "1/3", -1], [2, 5, 0]], "nonzero diagonal entry at (b, b): 1/3"),
+    # a common denominator past 512 bits: the checks run on the Fraction rows
+    ([[0, f"1/{MERSENNE_P}", f"-1/{MERSENNE_Q}"], [f"1/{MERSENNE_P}", 0, 1], [f"1/{MERSENNE_Q}", 2, 0]],
+     f"negative entry at (a, c): -1/{MERSENNE_Q}"),
+])
+def test_build_space_reports_the_first_defect_in_row_major_order(table, message):
+    with pytest.raises(SpaceError) as info:
+        build_space(["a", "b", "c"], table)
+    assert str(info.value) == message
 
 
 def test_build_space_accepts_hamming_table():
@@ -236,6 +262,73 @@ def test_classify_finds_a_violation_only_at_the_last_pair():
     }
     assert violating and all(set(space.points[-2:]) <= triple for triple in violating)
     assert classify(space) is oracle_class(space) is SpaceClass.SEMIMETRIC
+
+
+def test_classify_matches_axiom_scans_with_ties_at_a_merge_level():
+    pts = ["a", "b", "c", "d"]
+    cases = [
+        # two merges at level 1, then one at level 2 whose four cross pairs all lie at 2
+        ([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]], SpaceClass.ULTRAMETRIC),
+        # every pair at level 3: three merges, each a tie with the pairs checked before it
+        ([[0, 3, 3, 3], [3, 0, 3, 3], [3, 3, 0, 3], [3, 3, 3, 0]], SpaceClass.ULTRAMETRIC),
+        # a path of pairs at level 1: the second merge at 1 meets a cross pair at 2
+        ([[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]], SpaceClass.METRIC),
+        ([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]], SpaceClass.METRIC),
+        ([[0, 1, 3, 2], [1, 0, 1, 2], [3, 1, 0, 2], [2, 2, 2, 0]], SpaceClass.SEMIMETRIC),
+    ]
+    for table, expected in cases:
+        space = build_space(pts, table)
+        assert classify(space) is oracle_class(space) is expected
+    for seed in range(20):  # the triangles of an ultrametric are isosceles, so these have ties too
+        space = random_ultrametric_space(8, seed)
+        assert classify(space) is oracle_class(space) is SpaceClass.ULTRAMETRIC
+
+
+def test_classify_finds_a_violation_only_at_the_last_merge():
+    # d(x, y) = bit length of x ^ y is an ultrametric on 16 points; its last merge, at level 4,
+    # joins 0-7 to 8-15, and one cross pair one unit above that level is the only defect
+    pts = [f"p{x:02d}" for x in range(16)]
+    table = [[(x ^ y).bit_length() for y in range(16)] for x in range(16)]
+    assert classify(build_space(pts, table)) is SpaceClass.ULTRAMETRIC
+    table[7][15] = table[15][7] = 5
+    space = build_space(pts, table)
+    assert classify(space) is oracle_class(space) is SpaceClass.METRIC
+    without_15 = build_space(pts[:15], [row[:15] for row in table[:15]])
+    without_7 = build_space(pts[:7] + pts[8:], [row[:7] + row[8:] for row in table[:7] + table[8:]])
+    assert oracle_class(without_15) is oracle_class(without_7) is SpaceClass.ULTRAMETRIC
+
+
+def test_classify_matches_axiom_scans_on_fraction_rows_past_512_bits():
+    near, far = Fraction(1, MERSENNE_Q), Fraction(1, MERSENNE_P)
+    for ac, expected in ((near, SpaceClass.ULTRAMETRIC), (2 * near, SpaceClass.METRIC),
+                         (3 * near, SpaceClass.SEMIMETRIC)):
+        space = build_space(["a", "b", "c", "e"], [[0, near, ac, far], [near, 0, near, far],
+                                                    [ac, near, 0, far], [far, far, far, 0]])
+        scale, rows = space._scaled
+        assert scale == 1 and type(rows[0][1]) is Fraction
+        assert classify(space) is oracle_class(space) is expected
+
+
+def integral_copy(space):
+    """The same table with plain int entries, so that the triple scans stay fast on 128 points."""
+    assert all(v.denominator == 1 for row in space.table for v in row)
+    return FiniteSemimetricSpace(space.points, tuple(tuple(int(v) for v in row) for row in space.table))
+
+
+def test_classify_matches_axiom_scans_on_the_128_point_matching_space():
+    # the {0,1,2} space that witness_ultrametric builds for the perfect matching of the 7-cube
+    points = [format(i, "07b") for i in range(128)]
+    matching = build_graph(points, [[p, "1" + p[1:]] for p in points if p[0] == "0"])
+    witness = witness_ultrametric(matching).space
+    assert classify(witness) is oracle_class(integral_copy(witness)) is SpaceClass.ULTRAMETRIC
+    # 1111101 and 1111111 are unmatched, at 2: at 1 only the strong triangle inequality
+    # breaks, at 3 every triangle holds (as an equality through a partner), at 4 one breaks
+    i, j = witness.index["1111101"], witness.index["1111111"]
+    for value, expected in ((1, SpaceClass.METRIC), (3, SpaceClass.METRIC), (4, SpaceClass.SEMIMETRIC)):
+        table = [list(row) for row in witness.table]
+        table[i][j] = table[j][i] = Fraction(value)
+        space = build_space(witness.points, table)
+        assert classify(space) is oracle_class(integral_copy(space)) is expected
 
 
 def test_class_is_computed_once_per_space(monkeypatch):
