@@ -29,7 +29,6 @@ from .spaces import (
     set_distance,
 )
 from .proximinal import (
-    ProximinalGraphCertificate,
     build_proximinal_graph,
     is_bipartite_with_parts,
     verify_proximinal_graph,

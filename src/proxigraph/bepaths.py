@@ -126,15 +126,15 @@ def be_path_witness(
 
 
 def _be_path_search(
-    graph: SimpleGraph, parts: Bipartition, max_vertices: int, starts: list[str]
+    graph: SimpleGraph, parts: Bipartition, starts: list[str]
 ) -> Iterator[BePathWitness]:
     """Lazy depth-first core: every be-path from each start in turn, neighbors in label order.
 
     Prunes a branch that would cross twice; checks bound and cover at the call.
     """
-    if len(graph.vertices) > max_vertices:
+    if len(graph.vertices) > DEFAULT_ENUMERATION_BOUND:
         raise GraphError(
-            f"graph has {len(graph.vertices)} vertices; enumeration is limited to {max_vertices}"
+            f"graph has {len(graph.vertices)} vertices; enumeration is limited to {DEFAULT_ENUMERATION_BOUND}"
         )
     require_cover(graph.vertices, parts)
     adjacency, in_a = graph.adjacency, parts.a
@@ -160,26 +160,20 @@ def _be_path_search(
     return search()
 
 
-def enumerate_be_paths(
-    graph: SimpleGraph, parts: Bipartition, max_vertices: int = DEFAULT_ENUMERATION_BOUND
-) -> list[BePathWitness]:
+def enumerate_be_paths(graph: SimpleGraph, parts: Bipartition) -> list[BePathWitness]:
     """Brute-force oracle: every be-path of (A, B), once from each end."""
-    return list(_be_path_search(graph, parts, max_vertices, sorted(graph.vertices)))
+    return list(_be_path_search(graph, parts, sorted(graph.vertices)))
 
 
-def be_paths_from_a(
-    graph: SimpleGraph, parts: Bipartition, max_vertices: int = DEFAULT_ENUMERATION_BOUND
-) -> Iterator[BePathWitness]:
+def be_paths_from_a(graph: SimpleGraph, parts: Bipartition) -> Iterator[BePathWitness]:
     """Every be-path exactly once, lazily, read from its end in A; its other end is in B."""
-    return _be_path_search(graph, parts, max_vertices, sorted(parts.a))
+    return _be_path_search(graph, parts, sorted(parts.a))
 
 
-def union_of_be_paths(
-    graph: SimpleGraph, parts: Bipartition, max_vertices: int = DEFAULT_ENUMERATION_BOUND
-) -> SimpleGraph:
+def union_of_be_paths(graph: SimpleGraph, parts: Bipartition) -> SimpleGraph:
     """Union of all be-paths, read until every edge is covered; equals G iff path-bipartite."""
     edges: set[tuple[str, str]] = set()
-    for w in be_paths_from_a(graph, parts, max_vertices):
+    for w in be_paths_from_a(graph, parts):
         edges.update(map(edge_key, w.path, w.path[1:]))
         if len(edges) == len(graph.edges):
             break

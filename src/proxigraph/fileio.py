@@ -1,10 +1,9 @@
-"""JSON file formats for graphs, partitions, spaces, and certificates.
+"""JSON file formats for graphs, partitions and spaces, and DOT export.
 
 Formats:
   graph      {"vertices": [str, ...], "edges": [[str, str], ...]}
   partition  {"A": [str, ...], "B": [str, ...]}
   space      {"points": [str, ...], "distances": [[int | "p/q", ...], ...]}
-  certificate {"graph": ..., "partition": ..., "space": ...}
 
 Distance entries are integers or exact "p/q" strings; anything else
 (floats, booleans, malformed strings, non-square tables) is rejected.
@@ -102,24 +101,6 @@ def space_from_obj(obj: Any) -> FiniteSemimetricSpace:
         raise FormatError(str(exc)) from None
 
 
-def certificate_to_obj(graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace) -> dict:
-    return {
-        "graph": graph_to_obj(graph),
-        "partition": partition_to_obj(parts),
-        "space": space_to_obj(space),
-    }
-
-
-def certificate_from_obj(obj: Any) -> tuple[SimpleGraph, Bipartition, FiniteSemimetricSpace]:
-    if not isinstance(obj, dict):
-        raise FormatError("certificate object must be a mapping")
-    return (
-        graph_from_obj(obj.get("graph")),
-        partition_from_obj(obj.get("partition")),
-        space_from_obj(obj.get("space")),
-    )
-
-
 def load_json(path: PathLike) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -152,9 +133,9 @@ def _dot_quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(graph: SimpleGraph, name: str = "G") -> str:
+def graph_to_dot(graph: SimpleGraph) -> str:
     """DOT text with vertices in label order."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in graph.sorted_vertices():
         lines.append(f"  {_dot_quote(v)};")
     for u, v in graph.sorted_edges():
@@ -163,11 +144,11 @@ def graph_to_dot(graph: SimpleGraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def quotient_to_dot(quotient: QuotientGraph, name: str = "Q") -> str:
+def quotient_to_dot(quotient: QuotientGraph) -> str:
     """DOT text for a component quotient, nodes named by representatives."""
     a_names = [f"A:{rep}" for rep in quotient.a_representatives]
     b_names = [f"B:{rep}" for rep in quotient.b_representatives]
-    lines = [f"graph {name} {{"]
+    lines = ["graph Q {"]
     for label in a_names + b_names:
         lines.append(f"  {_dot_quote(label)};")
     for i, j in sorted(quotient.edges):

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .graphs import Bipartition, SimpleGraph, build_graph, edge_key, induced_subgraph
 from .spaces import FiniteSemimetricSpace, RationalLike, space_from_distance, to_rational
@@ -205,7 +205,7 @@ def random_ultrametric_space(n: int, seed: int) -> FiniteSemimetricSpace:
                 split(chunk, level * Fraction(rng.randint(1, 7), 8))
 
     split(labels, Fraction(rng.randint(8, 24), rng.randint(1, 4)))
-    return space_from_distance(labels, lambda p, q: 0 if p == q else dist[edge_key(p, q)])
+    return space_from_distance(labels, lambda p, q: dist[edge_key(p, q)])
 
 
 def random_semimetric_space(n: int, seed: int) -> FiniteSemimetricSpace:
@@ -216,14 +216,14 @@ def random_semimetric_space(n: int, seed: int) -> FiniteSemimetricSpace:
     labels = [f"q{i:02d}" for i in range(1, n + 1)]
     values = [Fraction(num, den) for num in range(1, 7) for den in (1, 2)]
     dist = {edge_key(p, q): rng.choice(values) for p, q in combinations(labels, 2)}
-    return space_from_distance(labels, lambda p, q: 0 if p == q else dist[edge_key(p, q)])
+    return space_from_distance(labels, lambda p, q: dist[edge_key(p, q)])
 
 
-def random_graph(n: int, edge_probability: Union[RationalLike, float], seed: int) -> SimpleGraph:
+def random_graph(n: int, edge_probability: RationalLike, seed: int) -> SimpleGraph:
     """Seeded Erdős–Rényi graph with an exact rational edge probability."""
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
-    p = Fraction(edge_probability) if isinstance(edge_probability, float) else to_rational(edge_probability)
+    p = to_rational(edge_probability)
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = random.Random(seed)

@@ -1,11 +1,12 @@
-"""Path-proximinal graphs: threshold construction, verification, witnesses.
+"""Path-proximinal graphs: verification and witnesses over the threshold graph.
 
 A graph is path-proximinal for parts (A, B) and a semimetric d when A and B
 are proximinal, the edges are exactly the pairs with d(x, y) <= dist(A, B),
-and the graph is path-bipartite of (A, B).  The module also covers the
-structural reachability conditions, the characterization through isolated
-vertices, the overlap with proximinal graphs, and the degree-one theory of
-ultrametric realizations.
+and the graph is path-bipartite of (A, B).  `spaces` builds that threshold
+graph from its integer table, and this module re-exports it.  The module also
+covers the structural reachability conditions, the characterization through
+isolated vertices, the overlap with proximinal graphs, and the degree-one
+theory of ultrametric realizations.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     connected_components,
-    edge_key,
     induced_bipartite_subgraph,
     is_connected,
     require_cover,
@@ -28,30 +28,12 @@ from .proximinal import adjacency_metric, is_bipartite_with_parts, verify_proxim
 from .spaces import (
     FiniteSemimetricSpace,
     SpaceClass,
-    _cross_minimum,
+    build_threshold_graph,
     classify,
     is_proximinal,
     proximity_report,
     set_distance,
 )
-
-
-def build_threshold_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> SimpleGraph:
-    """Graph on all points with edges where 0 < d(x, y) <= dist(A, B).
-
-    Unlike a proximinal graph, within-part edges are allowed whenever the
-    distance stays at or below the part separation.
-    """
-    require_cover(space.point_set(), parts, "point set")
-    limit = _cross_minimum(space, parts.a, parts.b)[0]  # dist(A, B) on the scale of the rows
-    pts = space.points
-    edges = frozenset(
-        edge_key(pts[i], pts[j])
-        for i, row in enumerate(space._scaled[1])
-        for j in range(i + 1, len(pts))
-        if row[j] <= limit
-    )
-    return SimpleGraph(space.point_set(), edges)
 
 
 def verify_path_proximinal(

@@ -7,7 +7,6 @@ pairs realizing dist(A, B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Bipartition, GraphError, SimpleGraph, edge_key, require_cover
@@ -66,15 +65,3 @@ def witness_proximinal_metric(graph: SimpleGraph, parts: Bipartition) -> FiniteS
     if not graph.edges:
         raise GraphError("an empty bipartite graph has no proximinal witness metric")
     return adjacency_metric(graph)
-
-
-@dataclass(frozen=True)
-class ProximinalGraphCertificate:
-    """A graph, its parts, and a space realizing it as proximinal."""
-
-    graph: SimpleGraph
-    parts: Bipartition
-    space: FiniteSemimetricSpace
-
-    def verify(self) -> bool:
-        return verify_proximinal_graph(self.graph, self.parts, self.space)

@@ -2,10 +2,11 @@
 
 `d()`, `table`, reports and files give `fractions.Fraction`s.  Each space also
 keeps its table as ints over the LCM of the entry denominators, built once on
-first use; `build_space` validates those, `classify` and every dist(A, B)
-question compare them, and floating point never enters.  `classify` tests the
-strong triangle inequality by single linkage in O(n² log n) and, on a table
-that fails it, the triangle inequality by an O(n³) scan.
+first use; `build_space` validates those, `classify`, every dist(A, B)
+question and `build_threshold_graph` compare them, and floating point never
+enters.  `classify` tests the strong triangle inequality by single linkage in
+O(n² log n) and, on a table that fails it, the triangle inequality by an O(n³)
+scan.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .graphs import Bipartition, check_label
+from .graphs import Bipartition, SimpleGraph, check_label, edge_key, require_cover
 
 
 class SpaceError(ValueError):
@@ -140,9 +141,15 @@ def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) 
 
 
 def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace:
-    """Build a space by tabulating a distance function over the points."""
+    """Build a space from a symmetric distance function, read once per pair of distinct points."""
     pts = tuple(points)
-    return build_space(pts, [[dist_fn(p, q) for q in pts] for p in pts])
+    n = len(pts)
+    table = [[0] * n for _ in pts]
+    for i, p in enumerate(pts):
+        row = table[i]
+        for j in range(i + 1, n):
+            row[j] = table[j][i] = dist_fn(p, pts[j])
+    return build_space(pts, table)
 
 
 def _scaled_table(table: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple, ...]]:
@@ -283,6 +290,24 @@ def proximity_report(space: FiniteSemimetricSpace, parts: Bipartition) -> Proxim
     a0 = frozenset(x for x, _ in pairs)
     b0 = frozenset(y for _, y in pairs)
     return ProximityReport(Fraction(m, scale), a0, b0, pairs)
+
+
+def build_threshold_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> SimpleGraph:
+    """Graph on all points with edges where 0 < d(x, y) <= dist(A, B).
+
+    Unlike a proximinal graph, within-part edges are allowed whenever the
+    distance stays at or below the part separation.
+    """
+    require_cover(space.point_set(), parts, "point set")
+    limit = _cross_minimum(space, parts.a, parts.b)[0]  # dist(A, B) on the scale of the rows
+    pts = space.points
+    edges = frozenset(
+        edge_key(pts[i], pts[j])
+        for i, row in enumerate(space._scaled[1])
+        for j in range(i + 1, len(pts))
+        if row[j] <= limit
+    )
+    return SimpleGraph(space.point_set(), edges)
 
 
 def check_theorem_2_1(space: FiniteSemimetricSpace, parts: Bipartition) -> tuple[bool, bool]:

@@ -6,8 +6,6 @@ from proxigraph import Bipartition, build_graph
 from proxigraph.bepaths import quotient_graph
 from proxigraph.fileio import (
     FormatError,
-    certificate_from_obj,
-    certificate_to_obj,
     graph_from_obj,
     graph_to_dot,
     graph_to_obj,
@@ -20,7 +18,7 @@ from proxigraph.fileio import (
     space_from_obj,
     space_to_obj,
 )
-from proxigraph.instances import example_3_1, example_3_2, example_3_12_truncation, TruncationParams
+from proxigraph.instances import example_3_1, example_3_12_truncation, TruncationParams
 
 
 def test_graph_round_trip():
@@ -39,14 +37,6 @@ def test_space_round_trip_integer_and_fractional():
     assert space_from_obj(obj) == space
     flattened = [v for row in obj["distances"] for v in row]
     assert "3/2" in flattened  # fractional entries are p/q strings
-
-
-def test_certificate_round_trip():
-    space, parts = example_3_2()
-    graph, _ = example_3_1()
-    obj = certificate_to_obj(graph, parts, space)
-    g2, p2, s2 = certificate_from_obj(obj)
-    assert (g2, p2, s2) == (graph, parts, space)
 
 
 def test_file_round_trip(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 import proxigraph
 from proxigraph import (
     SpaceClass,
+    build_space,
     classify,
     connected_components,
     hypercube_space,
@@ -36,6 +37,7 @@ from proxigraph.instances import (
     random_ultrametric_space,
     truncation_distance,
 )
+from proxigraph.spaces import space_from_distance
 
 
 def test_hypercube_small():
@@ -258,6 +260,41 @@ def test_random_graph_probability_range():
         random_graph(5, 2, 1)
     with pytest.raises(ValueError, match="probability"):
         random_graph(5, "-1/2", 1)
+
+
+def test_random_graph_rejects_a_float_probability():
+    with pytest.raises(ValueError, match="not a rational value"):
+        random_graph(5, 0.5, 1)
+
+
+def test_tabulator_reads_each_pair_of_distinct_points_once():
+    points = [f"p{i}" for i in range(7)]
+    calls = []
+    space = space_from_distance(points, lambda p, q: calls.append((p, q)) or len(calls))
+    assert len(calls) == 7 * 6 // 2
+    assert {frozenset(c) for c in calls} == {frozenset(c) for c in combinations(points, 2)}
+    for k, (p, q) in enumerate(calls, 1):
+        assert space.d(p, q) == space.d(q, p) == k
+    assert all(space.d(p, p) == 0 for p in points)
+
+
+def test_generated_tables_equal_a_full_tabulation(monkeypatch):
+    def full_tabulation(points, dist_fn):  # every ordered pair; only the diagonal is skipped
+        pts = tuple(points)
+        return build_space(pts, [[0 if p == q else dist_fn(p, q) for q in pts] for p in pts])
+
+    def generate():
+        return [
+            hypercube_space(5),
+            example_3_12_truncation(TruncationParams(5, 2, 3))[0],
+            example_3_2()[0],
+            *(random_ultrametric_space(2 + seed % 15, seed) for seed in range(20)),
+            *(random_semimetric_space(2 + seed, seed) for seed in range(20)),
+        ]
+
+    generated = generate()
+    monkeypatch.setattr(proxigraph.instances, "space_from_distance", full_tabulation)
+    assert generate() == generated
 
 
 def test_random_semimetric_space_deterministic_and_valid():

@@ -10,9 +10,9 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, 
 
 
 @st.composite
-def graphs_with_parts(draw, max_vertices: int, max_edges: int):
+def graphs_with_parts(draw, max_n: int, max_edges: int):
     """A random graph on v00, v01, ... with a bipartition; v00 is in A and v01 in B."""
-    n = draw(st.integers(2, max_vertices))
+    n = draw(st.integers(2, max_n))
     labels = [f"v{i:02d}" for i in range(n)]
     index = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(index, index), max_size=max_edges))
@@ -41,7 +41,7 @@ def few_block_graphs(draw):
 
 
 @PROPERTY_SETTINGS
-@given(graphs_with_parts(max_vertices=40, max_edges=80))
+@given(graphs_with_parts(max_n=40, max_edges=80))
 def test_bpath_pairs_match_induced_connectivity(case):
     graph, parts = case
     pairs = induced_bpath_pairs(graph, parts)
@@ -50,7 +50,7 @@ def test_bpath_pairs_match_induced_connectivity(case):
 
 
 @PROPERTY_SETTINGS
-@given(graphs_with_parts(max_vertices=9, max_edges=14))
+@given(graphs_with_parts(max_n=9, max_edges=14))
 def test_bpath_pairs_match_enumeration(case):
     graph, parts = case
     assert bpath_pairs(graph, parts) == pairs_from_witnesses(enumerate_be_paths(graph, parts), parts)
