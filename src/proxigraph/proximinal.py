@@ -16,12 +16,13 @@ from .spaces import FiniteSemimetricSpace, is_proximinal, proximity_report, set_
 def adjacency_metric(graph: SimpleGraph) -> FiniteSemimetricSpace:
     """The {0,1,2}-valued space on the vertices: 1 on edges, 2 on other distinct pairs."""
     pts = tuple(graph.sorted_vertices())
+    n, index = len(pts), {p: i for i, p in enumerate(pts)}
     zero, one, two = Fraction(0), Fraction(1), Fraction(2)
-    table = tuple(
-        tuple(zero if p == q else (one if graph.has_edge(p, q) else two) for q in pts)
-        for p in pts
-    )
-    return FiniteSemimetricSpace(pts, table)
+    table = [[two] * i + [zero] + [two] * (n - 1 - i) for i in range(n)]
+    for u, v in graph.edges:
+        i, j = index[u], index[v]
+        table[i][j] = table[j][i] = one
+    return FiniteSemimetricSpace(pts, tuple(map(tuple, table)))
 
 
 def is_bipartite_with_parts(graph: SimpleGraph, parts: Bipartition) -> bool:

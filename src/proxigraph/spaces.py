@@ -5,8 +5,14 @@ keeps its table as ints over the LCM of the entry denominators, built once on
 first use; `build_space` validates those, `classify`, every dist(A, B)
 question and `build_threshold_graph` compare them, and floating point never
 enters.  `classify` tests the strong triangle inequality by single linkage in
-O(n² log n) and, on a table that fails it, the triangle inequality by an O(n³)
-scan.
+O(n² log n) and, on a table that fails it, the triangle inequality by a
+packed-field test in O(n²) big-int operations (Lamport 1975, "Multiple byte
+processing with full-word instructions"): each int row is one Python int
+with a w-bit field per point, w = (2·max entry).bit_length() + 1.  Field k of
+P_i + P_j + G - d(i, j)·ONES is d(i, k) + d(k, j) + 2^(w-1) - d(i, j), which
+lies in [0, 2^w) as entries are nonnegative and 2·max < 2^(w-1), so no field
+borrows from or carries into its neighbour, and its guard bit 2^(w-1) is set
+iff d(i, k) + d(k, j) >= d(i, j).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from operator import add
 from typing import Iterable, Sequence, Union
@@ -187,20 +193,50 @@ def _is_ultrametric(rows: Sequence[Sequence]) -> bool:
     return True
 
 
+def _breaks_triangle(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff d(i, k) + d(k, j) < d(i, j) for some i, j, k, on nonnegative int rows.
+
+    Row i is packed into P_i, field k (bits k·w up to (k+1)·w) holding d(i, k); G holds
+    the guard bit 2^(w-1) and ONES a 1 in every field.  Per pair i < j, one sum tests
+    every k at once: field k of P_i + P_j + G - d(i, j)·ONES keeps its guard bit iff
+    d(i, k) + d(k, j) >= d(i, j), and no field borrows (see the module docstring).
+    """
+    n = len(rows)
+    w = (2 * max(map(max, rows))).bit_length() + 1
+    ones = int("1".zfill(w) * n, 2)
+    guards = ones << (w - 1)
+    field = {v: format(v, f"0{w}b") for v in set(chain.from_iterable(rows))}.__getitem__
+    packed = [int("".join(map(field, reversed(row))), 2) for row in rows]  # field 0 lowest
+    for i, row in enumerate(rows):
+        base, shifted = packed[i] + guards, {}  # shifted[d] = P_i + G - d·ONES, per value in row i
+        for j in range(i + 1, n):
+            d = row[j]
+            if d not in shifted:
+                shifted[d] = base - d * ones
+            if (shifted[d] + packed[j]) & guards != guards:
+                return True
+    return False
+
+
 def _table_class(rows: Sequence[Sequence]) -> SpaceClass:
     """Axiom class of the scaled rows of a distance table.
 
-    An ultrametric table is metric.  Otherwise, as d(i, i) = 0, the minimum over k of
-    d(i, k) + d(k, j) is at most d(i, j), and below it iff some k breaks the triangle
-    inequality.
+    An ultrametric table is metric.  Otherwise int rows take the packed-field test.
+    Fraction rows (past the 512-bit common denominator) take a scan: as d(i, i) = 0,
+    the minimum over k of d(i, k) + d(k, j) is at most d(i, j), and below it iff some
+    k breaks the triangle inequality.
     """
     if _is_ultrametric(rows):
         return SpaceClass.ULTRAMETRIC
-    for i, row_i in enumerate(rows):
-        for j, row_j in enumerate(rows[i + 1:], i + 1):
-            if min(map(add, row_i, row_j)) < row_i[j]:
-                return SpaceClass.SEMIMETRIC
-    return SpaceClass.METRIC
+    if type(rows[0][0]) is int:
+        broken = _breaks_triangle(rows)
+    else:
+        broken = any(
+            min(map(add, row_i, row_j)) < row_i[j]
+            for i, row_i in enumerate(rows)
+            for j, row_j in enumerate(rows[i + 1:], i + 1)
+        )
+    return SpaceClass.SEMIMETRIC if broken else SpaceClass.METRIC
 
 
 def classify(space: FiniteSemimetricSpace) -> SpaceClass:

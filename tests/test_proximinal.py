@@ -17,8 +17,28 @@ from proxigraph import (
     verify_proximinal_graph,
     witness_proximinal_metric,
 )
-from proxigraph.instances import all_bipartitions, enumerate_labeled_graphs, example_3_2
-from proxigraph.proximinal import is_bipartite_with_parts
+from proxigraph.instances import all_bipartitions, enumerate_labeled_graphs, example_3_2, random_graph
+from proxigraph.proximinal import adjacency_metric, is_bipartite_with_parts
+
+
+def has_edge_table(graph):
+    """The {0,1,2} table read pair by pair through `has_edge`: the oracle of `adjacency_metric`."""
+    pts = graph.sorted_vertices()
+    return tuple(
+        tuple(Fraction(0) if p == q else Fraction(1 if graph.has_edge(p, q) else 2) for q in pts)
+        for p in pts
+    )
+
+
+def test_adjacency_metric_matches_pairwise_edge_lookups():
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
+    graphs.append(random_graph(200, "1/20", 3))
+    assert len(graphs) == 1 + 2 + 8 + 64 + 1024 + 1
+    for graph in graphs:
+        space = adjacency_metric(graph)
+        assert space.points == tuple(graph.sorted_vertices())
+        assert space.table == has_edge_table(graph)
+        assert all(type(v) is Fraction for row in space.table for v in row)
 
 
 def test_two_point_space_gives_k2():

@@ -358,6 +358,90 @@ def test_int_table_is_built_once_per_space_and_classify_reads_it(monkeypatch):
     assert len(classified) == 1 and classified[0] is built[0][1]
 
 
+# edge cases of the packed-field triangle test, each checked against the ordered-triple scans
+
+def line_space(positions):
+    """Points on a line at the given rational positions: every triangle through a middle point is tight."""
+    xs = [Fraction(x) for x in positions]
+    return build_space([f"p{k}" for k in range(len(xs))], [[abs(x - y) for y in xs] for x in xs])
+
+
+def with_entry(space, x, y, value):
+    """A copy of `space` with d(x, y) = d(y, x) = value."""
+    table = [list(row) for row in space.table]
+    i, j = space.index[x], space.index[y]
+    table[i][j] = table[j][i] = Fraction(value)
+    return build_space(space.points, table)
+
+
+def test_packed_test_keeps_exact_equalities_and_catches_one_unit_over():
+    line = line_space([0, 1, 3, 4, 7, 9])
+    assert classify(line) is oracle_class(line) is SpaceClass.METRIC
+    for x, y in (("p0", "p2"), ("p1", "p3"), ("p2", "p5"), ("p0", "p5")):
+        over = with_entry(line, x, y, line.d(x, y) + 1)  # d(x, k) + d(k, y) one unit below d(x, y)
+        assert classify(over) is oracle_class(over) is SpaceClass.SEMIMETRIC
+
+
+@pytest.mark.parametrize("middle", [0, 5], ids=["lowest-field", "highest-field"])
+def test_packed_test_finds_a_violation_in_the_lowest_and_highest_field(middle):
+    # entries in {2, 3} keep every triangle; d(a, k) = d(k, b) = 1 under d(a, b) = 3 breaks
+    # only the triangle through k, so only field k of the pair (a, b) loses its guard bit
+    table = [[0 if i == j else 2 + (i + j) % 2 for j in range(6)] for i in range(6)]
+    a, b = [k for k in range(6) if k != middle][1:3]
+    table[a][b] = table[b][a] = 3
+    for end in (a, b):
+        table[middle][end] = table[end][middle] = 1
+    space = build_space([f"p{k}" for k in range(6)], table)
+    assert classify(space) is oracle_class(space) is SpaceClass.SEMIMETRIC
+    table[a][b] = table[b][a] = 2
+    space = build_space([f"p{k}" for k in range(6)], table)
+    assert classify(space) is oracle_class(space) is SpaceClass.METRIC
+
+
+@pytest.mark.parametrize("top", [4, 8, 16, 3, 7, 15])
+def test_packed_test_at_field_width_boundaries(top):
+    # 2·top a power of two (4, 8, 16), or the nearest even value below one (3, 7, 15);
+    # d(a, c) = d(b, c) = top over d(a, b) = 1 gives a field d(a, c) + d(c, b) - d(a, b)
+    # of 2·top - 1, the largest a metric table can put in a field
+    table = [[0, 1, top, 2], [1, 0, top, 3], [top, top, 0, top], [2, 3, top, 0]]
+    space = build_space(["a", "b", "c", "e"], table)
+    assert classify(space) is oracle_class(space) is SpaceClass.METRIC
+    for value, expected in ((top - 2, SpaceClass.METRIC), (top - 3, SpaceClass.SEMIMETRIC)):
+        # d(c, e) lowered: d(c, e) + d(e, a) = value + 2 against d(c, a) = top
+        if value > 0:
+            table[2][3] = table[3][2] = value
+            space = build_space(["a", "b", "c", "e"], table)
+            assert classify(space) is oracle_class(space) is expected
+
+
+def test_packed_test_on_int_rows_just_under_the_512_bit_cutover():
+    denominator = 3**315  # 500 bits
+    line = line_space([0, Fraction(1, denominator), 1, Fraction(3, 2), 2 + Fraction(2, denominator)])
+    scale, rows = line._scaled
+    assert scale == 2 * denominator and 490 < scale.bit_length() <= 512
+    assert type(rows[0][1]) is int and max(map(max, rows)).bit_length() > 500
+    assert classify(line) is oracle_class(line) is SpaceClass.METRIC
+    over = with_entry(line, "p0", "p4", line.d("p0", "p4") + Fraction(1, scale))
+    assert over._scaled[0] == scale
+    assert classify(over) is oracle_class(over) is SpaceClass.SEMIMETRIC
+
+
+def test_packed_test_agrees_with_axiom_scans_on_random_int_tables():
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        top = rng.randint(1, 40)
+        space = random_table_space(rng.randint(3, 8), range(rng.randint(1, top), top + 1), seed)
+        got = classify(space)
+        seen.add(got)
+        assert got is oracle_class(space)
+    assert seen == set(SpaceClass)
+
+
+def test_classify_8_cube_is_metric():
+    assert classify(hypercube_space(8)) is SpaceClass.METRIC
+
+
 # plain per-pair Fraction scans through space.d(), the oracles of the int-row distance layer
 
 def scan_set_distance(space, a, b):

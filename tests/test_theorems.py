@@ -1,14 +1,17 @@
 """Sweep smoke runs at small bounds; the full bounds run in the acceptance suite."""
 
 import functools
+import sys
 from fractions import Fraction
 
 import pytest
 
-from proxigraph import FiniteSemimetricSpace, path_proximinal, theorems
+from proxigraph import FiniteSemimetricSpace, bepaths, path_proximinal, theorems
 from proxigraph.theorems import (
     SWEEPS,
     SweepSpec,
+    _graphs_and_partitions,
+    induced_bpath_pairs,
     sweep_c2_9,
     sweep_c3_10,
     sweep_c3_12,
@@ -158,3 +161,35 @@ def test_sweep_reports_a_certificate_failing_verification(monkeypatch, sweep_id,
     assert not result.ok
     assert result.checked == clean.checked
     assert result.counterexamples[0].endswith(message)
+
+
+FAST_ROUTES = ("bpath_pairs", "quotient_graph", "is_path_complete", "is_path_bipartite")
+
+GRAPH_SWEEP_ORACLES = {
+    "t3.6": induced_bpath_pairs,
+    "t3.9": bepaths.union_of_be_paths,
+    "t3.4": lambda graph, parts: bepaths.pairs_from_witnesses(bepaths.be_paths_from_a(graph, parts), parts),
+}
+
+
+@pytest.mark.parametrize("sweep_id", sorted(GRAPH_SWEEP_ORACLES))
+def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
+    oracle = GRAPH_SWEEP_ORACLES[sweep_id]
+    instances = list(_graphs_and_partitions(4))
+    expected = [oracle(graph, parts) for graph, parts in instances]
+
+    def stub(name):
+        def raises(*args, **kwargs):
+            raise AssertionError(f"the {sweep_id} oracle called the fast route {name}")
+        return raises
+
+    patched = set()
+    for name in FAST_ROUTES:
+        route = getattr(bepaths, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "proxigraph" and getattr(module, name, None) is route:
+                monkeypatch.setattr(module, name, stub(name))
+                patched.add((module_name, name))
+    assert {("proxigraph.bepaths", name) for name in FAST_ROUTES} <= patched
+    assert ("proxigraph.theorems", "bpath_pairs") in patched
+    assert [oracle(graph, parts) for graph, parts in instances] == expected
