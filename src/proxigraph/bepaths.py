@@ -25,7 +25,6 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     component_roots,
-    connected_components,
     edge_key,
     find_path,
     induced_subgraph,
@@ -74,7 +73,7 @@ def is_path_bipartite(graph: SimpleGraph, parts: Bipartition) -> bool:
     """True iff A ∪ B = V(G) and every component meets both parts."""
     if parts.union != graph.vertices or not graph.vertices:
         return False
-    return all(block & parts.a and block & parts.b for block in connected_components(graph))
+    return all(block & parts.a and block & parts.b for block in graph._blocks.values())
 
 
 def bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tuple[str, str]]:
@@ -253,5 +252,5 @@ def find_path_bipartite_partition(graph: SimpleGraph) -> Optional[Bipartition]:
     """
     if not graph.vertices or graph.isolated_vertices():
         return None
-    a = frozenset(component_roots(graph.vertices, graph.edges))  # the smallest label of each block
+    a = frozenset(graph._blocks)  # the smallest label of each block
     return Bipartition(a, graph.vertices - a)

@@ -49,6 +49,11 @@ class SimpleGraph:
             nbrs[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
+    @cached_property
+    def _blocks(self) -> dict[str, frozenset[str]]:
+        """`component_roots` of the graph, for graphs asked about many bipartitions."""
+        return component_roots(self.vertices, self.edges)
+
     def has_edge(self, u: str, v: str) -> bool:
         return edge_key(u, v) in self.edges
 

@@ -41,8 +41,9 @@ def verify_path_proximinal(
 ) -> bool:
     """Full check of the path-proximinal property.
 
-    Recomputes the threshold graph and compares structurally, then checks
-    path-bipartiteness and proximinality of both parts.
+    Compares the graph structurally with the space's threshold graph at
+    dist(A, B), built once per space and limit by `build_threshold_graph`,
+    then checks path-bipartiteness and proximinality of both parts.
     """
     if graph.vertices != space.point_set():
         raise GraphError("graph vertices and space points differ")

@@ -13,6 +13,9 @@ P_i + P_j + G - d(i, j)·ONES is d(i, k) + d(k, j) + 2^(w-1) - d(i, j), which
 lies in [0, 2^w) as entries are nonnegative and 2·max < 2^(w-1), so no field
 borrows from or carries into its neighbour, and its guard bit 2^(w-1) is set
 iff d(i, k) + d(k, j) >= d(i, j).
+
+A space also keeps what its bipartitions derive again: the row indices of each
+frozenset of points it validated, and the threshold graph per dist(A, B).
 """
 
 from __future__ import annotations
@@ -80,6 +83,14 @@ class FiniteSemimetricSpace:
     def _scaled(self) -> tuple[int, tuple[tuple, ...]]:
         return _scaled_table(self.table)
 
+    @cached_property
+    def _row_indices(self) -> dict[frozenset[str], tuple[int, ...]]:
+        return {}  # per validated frozenset of points: its row indices
+
+    @cached_property
+    def _threshold_graphs(self) -> dict[int | Fraction, SimpleGraph]:
+        return {}  # per scaled dist(A, B): the threshold graph at that limit
+
     def __contains__(self, point: str) -> bool:
         return point in self.index
 
@@ -117,7 +128,9 @@ def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) 
 
     def parse(value: RationalLike) -> Fraction:
         kind = type(value)
-        if kind is not int and kind is not str:  # bool, Fraction, or not a rational at all
+        if kind is Fraction:
+            return value
+        if kind is not int and kind is not str:  # bool, or not a rational at all
             return to_rational(value)
         key = (kind, value)
         if key not in parsed:
@@ -248,14 +261,20 @@ def classify(space: FiniteSemimetricSpace) -> SpaceClass:
     return space.space_class
 
 
-def _indices(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> list[int]:
-    """Row indices of the distinct points of `subset`; SpaceError names any unknown point."""
+def _indices(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> tuple[int, ...]:
+    """Row indices of the distinct points of `subset`, kept per frozenset; SpaceError names unknown points."""
+    memo, kept = space._row_indices, type(subset) is frozenset
+    if kept and subset in memo:
+        return memo[subset]
     index = space.index
     s = set(subset)
     unknown = [p for p in s if p not in index]
     if unknown:
         raise SpaceError(f"{what} contains unknown points: {sorted(unknown)}")
-    return [index[p] for p in s]
+    rows = tuple(index[p] for p in s)
+    if kept:
+        memo[subset] = rows
+    return rows
 
 
 def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]):
@@ -332,18 +351,21 @@ def build_threshold_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> S
     """Graph on all points with edges where 0 < d(x, y) <= dist(A, B).
 
     Unlike a proximinal graph, within-part edges are allowed whenever the
-    distance stays at or below the part separation.
+    distance stays at or below the part separation.  Bipartitions at one
+    dist(A, B) get the one graph the space keeps for that limit.
     """
     require_cover(space.point_set(), parts, "point set")
     limit = _cross_minimum(space, parts.a, parts.b)[0]  # dist(A, B) on the scale of the rows
-    pts = space.points
-    edges = frozenset(
-        edge_key(pts[i], pts[j])
-        for i, row in enumerate(space._scaled[1])
-        for j in range(i + 1, len(pts))
-        if row[j] <= limit
-    )
-    return SimpleGraph(space.point_set(), edges)
+    graphs = space._threshold_graphs
+    if limit not in graphs:
+        pts = space.points
+        graphs[limit] = SimpleGraph(space.point_set(), frozenset(
+            edge_key(pts[i], pts[j])
+            for i, row in enumerate(space._scaled[1])
+            for j in range(i + 1, len(pts))
+            if row[j] <= limit
+        ))
+    return graphs[limit]
 
 
 def check_theorem_2_1(space: FiniteSemimetricSpace, parts: Bipartition) -> tuple[bool, bool]:

@@ -343,6 +343,25 @@ def test_verify_unknown_theorem_exits_2(capsys):
     assert main(["verify", "t9.9"]) == 2
 
 
+# Full stdout of three randomized sweeps at seed 7, recorded before threshold graphs,
+# row indices and components were memoised: a memo must not move a count or the note.
+PINNED_SWEEPS = {
+    "t3.10": (["--max-n", "4", "--count", "40"], [
+        "sweep t3.10: checked 1975 instances",
+        "note: backward direction fired on 26 (space, partition) instances",
+    ]),
+    "t3.5": (["--count", "40"], ["sweep t3.5: checked 1344 instances"]),
+    "t2.1": (["--count", "40"], ["sweep t2.1: checked 1900 instances"]),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(PINNED_SWEEPS))
+def test_verify_randomized_sweep_stdout_is_pinned(sweep, capsys):
+    flags, report = PINNED_SWEEPS[sweep]
+    assert main(["verify", sweep, *flags, "--seed", "7"]) == 0
+    assert capsys.readouterr().out == "\n".join(["true", *report, "counterexamples: 0", ""])
+
+
 def test_verify_bound_cap(capsys):
     assert main(["verify", "t3.9", "--max-n", "9"]) == 2
     assert f"outside 1..{MAX_ENUMERATION_VERTICES}" in capsys.readouterr().err

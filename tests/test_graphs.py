@@ -163,6 +163,15 @@ def test_components_match_reachability_on_small_graphs():
             _assert_components_match_reachability(graph, pairs)
 
 
+def test_memoised_components_equal_connected_components():
+    for n in range(1, 6):
+        for graph in enumerate_labeled_graphs(n):
+            blocks = connected_components(graph)
+            assert list(graph._blocks.values()) == blocks
+            assert list(graph._blocks) == [min(block) for block in blocks]
+            assert graph._blocks is graph._blocks
+
+
 @pytest.mark.parametrize("cut", [None, 500], ids=["path", "path-cut-at-v500"])
 def test_components_of_a_long_path_with_shuffled_edges(cut):
     labels = [f"v{i}" for i in range(1, 801)]  # "v10" sorts before "v2"

@@ -9,6 +9,8 @@ import pytest
 from proxigraph import (
     Bipartition,
     FiniteSemimetricSpace,
+    GraphError,
+    SimpleGraph,
     SpaceClass,
     SpaceError,
     best_approximations,
@@ -115,6 +117,22 @@ def test_build_space_rejects_a_boolean_after_the_equal_int(table, flag):
 
 
 MERSENNE_P, MERSENNE_Q = 2**521 - 1, 2**607 - 1
+
+
+def test_build_space_keeps_fraction_entries_and_the_messages_of_other_entries(monkeypatch):
+    parsed = []
+    parse = spaces.to_rational
+    monkeypatch.setattr(spaces, "to_rational", lambda value: parsed.append(value) or parse(value))
+    half = Fraction(1, 2)
+    space = build_space(["a", "b", "c"], [[Fraction(0), half, 1], [half, 0, "3/2"], [1, "3/2", 0]])
+    assert space.table[0][1] is half and space.table[2][1] == Fraction(3, 2)
+    assert not any(type(value) is Fraction for value in parsed)
+    for bad, message in ((True, "not a rational value: True"), (1.5, "not a rational value: 1.5"),
+                         ("1/0", "malformed rational '1/0': expected an integer or 'p/q' with q > 0"),
+                         ("0.5", "malformed rational '0.5': expected an integer or 'p/q' with q > 0")):
+        with pytest.raises(SpaceError) as info:
+            build_space(["a", "b"], [[Fraction(0), Fraction(1)], [bad, 0]])
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("table, message", [
@@ -495,6 +513,57 @@ def test_distance_layer_matches_plain_fraction_scans():
             within_part_ties += any(
                 space.d(x, y) == dist for x, y in edges if (x in parts.a) == (y in parts.a))
     assert within_part_ties  # some threshold equals a within-part distance, so `<=` vs `<` shows
+
+
+# the per-space memos: one threshold graph per dist(A, B), row indices per frozenset
+
+def memo_spaces():
+    near, far = Fraction(1, MERSENNE_Q), Fraction(1, MERSENNE_P)
+    yield build_space(["a", "b", "c", "e"], [[0, near, 2 * near, far], [near, 0, near, far],
+                                             [2 * near, near, 0, far], [far, far, far, 0]])
+    for seed in range(4):
+        for n in range(2, 8):
+            yield random_ultrametric_space(n, seed)
+            yield random_semimetric_space(n, seed)
+
+
+def test_threshold_graphs_are_shared_per_distance_and_match_a_plain_scan():
+    fraction_rows = 0
+    for space in memo_spaces():
+        fraction_rows += type(space._scaled[1][0][1]) is Fraction
+        by_limit, bipartitions = {}, 0
+        for parts in all_bipartitions(space.point_set()):
+            graph = build_threshold_graph(space, parts)
+            assert graph == SimpleGraph(space.point_set(), frozenset(scan_threshold_edges(space, parts)))
+            assert by_limit.setdefault(scan_set_distance(space, parts.a, parts.b), graph) is graph
+            bipartitions += 1
+        assert len(space._threshold_graphs) == len(by_limit)
+        if space.size > 3:
+            assert bipartitions > len(by_limit)  # some graphs were handed out again
+    assert fraction_rows == 1  # the space past the 512-bit common denominator
+
+
+def test_a_warm_memo_still_rejects_bad_partitions_and_unknown_points():
+    space = random_semimetric_space(5, 1)
+    for parts in all_bipartitions(space.point_set()):
+        build_threshold_graph(space, parts)
+        proximity_report(space, parts)
+    pts = sorted(space.points)
+    assert frozenset(pts[:2]) in space._row_indices
+    with pytest.raises(GraphError, match="cover the point set exactly"):
+        build_threshold_graph(space, Bipartition.of(pts[:2], pts[2:4]))
+    with pytest.raises(GraphError, match=r"extraneous=\['zz'\]"):
+        build_threshold_graph(space, Bipartition.of(pts[:2], pts[2:] + ["zz"]))
+    unknown = frozenset([pts[0], "zz"])
+    for query in (lambda: set_distance(space, unknown, frozenset(pts[2:])),
+                  lambda: diameter(space, unknown),
+                  lambda: is_proximinal(space, unknown),
+                  lambda: best_approximations(space, pts[0], unknown)):
+        with pytest.raises(SpaceError, match=r"unknown points: \['zz'\]"):
+            query()
+    assert unknown not in space._row_indices
+    assert set_distance(space, set(pts[:2]), pts[2:]) == \
+        set_distance(space, frozenset(pts[:2]), frozenset(pts[2:]))
 
 
 def test_set_distance_hypercube_partition():

@@ -10,7 +10,9 @@ from proxigraph import FiniteSemimetricSpace, bepaths, path_proximinal, theorems
 from proxigraph.theorems import (
     SWEEPS,
     SweepSpec,
+    _every_degree_one,
     _graphs_and_partitions,
+    _labeled_graphs,
     induced_bpath_pairs,
     sweep_c2_9,
     sweep_c3_10,
@@ -130,7 +132,9 @@ def _one_pair_short(route):
      ("partition-found=", "equals-pruned=")),
     ("t3.5", dict(count=10, max_points=5, seed=2), "check_structural_conditions", _negated,
      ("structural=", "path-bipartite=")),
-], ids=["t3.9", "t3.4", "t3.6", "c3.10", "t3.5"])
+    ("t3.10", dict(max_n=3, count=2, max_points=3, seed=1), "witness_ultrametric",
+     lambda route: lambda graph: None, ("witness=", "degrees-one=")),
+], ids=["t3.9", "t3.4", "t3.6", "c3.10", "t3.5", "t3.10"])
 def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, wrong, names):
     run = SWEEPS[sweep_id].run
     clean = run(**bounds)
@@ -172,24 +176,38 @@ GRAPH_SWEEP_ORACLES = {
 }
 
 
-@pytest.mark.parametrize("sweep_id", sorted(GRAPH_SWEEP_ORACLES))
-def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
-    oracle = GRAPH_SWEEP_ORACLES[sweep_id]
-    instances = list(_graphs_and_partitions(4))
-    expected = [oracle(graph, parts) for graph, parts in instances]
-
+def _stub_everywhere(monkeypatch, home, names, sweep_id) -> set[tuple[str, str]]:
+    """Make each named function of `home` raise in every proxigraph module binding it."""
     def stub(name):
         def raises(*args, **kwargs):
             raise AssertionError(f"the {sweep_id} oracle called the fast route {name}")
         return raises
 
     patched = set()
-    for name in FAST_ROUTES:
-        route = getattr(bepaths, name)
+    for name in names:
+        route = getattr(home, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "proxigraph" and getattr(module, name, None) is route:
                 monkeypatch.setattr(module, name, stub(name))
                 patched.add((module_name, name))
+    return patched
+
+
+@pytest.mark.parametrize("sweep_id", sorted(GRAPH_SWEEP_ORACLES))
+def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
+    oracle = GRAPH_SWEEP_ORACLES[sweep_id]
+    instances = list(_graphs_and_partitions(4))
+    expected = [oracle(graph, parts) for graph, parts in instances]
+    patched = _stub_everywhere(monkeypatch, bepaths, FAST_ROUTES, sweep_id)
     assert {("proxigraph.bepaths", name) for name in FAST_ROUTES} <= patched
     assert ("proxigraph.theorems", "bpath_pairs") in patched
     assert [oracle(graph, parts) for graph, parts in instances] == expected
+
+
+def test_t3_10_degrees_one_side_never_calls_all_degrees_one(monkeypatch):
+    graphs = list(_labeled_graphs(5))
+    expected = [path_proximinal.all_degrees_one(graph) for graph in graphs]
+    patched = _stub_everywhere(monkeypatch, path_proximinal, ("all_degrees_one",), "t3.10")
+    assert {"proxigraph.path_proximinal", "proxigraph.theorems"} <= {module for module, _ in patched}
+    assert [_every_degree_one(graph) for graph in graphs] == expected
+    assert any(expected) and not all(expected)
