@@ -69,11 +69,22 @@ def is_be_path(
     return BePathWitness(path, crossings[0])
 
 
+def path_bipartite_defect(graph: SimpleGraph, parts: Bipartition) -> Optional[tuple]:
+    """None iff path-bipartite, else ("uncovered", the vertices A ∪ B leaves out),
+    or else ("A" or "B", the first component by smallest label that misses that part)."""
+    if parts.union != graph.vertices:
+        return "uncovered", graph.vertices - parts.union
+    for block in graph._blocks.values():
+        if block.isdisjoint(parts.a):
+            return "A", block
+        if block.isdisjoint(parts.b):
+            return "B", block
+    return None
+
+
 def is_path_bipartite(graph: SimpleGraph, parts: Bipartition) -> bool:
     """True iff A ∪ B = V(G) and every component meets both parts."""
-    if parts.union != graph.vertices or not graph.vertices:
-        return False
-    return all(block & parts.a and block & parts.b for block in graph._blocks.values())
+    return path_bipartite_defect(graph, parts) is None
 
 
 def bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tuple[str, str]]:
@@ -83,7 +94,8 @@ def bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tuple[str, 
     joins A1 and B1, where A1 is the component of a in G[A] and B1 the
     component of b in G[B].  Whole blocks A1 × B1 enter together.  The
     induced form of the criterion (G[A1 ∪ B1] connected) is the oracle of
-    sweep t3.6, and `enumerate_be_paths` that of sweep t3.4.
+    sweep t3.6, and `pairs_from_witnesses` over `be_paths_from_a` that of
+    sweep t3.4.
     """
     quotient = quotient_graph(graph, parts)
     return frozenset(
@@ -193,6 +205,20 @@ def pairs_from_witnesses(witnesses: Iterable[BePathWitness], parts: Bipartition)
 def is_path_complete(graph: SimpleGraph, parts: Bipartition) -> bool:
     """True iff every pair of A × B is joined by a be-path."""
     return is_quotient_complete_bipartite(quotient_graph(graph, parts))
+
+
+def path_complete_defect(graph: SimpleGraph, parts: Bipartition) -> Optional[tuple]:
+    """None iff path-complete, else ("unjoined", how many pairs of A × B no be-path joins, the first).
+
+    B_path is a union of whole block pairs (Theorem 3.4), and blocks are in
+    label order: the first pair joins the smallest label of the first A-block
+    that some B-block misses to that of the first B-block it misses.
+    """
+    q = quotient_graph(graph, parts)
+    joined = sum(len(q.a_components[i]) * len(q.b_components[j]) for i, j in q.edges)
+    first = next(((a, b) for i, a in enumerate(q.a_representatives) for j, b in enumerate(q.b_representatives)
+                  if (i, j) not in q.edges), None)  # after at most |edges| + |B-blocks| steps
+    return None if first is None else ("unjoined", len(parts.a) * len(parts.b) - joined, first)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,44 +20,53 @@ from .bepaths import (
     bpath_pairs,
     is_path_bipartite,
     is_path_complete,
+    path_bipartite_defect,
+    path_complete_defect,
     quotient_graph,
 )
-from .graphs import Bipartition, GraphError, SimpleGraph, connected_components, require_cover
+from .graphs import GraphError, is_connected, require_cover
 from .path_proximinal import (
     build_threshold_graph,
     is_path_proximinal_graph,
+    path_proximinal_defect,
     verify_path_proximinal,
     witness_metric_for_path_bipartite,
     witness_ultrametric,
 )
-from .proximinal import is_bipartite_with_parts, verify_proximinal_graph, witness_proximinal_metric
+from .proximinal import (
+    is_bipartite_with_parts,
+    proximinal_graph_defect,
+    verify_proximinal_graph,
+    witness_proximinal_metric,
+)
 from .spaces import SpaceClass, SpaceError, classify, set_distance
 from .theorems import SWEEPS
-
-ENV_MAX_N = "PROXIGRAPH_MAX_N"
 
 
 class UsageError(Exception):
     """Input problems that map to exit status 2."""
 
 
-def _path_bipartite_reason(graph: SimpleGraph, parts: Bipartition) -> str:
-    uncovered = graph.vertices - parts.union
-    if uncovered:
-        return f"A and B do not cover the vertex set; uncovered: {sorted(uncovered)}"
-    for block in connected_components(graph):
-        if not block & parts.a:
-            return f"component {sorted(block)} does not meet part A"
-        if not block & parts.b:
-            return f"component {sorted(block)} does not meet part B"
-    return "all components meet both parts"
+_DEFECT_TEXT = {
+    "uncovered": "A and B do not cover the vertex set; uncovered: {}",
+    "A": "component {} does not meet part A",
+    "B": "component {} does not meet part B",
+    "unjoined": "{} pairs not joinable, e.g. {}",
+    "threshold": "edges differ from the threshold graph of the space",
+    "best-pairs": "graph is not the best-proximity-pair graph of (A, B) in this space",
+}
 
 
-def _false(reason: str) -> int:
-    """Report a false verdict with its reason; exit status 1."""
-    print("false")
+def _reason(defect: tuple) -> str:
+    """The text of a defect (its kind, then its evidence), vertex sets in label order."""
+    return _DEFECT_TEXT[defect[0]].format(*(sorted(e) if isinstance(e, frozenset) else e for e in defect[1:]))
+
+
+def _verdict(holds: bool, reason: str) -> int:
+    """Report a verdict with its reason; exit status 0 when it holds, else 1."""
+    print("true" if holds else "false")
     print(f"reason: {reason}")
-    return 1
+    return 0 if holds else 1
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -67,50 +75,28 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+_CHECKS = {  # kind: (its defect routine, the reason when it has none)
+    "path-bipartite": (path_bipartite_defect, "all components meet both parts"),
+    "path-complete": (path_complete_defect, "all {} pairs of A x B are joined by be-paths"),
+    "path-proximinal": (path_proximinal_defect, "threshold graph matches and is path-bipartite of (A, B)"),
+    "proximinal": (proximinal_graph_defect, "edges are exactly the best proximity pairs"),
+}
+
+
 def cmd_check(args: argparse.Namespace) -> int:
+    kind = args.kind
+    takes_space = kind in ("proximinal", "path-proximinal")
+    if takes_space != (args.space_file is not None):
+        raise UsageError(f"check {kind} {'requires a' if takes_space else 'takes no'} space file")
     graph = fileio.load_graph(args.graph_file)
     parts = fileio.load_partition(args.partition_file)
-    kind = args.kind
-    if kind in ("proximinal", "path-proximinal"):
-        if args.space_file is None:
-            raise UsageError(f"check {kind} requires a space file")
-        space = fileio.load_space(args.space_file)
-        if graph.vertices != space.point_set():
-            raise UsageError(
-                "vertex-set mismatch between graph and space files: "
-                f"graph-only={sorted(graph.vertices - space.point_set())}, "
-                f"space-only={sorted(space.point_set() - graph.vertices)}"
-            )
+    defect_of, holds = _CHECKS[kind]
+    if takes_space:  # the routine checks the vertex sets first, then the partition
+        defect = defect_of(graph, parts, fileio.load_space(args.space_file))
+    else:
         require_cover(graph.vertices, parts, exact=False)
-        proximinal = kind == "proximinal"
-        verdict = (verify_proximinal_graph if proximinal else verify_path_proximinal)(graph, parts, space)
-        if verdict:
-            reason = "edges are exactly the best proximity pairs" if proximinal else \
-                "threshold graph matches and is path-bipartite of (A, B)"
-        elif parts.union != graph.vertices:
-            reason = _path_bipartite_reason(graph, parts)
-        elif proximinal:
-            reason = "graph is not the best-proximity-pair graph of (A, B) in this space"
-        elif graph != build_threshold_graph(space, parts):
-            reason = "edges differ from the threshold graph of the space"
-        else:
-            reason = _path_bipartite_reason(graph, parts)
-    elif kind == "path-bipartite":
-        require_cover(graph.vertices, parts, exact=False)
-        verdict = is_path_bipartite(graph, parts)
-        reason = _path_bipartite_reason(graph, parts)
-    else:  # path-complete
-        pairs = bpath_pairs(graph, parts)
-        verdict = len(pairs) == len(parts.a) * len(parts.b)
-        if verdict:
-            reason = f"all {len(pairs)} pairs of A x B are joined by be-paths"
-        else:
-            b_order = sorted(parts.b)
-            first = next((a, b) for a in sorted(parts.a) for b in b_order if (a, b) not in pairs)
-            reason = f"{len(parts.a) * len(parts.b) - len(pairs)} pairs not joinable, e.g. {first}"
-    print("true" if verdict else "false")
-    print(f"reason: {reason}")
-    return 0 if verdict else 1
+        defect = defect_of(graph, parts)
+    return _verdict(defect is None, holds.format(len(parts.a) * len(parts.b)) if defect is None else _reason(defect))
 
 
 def cmd_bpath(args: argparse.Namespace) -> int:
@@ -123,7 +109,7 @@ def cmd_bpath(args: argparse.Namespace) -> int:
             raise UsageError(f"witness endpoints must satisfy {a!r} in A and {b!r} in B")
         witness = be_path_witness(graph, parts, a, b)
         if witness is None:
-            return _false(f"pair ({a}, {b}) is not joined by any be-path")
+            return _verdict(False, f"pair ({a}, {b}) is not joined by any be-path")
         print(json.dumps(list(witness.path)))
         print(f"crossing-edge: {list(witness.crossing_edge)}")
         return 0
@@ -167,47 +153,32 @@ def cmd_witness(args: argparse.Namespace) -> int:
         raise UsageError(f"witness {kind} requires a partition file")
     # only the metric witness allows an edge inside a part
     if kind != "metric" and parts is not None and not is_bipartite_with_parts(graph, parts):
-        return _false("not-bipartite-with-parts: some edge stays inside one part")
+        return _verdict(False, "not-bipartite-with-parts: some edge stays inside one part")
     if kind == "ultrametric":
         certificate = witness_ultrametric(graph)
         if certificate is None:
-            return _false("not-degree-one: some vertex does not have exactly one neighbor")
+            return _verdict(False, "not-degree-one: some vertex does not have exactly one neighbor")
         space, parts = certificate.space, certificate.parts if parts is None else parts
         verified = classify(space) is SpaceClass.ULTRAMETRIC and verify_path_proximinal(graph, parts, space)
     elif kind == "metric":
-        if not is_path_bipartite(graph, parts):
-            return _false(f"not-path-bipartite: {_path_bipartite_reason(graph, parts)}")
+        defect = path_bipartite_defect(graph, parts)
+        if defect is not None:
+            return _verdict(False, f"not-path-bipartite: {_reason(defect)}")
         space = witness_metric_for_path_bipartite(graph, parts)
         verified = verify_path_proximinal(graph, parts, space)
     else:  # proximinal-metric
         if not graph.edges:
-            return _false("empty-graph: an empty bipartite graph has no proximinal witness")
+            return _verdict(False, "empty-graph: an empty bipartite graph has no proximinal witness")
         space = witness_proximinal_metric(graph, parts)
         verified = verify_proximinal_graph(graph, parts, space)
     if not verified:
-        return _false(f"the {kind} witness fails its verification")
+        return _verdict(False, f"the {kind} witness fails its verification")
     bundle = {"space": space, "partition": parts} if kind == "ultrametric" else {"space": space}
     written = _write_bundle(_output_prefix(args, kind), bundle)
     print("true")
     for path in written:
         print(f"wrote: {path}")
     return 0
-
-
-def _resolve_max_n(args: argparse.Namespace) -> Optional[int]:
-    """The vertex bound set by --max-n or the environment, or None to keep the sweep's default."""
-    value = None
-    env = os.environ.get(ENV_MAX_N)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"{ENV_MAX_N} must be an integer, got {env!r}")
-    if args.max_n is not None:
-        value = args.max_n
-    if value is not None and not 1 <= value <= instances.MAX_ENUMERATION_VERTICES:
-        raise UsageError(f"vertex bound {value} outside 1..{instances.MAX_ENUMERATION_VERTICES}")
-    return value
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -219,10 +190,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"sweep {args.theorem} takes no --{name.replace('_', '-')}")
     if kwargs.get("count", 1) < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
-    if "max_n" in spec.parameters:
-        max_n = _resolve_max_n(args)
-        if max_n is not None:
-            kwargs["max_n"] = max_n
+    if not 1 <= kwargs.get("max_n", 1) <= instances.MAX_ENUMERATION_VERTICES:
+        raise UsageError(f"vertex bound {args.max_n} outside 1..{instances.MAX_ENUMERATION_VERTICES}")
 
     def progress(done: int) -> None:
         print(f"... {done} instances checked", file=sys.stderr)
@@ -244,7 +213,7 @@ def _example_3_1(args: argparse.Namespace) -> Example:
     graph, parts = instances.example_3_1()
     checks = {
         "|E| = 25": len(graph.edges) == 25,
-        "connected": len(connected_components(graph)) == 1,
+        "connected": is_connected(graph),
         "path-bipartite of (A, B)": is_path_bipartite(graph, parts),
     }
     return {"graph": graph, "partition": parts}, checks, [
@@ -279,7 +248,7 @@ def _example_3_7(args: argparse.Namespace) -> Example:
     graph, parts = instances.example_3_7()
     pairs = bpath_pairs(graph, parts)
     checks = {
-        "connected": len(connected_components(graph)) == 1,
+        "connected": is_connected(graph),
         "B_path has 3 pairs": len(pairs) == 3,
         "(a1, b2) not joinable": ("a1", "b2") not in pairs,
         "not path-complete": not is_path_complete(graph, parts),
@@ -288,7 +257,8 @@ def _example_3_7(args: argparse.Namespace) -> Example:
 
 
 def _example_3_12(args: argparse.Namespace) -> Example:
-    space, parts = instances.example_3_12_truncation(instances.TruncationParams(args.N, args.M, args.K))
+    params = instances.TruncationParams(*(2 if value is None else value for value in (args.N, args.M, args.K)))
+    space, parts = instances.example_3_12_truncation(params)
     graph = build_threshold_graph(space, parts)
     checks = {
         "dist(A, B) = 2": set_distance(space, parts.a, parts.b) == 2,
@@ -318,6 +288,9 @@ EXAMPLES = {
 
 
 def cmd_example(args: argparse.Namespace) -> int:
+    unread = [flag for flag in ("N", "M", "K") if getattr(args, flag) is not None and args.name != "ex3.12"]
+    if unread:
+        raise UsageError(f"example {args.name} takes no --{unread[0]}")
     bundle, checks, notes = EXAMPLES[args.name](args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -365,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bpath", help="compute B_path pairs, a witness be-path, or the quotient")
     p.add_argument("graph_file")
     p.add_argument("partition_file")
-    p.add_argument("--witness", nargs=2, metavar=("A_VERTEX", "B_VERTEX"), default=None)
-    p.add_argument("--quotient", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--witness", nargs=2, metavar=("A_VERTEX", "B_VERTEX"), default=None)
+    mode.add_argument("--quotient", action="store_true")
     p.set_defaults(func=cmd_bpath)
 
     p = sub.add_parser("witness", help="construct and re-verify a witness space")
@@ -387,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="write a worked example bundle and re-check its claims")
     p.add_argument("name", choices=list(EXAMPLES))
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--M", type=int, default=2)
-    p.add_argument("--K", type=int, default=2)
+    for flag in ("--N", "--M", "--K"):
+        p.add_argument(flag, type=int, default=None)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("export-dot", help="export a graph file as DOT text")

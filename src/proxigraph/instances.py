@@ -36,10 +36,7 @@ def hypercube_space(n: int) -> FiniteSemimetricSpace:
 
 def hamming_graph(space: FiniteSemimetricSpace) -> SimpleGraph:
     """Graph joining points of a space at distance exactly 1."""
-    one = Fraction(1)
-    edges = [
-        [p, q] for p, q in combinations(space.points, 2) if space.d(p, q) == one
-    ]
+    edges = [[p, q] for p, q in combinations(space.points, 2) if space.d(p, q) == 1]
     return build_graph(list(space.points), edges)
 
 

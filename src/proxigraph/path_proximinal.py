@@ -12,9 +12,16 @@ theory of ultrametric realizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
-from .bepaths import find_path_bipartite_partition, is_path_bipartite, is_path_complete, quotient_graph
+from .bepaths import (
+    find_path_bipartite_partition,
+    is_path_bipartite,
+    is_path_complete,
+    path_bipartite_defect,
+    quotient_graph,
+)
 from .graphs import (
     Bipartition,
     GraphError,
@@ -24,36 +31,30 @@ from .graphs import (
     is_connected,
     require_cover,
 )
-from .proximinal import adjacency_metric, is_bipartite_with_parts, verify_proximinal_graph
+from .proximinal import adjacency_metric, is_bipartite_with_parts, require_same_points, verify_proximinal_graph
 from .spaces import (
     FiniteSemimetricSpace,
     SpaceClass,
     build_threshold_graph,
     classify,
-    is_proximinal,
     proximity_report,
     set_distance,
 )
 
 
-def verify_path_proximinal(
-    graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace
-) -> bool:
-    """Full check of the path-proximinal property.
+def path_proximinal_defect(graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace) -> Optional[tuple]:
+    """None iff path-proximinal, else the first failing condition: A ∪ B leaves vertices out,
+    ("threshold",) when the edges differ from the threshold graph at dist(A, B), or the
+    path-bipartite defect.  Both parts are proximinal, as every nonempty finite subset is."""
+    require_same_points(graph, parts, space)
+    if parts.union == graph.vertices and graph != build_threshold_graph(space, parts):
+        return ("threshold",)
+    return path_bipartite_defect(graph, parts)  # the uncovered vertices come first
 
-    Compares the graph structurally with the space's threshold graph at
-    dist(A, B), built once per space and limit by `build_threshold_graph`,
-    then checks path-bipartiteness and proximinality of both parts.
-    """
-    if graph.vertices != space.point_set():
-        raise GraphError("graph vertices and space points differ")
-    if parts.union != graph.vertices:
-        return False
-    if graph != build_threshold_graph(space, parts):
-        return False
-    if not is_path_bipartite(graph, parts):
-        return False
-    return is_proximinal(space, parts.a) and is_proximinal(space, parts.b)
+
+def verify_path_proximinal(graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace) -> bool:
+    """Full check of the path-proximinal property: `path_proximinal_defect` finds none."""
+    return path_proximinal_defect(graph, parts, space) is None
 
 
 def check_structural_conditions(space: FiniteSemimetricSpace, parts: Bipartition) -> bool:
@@ -125,13 +126,7 @@ def check_within_part_separation(space: FiniteSemimetricSpace, parts: Bipartitio
     """True iff all distinct same-part pairs are strictly farther than dist(A, B)."""
     require_cover(space.point_set(), parts, "point set")
     threshold = set_distance(space, parts.a, parts.b)
-    for part in (parts.a, parts.b):
-        block = sorted(part)
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                if space.d(block[i], block[j]) <= threshold:
-                    return False
-    return True
+    return all(space.d(x, y) > threshold for part in (parts.a, parts.b) for x, y in combinations(sorted(part), 2))
 
 
 def all_degrees_one(graph: SimpleGraph) -> bool:
@@ -158,9 +153,7 @@ def witness_ultrametric(graph: SimpleGraph) -> Optional[PathProximinalCertificat
 
 def check_corollary_3_12(graph: SimpleGraph) -> bool:
     """True iff every connected component has exactly two vertices."""
-    if not graph.vertices:
-        return False
-    return all(len(block) == 2 for block in connected_components(graph))
+    return bool(graph.vertices) and all(len(block) == 2 for block in connected_components(graph))
 
 
 def check_corollary_3_11(

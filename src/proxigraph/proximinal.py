@@ -8,7 +8,9 @@ pairs realizing dist(A, B).
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
+from .bepaths import path_bipartite_defect
 from .graphs import Bipartition, GraphError, SimpleGraph, edge_key, require_cover
 from .spaces import FiniteSemimetricSpace, is_proximinal, proximity_report, set_distance
 
@@ -27,9 +29,7 @@ def adjacency_metric(graph: SimpleGraph) -> FiniteSemimetricSpace:
 
 def is_bipartite_with_parts(graph: SimpleGraph, parts: Bipartition) -> bool:
     """True iff V(G) = A ∪ B and every edge joins A to B."""
-    if graph.vertices != parts.union:
-        return False
-    return all((u in parts.a) != (v in parts.a) for u, v in graph.edges)
+    return graph.vertices == parts.union and all((u in parts.a) != (v in parts.a) for u, v in graph.edges)
 
 
 def build_proximinal_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> SimpleGraph:
@@ -39,20 +39,32 @@ def build_proximinal_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> 
     return SimpleGraph(parts.union, edges)
 
 
-def verify_proximinal_graph(
-    graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace
-) -> bool:
+def require_same_points(graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace) -> None:
+    """Raise GraphError unless the graph's vertices are the space's points and A ∪ B lies among them."""
+    points = space.point_set()
+    if graph.vertices != points:
+        raise GraphError(f"vertex-set mismatch: graph vertices and space points differ; graph-only="
+                         f"{sorted(graph.vertices - points)}, space-only={sorted(points - graph.vertices)}")
+    require_cover(points, parts, exact=False)
+
+
+def proximinal_graph_defect(graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace) -> Optional[tuple]:
+    """None iff (graph, parts) is the proximinal graph of the space, else the first failing condition:
+    A ∪ B leaves vertices out (as `path_bipartite_defect` names them), or ("best-pairs",) when the
+    edges are not exactly the cross pairs at dist(A, B) of two proximinal parts."""
+    require_same_points(graph, parts, space)
+    if parts.union != graph.vertices:
+        return path_bipartite_defect(graph, parts)
+    if is_bipartite_with_parts(graph, parts) and is_proximinal(space, parts.a) and is_proximinal(space, parts.b):
+        dist = set_distance(space, parts.a, parts.b)
+        if all(graph.has_edge(x, y) == (space.d(x, y) == dist) for x in parts.a for y in parts.b):
+            return None
+    return ("best-pairs",)
+
+
+def verify_proximinal_graph(graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace) -> bool:
     """Check the proximinal-graph property of (graph, parts) against a space."""
-    if graph.vertices != space.point_set():
-        raise GraphError("graph vertices and space points differ")
-    if not is_bipartite_with_parts(graph, parts):
-        return False
-    if not (is_proximinal(space, parts.a) and is_proximinal(space, parts.b)):
-        return False
-    dist = set_distance(space, parts.a, parts.b)
-    return all(
-        graph.has_edge(x, y) == (space.d(x, y) == dist) for x in parts.a for y in parts.b
-    )
+    return proximinal_graph_defect(graph, parts, space) is None
 
 
 def witness_proximinal_metric(graph: SimpleGraph, parts: Bipartition) -> FiniteSemimetricSpace:

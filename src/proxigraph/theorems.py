@@ -84,11 +84,9 @@ class SweepResult:
     def lines(self) -> list[str]:
         out = [f"sweep {self.sweep}: checked {self.checked} instances"]
         out.extend(f"note: {n}" for n in self.notes)
+        out.append(f"counterexamples: {len(self.counterexamples)}")
         if self.counterexamples:
-            out.append(f"counterexamples: {len(self.counterexamples)}")
             out.append(f"first counterexample: {self.counterexamples[0]}")
-        else:
-            out.append("counterexamples: 0")
         return out
 
 

@@ -20,7 +20,7 @@ from proxigraph import (
     quotient_graph,
     union_of_be_paths,
 )
-from proxigraph.bepaths import be_paths_from_a, pairs_from_witnesses
+from proxigraph.bepaths import be_paths_from_a, pairs_from_witnesses, path_bipartite_defect, path_complete_defect
 from proxigraph.graphs import edge_key
 from proxigraph.theorems import _graphs_and_partitions
 from proxigraph.instances import (
@@ -367,3 +367,41 @@ def is_connected_helper(graph):
     from proxigraph import connected_components
 
     return len(connected_components(graph)) == 1
+
+
+def _components_by_traversal(graph):
+    """The components in order of smallest label, each found by one depth-first traversal."""
+    neighbours = {v: [] for v in graph.vertices}
+    for u, v in graph.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    seen = set()
+    for start in sorted(graph.vertices):
+        if start not in seen:
+            block, stack = {start}, [start]
+            while stack:
+                for w in neighbours[stack.pop()]:
+                    if w not in block:
+                        block.add(w)
+                        stack.append(w)
+            seen |= block
+            yield frozenset(block)
+
+
+def test_path_bipartite_defect_names_the_first_component_missing_a_part():
+    found = 0
+    for graph, parts in _graphs_and_partitions(5):
+        expected = next(((part, block) for block in _components_by_traversal(graph)
+                         for part, members in (("A", parts.a), ("B", parts.b)) if not block & members), None)
+        assert path_bipartite_defect(graph, parts) == expected
+        found += expected is not None and expected[0] == "B"
+    assert found
+    g, parts = k2_plus_isolated()
+    assert path_bipartite_defect(g, Bipartition.of(["a"], ["b"])) == ("uncovered", frozenset({"c"}))
+
+
+def test_path_complete_defect_matches_the_sorted_walk_over_enumerated_pairs():
+    for graph, parts in _graphs_and_partitions(5):
+        pairs = pairs_from_witnesses(be_paths_from_a(graph, parts), parts)
+        missing = [(a, b) for a in sorted(parts.a) for b in sorted(parts.b) if (a, b) not in pairs]
+        assert path_complete_defect(graph, parts) == (("unjoined", len(missing), missing[0]) if missing else None)

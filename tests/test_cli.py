@@ -156,6 +156,8 @@ def test_check_partition_with_an_unknown_vertex_exits_2(kind, tmp_path, capsys):
         "p": {"A": ["a"], "B": ["b", "zz"]},
         "s": space_to_obj(build_space(["a", "b"], [[0, 1], [1, 0]])),
     }
+    if kind == "path-bipartite":
+        del files["s"]  # a kind that reads no space file rejects one
     for name, obj in files.items():
         save_json(tmp_path / f"{name}.json", obj)
     assert main(["check", kind, *(str(tmp_path / f"{name}.json") for name in files)]) == 2
@@ -392,24 +394,6 @@ def test_verify_rejects_flag_the_sweep_does_not_take(argv, message, capsys):
     assert captured.out == ""
 
 
-def test_verify_env_bound_only_reaches_sweeps_with_max_n(monkeypatch, capsys):
-    monkeypatch.setenv("PROXIGRAPH_MAX_N", "99")
-    assert main(["verify", "t2.1", "--count", "2", "--seed", "1"]) == 0
-    assert first_line(capsys)[0] == "true"
-
-
-def test_verify_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("PROXIGRAPH_MAX_N", "3")
-    assert main(["verify", "t3.9"]) == 0
-    out = capsys.readouterr().out
-    assert "checked 52 instances" in out  # 4 + 48
-
-
-def test_verify_env_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("PROXIGRAPH_MAX_N", "many")
-    assert main(["verify", "t3.9"]) == 2
-
-
 def test_example_bundles(tmp_path, capsys):
     for name in ("ex3.1", "ex3.2", "ex3.7", "ex3.16"):
         assert main(["example", name, "--out-dir", str(tmp_path)]) == 0
@@ -427,6 +411,38 @@ def test_example_truncation_with_params(tmp_path, capsys):
     space = load_space(tmp_path / "ex3.12.space.json")
     params_space, _ = example_3_12_truncation(TruncationParams(3, 2, 2))
     assert space == params_space
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "path-complete", "G", "P", "/nonexistent.json"], "check path-complete takes no space file"),
+    (["check", "path-bipartite", "G", "P", "/nonexistent.json"], "check path-bipartite takes no space file"),
+    (["example", "ex3.2", "--N", "50"], "example ex3.2 takes no --N"),
+    (["example", "ex3.1", "--M", "3"], "example ex3.1 takes no --M"),
+    (["example", "ex3.16", "--K", "2"], "example ex3.16 takes no --K"),
+], ids=["check-path-complete-space", "check-path-bipartite-space", "example-N", "example-M", "example-K"])
+def test_command_rejects_an_argument_it_does_not_read(argv, message, bundle, tmp_path, capsys):
+    words = [{"G": bundle["g37"], "P": bundle["p37"]}.get(word, word) for word in argv]
+    out_dir = tmp_path / "out"
+    if words[0] == "example":
+        words += ["--out-dir", str(out_dir)]
+    assert main(words) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+def test_bpath_takes_a_witness_or_the_quotient_not_both(bundle, capsys):
+    assert main(["bpath", bundle["g37"], bundle["p37"], "--witness", "a1", "b1", "--quotient"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument --witness" in err
+
+
+def test_example_truncation_defaults_are_two(tmp_path, capsys):
+    outputs = []
+    for extra in ([], ["--N", "2", "--M", "2", "--K", "2"]):
+        assert main(["example", "ex3.12", "--out-dir", str(tmp_path), *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "satisfies the triangle inequality: True" in outputs[0]
 
 
 def test_example_reports_erratum(tmp_path, capsys):
@@ -483,3 +499,114 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "true"
+
+
+# Inputs for every verdict branch of `check` and every false reason of `witness`.
+_TRIAD = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+_TWO_PAIRS = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]  # a-b and c-d at 1, the rest at 2
+GOLDEN_FILES = {
+    "k2": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+    "e2": {"vertices": ["a", "b"], "edges": []},
+    "k2+c": {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]},
+    "p3": {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]},
+    "2k2": {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]},
+    "k2+cd": {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"]]},
+    "a|b": {"A": ["a"], "B": ["b"]},
+    "a|bc": {"A": ["a"], "B": ["b", "c"]},
+    "ac|b": {"A": ["a", "c"], "B": ["b"]},
+    "a|bcd": {"A": ["a"], "B": ["b", "c", "d"]},
+    "bcd|a": {"A": ["b", "c", "d"], "B": ["a"]},
+    "ab|cd": {"A": ["a", "b"], "B": ["c", "d"]},
+    "ac|bd": {"A": ["a", "c"], "B": ["b", "d"]},
+    "s2": {"points": ["a", "b"], "distances": [[0, 1], [1, 0]]},
+    "s3": {"points": ["a", "b", "c"], "distances": _TRIAD},
+    "s4": {"points": ["a", "b", "c", "d"], "distances": _TWO_PAIRS},
+}
+
+
+@pytest.fixture
+def golden_files(tmp_path):
+    """Each input of the golden cases written as `<name>.json` in `tmp_path`; their paths by name."""
+    objs = dict(GOLDEN_FILES)
+    for name, (graph, parts) in {"ex3.1": example_3_1(), "ex3.7": example_3_7()}.items():
+        objs[f"{name}.g"], objs[f"{name}.p"] = graph_to_obj(graph), partition_to_obj(parts)
+    space, parts = example_3_2()
+    objs["ex3.2.s"], objs["ex3.2.p"] = space_to_obj(space), partition_to_obj(parts)
+    objs["ex3.2.g"] = graph_to_obj(build_threshold_graph(space, parts))
+    objs["ex3.2.best"] = graph_to_obj(proximinal.build_proximinal_graph(space, parts))
+    for seed in range(4):
+        graph = random_graph(40, "1/20", seed)
+        odd = {v for v in graph.vertices if int(v[1:]) % 2}
+        objs[f"rand{seed}.g"] = graph_to_obj(graph)
+        objs[f"rand{seed}.p"] = partition_to_obj(Bipartition(frozenset(odd), graph.vertices - odd))
+    paths = {}
+    for name, obj in objs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_json(paths[name], obj)
+    return paths
+
+
+# argv with file names, exit code and reason line, recorded before each verdict's
+# reason came from the routine that decided it; exit 2 prints nothing on stdout.
+GOLDEN_CASES = {
+    "path-bipartite-true": ("check path-bipartite ex3.1.g ex3.1.p", 0, "all components meet both parts"),
+    "path-bipartite-uncovered": ("check path-bipartite k2+c a|b", 1,
+                                 "A and B do not cover the vertex set; uncovered: ['c']"),
+    "path-bipartite-misses-a": ("check path-bipartite k2+c a|bc", 1, "component ['c'] does not meet part A"),
+    "path-bipartite-misses-b": ("check path-bipartite 2k2 ab|cd", 1, "component ['a', 'b'] does not meet part B"),
+    "path-complete-true": ("check path-complete ex3.2.g ex3.2.p", 0, "all 64 pairs of A x B are joined by be-paths"),
+    "path-complete-ex3.7": ("check path-complete ex3.7.g ex3.7.p", 1, "1 pairs not joinable, e.g. ('a1', 'b2')"),
+    "path-complete-rand0": ("check path-complete rand0.g rand0.p", 1, "236 pairs not joinable, e.g. ('v1', 'v10')"),
+    "path-complete-rand1": ("check path-complete rand1.g rand1.p", 1, "139 pairs not joinable, e.g. ('v1', 'v12')"),
+    "path-complete-rand2": ("check path-complete rand2.g rand2.p", 1, "221 pairs not joinable, e.g. ('v1', 'v10')"),
+    "path-complete-rand3": ("check path-complete rand3.g rand3.p", 1, "258 pairs not joinable, e.g. ('v1', 'v10')"),
+    "path-complete-k2+c": ("check path-complete k2+c a|bc", 1, "1 pairs not joinable, e.g. ('a', 'c')"),
+    "path-proximinal-true": ("check path-proximinal ex3.2.g ex3.2.p ex3.2.s", 0,
+                             "threshold graph matches and is path-bipartite of (A, B)"),
+    "path-proximinal-uncovered": ("check path-proximinal k2+c a|b s3", 1,
+                                  "A and B do not cover the vertex set; uncovered: ['c']"),
+    "path-proximinal-inner-edge": ("check path-proximinal 2k2 ab|cd s4", 1,
+                                   "edges differ from the threshold graph of the space"),
+    "path-proximinal-edges-differ": ("check path-proximinal k2+cd a|bcd s4", 1,
+                                     "edges differ from the threshold graph of the space"),
+    "path-proximinal-misses-a": ("check path-proximinal 2k2 a|bcd s4", 1,
+                                 "component ['c', 'd'] does not meet part A"),
+    "path-proximinal-misses-b": ("check path-proximinal 2k2 bcd|a s4", 1,
+                                 "component ['c', 'd'] does not meet part B"),
+    "path-proximinal-vertex-mismatch": ("check path-proximinal k2 ex3.2.p ex3.2.s", 2, None),
+    "proximinal-true": ("check proximinal ex3.2.best ex3.2.p ex3.2.s", 0, "edges are exactly the best proximity pairs"),
+    "proximinal-k2": ("check proximinal k2 a|b s2", 0, "edges are exactly the best proximity pairs"),
+    "proximinal-uncovered": ("check proximinal k2+c a|b s3", 1, "A and B do not cover the vertex set; uncovered: ['c']"),
+    "proximinal-inner-edge": ("check proximinal 2k2 ab|cd s4", 1,
+                              "graph is not the best-proximity-pair graph of (A, B) in this space"),
+    "proximinal-edges-differ": ("check proximinal k2+cd ac|bd s4", 1,
+                                "graph is not the best-proximity-pair graph of (A, B) in this space"),
+    "proximinal-vertex-mismatch": ("check proximinal k2 ex3.2.p ex3.2.s", 2, None),
+    "witness-ultrametric-inner-edge": ("witness ultrametric 2k2 ab|cd", 1,
+                                       "not-bipartite-with-parts: some edge stays inside one part"),
+    "witness-proximinal-metric-inner-edge": ("witness proximinal-metric 2k2 ab|cd", 1,
+                                             "not-bipartite-with-parts: some edge stays inside one part"),
+    "witness-ultrametric-not-degree-one": ("witness ultrametric p3", 1,
+                                           "not-degree-one: some vertex does not have exactly one neighbor"),
+    "witness-metric-misses-a": ("witness metric k2+c a|bc", 1,
+                                "not-path-bipartite: component ['c'] does not meet part A"),
+    "witness-metric-misses-b": ("witness metric k2+c ac|b", 1,
+                                "not-path-bipartite: component ['c'] does not meet part B"),
+    "witness-proximinal-metric-empty": ("witness proximinal-metric e2 a|b", 1,
+                                        "empty-graph: an empty bipartite graph has no proximinal witness"),
+    **{f"witness-{kind}-fails": (f"witness {kind} 2k2 ac|bd", 1, f"the {kind} witness fails its verification")
+       for kind in ("ultrametric", "metric", "proximinal-metric")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_verdict_stdout_and_exit_code_are_pinned(case, golden_files, monkeypatch, tmp_path, capsys):
+    argv, code, reason = GOLDEN_CASES[case]
+    if case.endswith("-fails"):  # a wrong witness table, so that its verification fails
+        for module in (path_proximinal, proximinal):
+            monkeypatch.setattr(module, "adjacency_metric", _all_ones_table)
+    words = [golden_files.get(word, word) for word in argv.split()]
+    if words[0] == "witness":
+        words += ["-o", str(tmp_path / "w")]
+    stdout = "" if code == 2 else f"{'true' if code == 0 else 'false'}\nreason: {reason}\n"
+    assert (main(words), capsys.readouterr().out) == (code, stdout)

@@ -1,19 +1,23 @@
 """Sweep smoke runs at small bounds; the full bounds run in the acceptance suite."""
 
 import functools
+import importlib
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from proxigraph import FiniteSemimetricSpace, bepaths, path_proximinal, theorems
+from proxigraph import FiniteSemimetricSpace, bepaths, graphs, path_proximinal, proximinal, spaces, theorems
+from proxigraph.instances import random_semimetric_space, random_ultrametric_space
 from proxigraph.theorems import (
     SWEEPS,
     SweepSpec,
-    _every_degree_one,
     _graphs_and_partitions,
     _labeled_graphs,
-    induced_bpath_pairs,
+    _perturbed_within_part,
+    _spaces_and_partitions,
     sweep_c2_9,
     sweep_c3_10,
     sweep_c3_12,
@@ -167,47 +171,117 @@ def test_sweep_reports_a_certificate_failing_verification(monkeypatch, sweep_id,
     assert result.counterexamples[0].endswith(message)
 
 
-FAST_ROUTES = ("bpath_pairs", "quotient_graph", "is_path_complete", "is_path_bipartite")
+def _graph_family(max_n, keep=lambda graph, parts: True):
+    return lambda: [(graph, parts) for graph, parts in _graphs_and_partitions(max_n) if keep(graph, parts)]
 
-GRAPH_SWEEP_ORACLES = {
-    "t3.6": induced_bpath_pairs,
-    "t3.9": bepaths.union_of_be_paths,
-    "t3.4": lambda graph, parts: bepaths.pairs_from_witnesses(bepaths.be_paths_from_a(graph, parts), parts),
+
+def _p3_9_family():
+    """Witness metrics and one same-part perturbation each, as sweep p3.9 builds them."""
+    rng, family = random.Random(0), []
+    for graph, parts in _graphs_and_partitions(4):
+        if graph.edges and not graph.isolated_vertices() and proximinal.is_bipartite_with_parts(graph, parts):
+            base = proximinal.witness_proximinal_metric(graph, parts)
+            perturbed = _perturbed_within_part(base, parts, rng)
+            family += [(space, parts) for space in (base, perturbed) if space is not None]
+    return family
+
+
+BEPATHS_FAST = tuple(f"bepaths.{name}" for name in (
+    "bpath_pairs", "quotient_graph", "is_quotient_complete_bipartite", "is_path_complete",
+    "path_complete_defect", "is_path_bipartite", "path_bipartite_defect",
+))
+PATH_PROXIMINAL_FAST = ("path_proximinal.verify_path_proximinal", "path_proximinal.path_proximinal_defect")
+
+# Per sweep: its family (argument tuples, built before anything is stubbed), the
+# fast-route functions as module.name, its oracle, and the routines both sides
+# legitimately share.  Oracles reach proxigraph through module attributes, so a
+# stub or a counter bound in the module is the function they call.
+ORACLES = {
+    "t3.9": (_graph_family(4), BEPATHS_FAST, lambda graph, parts: bepaths.union_of_be_paths(graph, parts), ()),
+    "t3.4": (_graph_family(4), BEPATHS_FAST,
+             lambda graph, parts: bepaths.pairs_from_witnesses(bepaths.be_paths_from_a(graph, parts), parts), ()),
+    "t3.6": (_graph_family(4), BEPATHS_FAST, lambda graph, parts: theorems.induced_bpath_pairs(graph, parts), ()),
+    "c2.9": (_graph_family(4, lambda graph, parts: min(len(parts.a), len(parts.b)) == 1
+                           and bepaths.is_path_bipartite(graph, parts)),
+             BEPATHS_FAST, lambda graph, parts: graphs.is_connected(graph), ()),
+    "c3.10": (lambda: [(graph,) for graph in _labeled_graphs(4)],
+              (*BEPATHS_FAST, "bepaths.find_path_bipartite_partition"),
+              lambda graph: bool(graph.edges) and graphs.prune_isolated(graph) == graph, ()),
+    "t3.16": (lambda: [(graph,) for graph in _labeled_graphs(4)],
+              ("path_proximinal.is_path_proximinal_graph", "bepaths.find_path_bipartite_partition",
+               *PATH_PROXIMINAL_FAST),
+              lambda graph: not graph.isolated_vertices(), ()),
+    "c3.12": (lambda: [(graph,) for graph in _labeled_graphs(5)],
+              ("path_proximinal.all_degrees_one", "path_proximinal.witness_ultrametric"),
+              lambda graph: path_proximinal.check_corollary_3_12(graph), ()),
+    "p3.22": (_graph_family(4, lambda graph, parts: graph.edges and proximinal.is_bipartite_with_parts(graph, parts)),
+              ("path_proximinal.check_prop_3_22", "proximinal.verify_proximinal_graph",
+               "proximinal.proximinal_graph_defect", "spaces.proximity_report"),
+              lambda graph, parts: not graph.isolated_vertices(), ()),
+    "p3.9": (_p3_9_family, (*PATH_PROXIMINAL_FAST, "spaces.build_threshold_graph", *BEPATHS_FAST),
+             lambda space, parts: path_proximinal.check_within_part_separation(space, parts), ()),
+    # check_theorem_2_1 evaluates both statements; statement 1 is rebuilt here from its calls
+    "t2.1": (lambda: list(_spaces_and_partitions(random_ultrametric_space, 20, 6, 11)),
+             ("spaces.check_theorem_2_1", "spaces.is_proximinal", "spaces.best_approximations"),
+             lambda space, parts: spaces.diameter(space, parts.b) <= spaces.proximity_report(space, parts).distance,
+             ("spaces.proximity_report",)),
+    "t3.10": (lambda: [(graph,) for graph in _labeled_graphs(5)],
+              ("path_proximinal.all_degrees_one", "path_proximinal.witness_ultrametric"),
+              lambda graph: theorems._every_degree_one(graph), ()),
+    "t3.5": (lambda: list(_spaces_and_partitions(random_semimetric_space, 20, 6, 2)),
+             ("path_proximinal.check_structural_conditions", "bepaths.quotient_graph", "spaces.proximity_report"),
+             lambda space, parts: bepaths.is_path_bipartite(spaces.build_threshold_graph(space, parts), parts),
+             ("spaces.build_threshold_graph",)),
 }
 
 
-def _stub_everywhere(monkeypatch, home, names, sweep_id) -> set[tuple[str, str]]:
-    """Make each named function of `home` raise in every proxigraph module binding it."""
-    def stub(name):
-        def raises(*args, **kwargs):
-            raise AssertionError(f"the {sweep_id} oracle called the fast route {name}")
-        return raises
-
-    patched = set()
-    for name in names:
-        route = getattr(home, name)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "proxigraph" and getattr(module, name, None) is route:
-                monkeypatch.setattr(module, name, stub(name))
-                patched.add((module_name, name))
+def _rebind_everywhere(monkeypatch, route, replace) -> set[str]:
+    """Bind replace(function) in place of `module.name` in every proxigraph module binding it; those modules."""
+    home, name = route.split(".")
+    original = getattr(importlib.import_module(f"proxigraph.{home}"), name)
+    replacement, patched = replace(original), set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "proxigraph" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+            patched.add(module_name)
     return patched
 
 
-@pytest.mark.parametrize("sweep_id", sorted(GRAPH_SWEEP_ORACLES))
+def test_oracle_table_covers_every_sweep():
+    assert set(ORACLES) == set(SWEEPS)
+    for _, fast, _, shared in ORACLES.values():
+        assert not set(fast) & set(shared)
+
+
+@pytest.mark.parametrize("sweep_id", sorted(ORACLES))
 def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
-    oracle = GRAPH_SWEEP_ORACLES[sweep_id]
-    instances = list(_graphs_and_partitions(4))
-    expected = [oracle(graph, parts) for graph, parts in instances]
-    patched = _stub_everywhere(monkeypatch, bepaths, FAST_ROUTES, sweep_id)
-    assert {("proxigraph.bepaths", name) for name in FAST_ROUTES} <= patched
-    assert ("proxigraph.theorems", "bpath_pairs") in patched
-    assert [oracle(graph, parts) for graph, parts in instances] == expected
+    """Every sweep's oracle gives the same answers while its fast routes raise wherever they are bound."""
+    family, fast, oracle, shared = ORACLES[sweep_id]
+    instances = family()
+    expected = [oracle(*instance) for instance in instances]
+    # the family tells the answers apart, but in c2.9 a singleton part that every
+    # component meets leaves one component, so both sides read true on all of it
+    distinct = len(set(map(repr, expected)))
+    assert distinct == 1 if sweep_id == "c2.9" else distinct > 1
 
+    def stub(route):
+        def raises(*args, **kwargs):
+            raise AssertionError(f"the {sweep_id} oracle called the fast route {route}")
+        return lambda original: raises
 
-def test_t3_10_degrees_one_side_never_calls_all_degrees_one(monkeypatch):
-    graphs = list(_labeled_graphs(5))
-    expected = [path_proximinal.all_degrees_one(graph) for graph in graphs]
-    patched = _stub_everywhere(monkeypatch, path_proximinal, ("all_degrees_one",), "t3.10")
-    assert {"proxigraph.path_proximinal", "proxigraph.theorems"} <= {module for module, _ in patched}
-    assert [_every_degree_one(graph) for graph in graphs] == expected
-    assert any(expected) and not all(expected)
+    for route in fast:
+        assert f"proxigraph.{route.split('.')[0]}" in _rebind_everywhere(monkeypatch, route, stub(route))
+    calls = Counter()
+
+    def counted(route):
+        def count(original):
+            def counting(*args, **kwargs):
+                calls[route] += 1
+                return original(*args, **kwargs)
+            return counting
+        return count
+
+    for route in shared:
+        _rebind_everywhere(monkeypatch, route, counted(route))
+    assert [oracle(*instance) for instance in instances] == expected
+    assert all(calls[route] for route in shared), f"a declared shared routine is not called: {dict(calls)}"

@@ -1,0 +1,162 @@
+"""Mutation gate: each committed source edit must make its named tests fail.
+
+For each edit the script copies `src/` and `tests/` to a temporary directory,
+replaces the edit's old text (which must occur exactly once) with its new
+text, and runs the named test files there.  The gate fails when a mutant
+survives, when its old text is missing or repeated (a stale mutant), or when
+the unmutated copy does not pass the named tests to begin with.  Standard
+library only:
+
+    python tools/mutation_gate.py            # every edit
+    python tools/mutation_gate.py NAME ...   # the named edits
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Edit(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+EDITS = (
+    Edit("threshold-strict", "src/proxigraph/spaces.py",
+         "            if row[j] <= limit\n", "            if row[j] < limit\n",
+         ("tests/test_spaces.py",)),
+    Edit("symmetry-against-itself", "src/proxigraph/spaces.py",
+         "            if row[j] != rows[j][i]:\n", "            if row[j] != row[j]:\n",
+         ("tests/test_spaces.py",)),
+    Edit("ultrametric-no-cross-pairs", "src/proxigraph/spaces.py",
+         "            if any(row[y] != w for y in big):\n", "            if False:\n",
+         ("tests/test_spaces.py",)),
+    Edit("packed-field-one-bit-short", "src/proxigraph/spaces.py",
+         "    w = (2 * max(map(max, rows))).bit_length() + 1\n", "    w = (2 * max(map(max, rows))).bit_length()\n",
+         ("tests/test_spaces.py",)),
+    Edit("threshold-memo-constant-key", "src/proxigraph/spaces.py",
+         "    if limit not in graphs:\n"
+         "        pts = space.points\n"
+         "        graphs[limit] = SimpleGraph(space.point_set(), frozenset(\n"
+         "            edge_key(pts[i], pts[j])\n"
+         "            for i, row in enumerate(space._scaled[1])\n"
+         "            for j in range(i + 1, len(pts))\n"
+         "            if row[j] <= limit\n"
+         "        ))\n"
+         "    return graphs[limit]\n",
+         "    if 0 not in graphs:\n"
+         "        pts = space.points\n"
+         "        graphs[0] = SimpleGraph(space.point_set(), frozenset(\n"
+         "            edge_key(pts[i], pts[j])\n"
+         "            for i, row in enumerate(space._scaled[1])\n"
+         "            for j in range(i + 1, len(pts))\n"
+         "            if row[j] <= limit\n"
+         "        ))\n"
+         "    return graphs[0]\n",
+         ("tests/test_spaces.py",)),
+    Edit("t3.6-oracle-is-the-quotient", "src/proxigraph/theorems.py",
+         "    `bpath_pairs` reads the same set off the component quotient.\n    \"\"\"\n",
+         "    `bpath_pairs` reads the same set off the component quotient.\n    \"\"\"\n"
+         "    return bpath_pairs(graph, parts)\n",
+         ("tests/test_theorems.py",)),
+    Edit("t3.10-oracle-is-all-degrees-one", "src/proxigraph/theorems.py",
+         "    neighbour: dict[str, str] = {}\n",
+         "    return all_degrees_one(graph)\n    neighbour: dict[str, str] = {}\n",
+         ("tests/test_theorems.py",)),
+    Edit("c3.12-components-read-degrees", "src/proxigraph/path_proximinal.py",
+         "    return bool(graph.vertices) and all(len(block) == 2 for block in connected_components(graph))\n",
+         "    return all_degrees_one(graph)\n",
+         ("tests/test_theorems.py",)),
+    Edit("part-b-never-reported", "src/proxigraph/bepaths.py",
+         "        if block.isdisjoint(parts.b):\n            return \"B\", block\n", "",
+         ("tests/test_cli.py", "tests/test_bepaths.py")),
+    Edit("first-missing-pair-is-the-largest", "src/proxigraph/bepaths.py",
+         "    first = next(((a, b) for i, a in enumerate(q.a_representatives) for j, b in enumerate(q.b_representatives)\n"
+         "                  if (i, j) not in q.edges), None)",
+         "    first = max(((a, b) for i, a in enumerate(q.a_representatives) for j, b in enumerate(q.b_representatives)\n"
+         "                  if (i, j) not in q.edges), default=None)",
+         ("tests/test_cli.py", "tests/test_bepaths.py")),
+    Edit("missing-count-off-by-one-block", "src/proxigraph/bepaths.py",
+         " for i, j in q.edges)\n", " for i, j in sorted(q.edges)[1:])\n",
+         ("tests/test_cli.py", "tests/test_bepaths.py")),
+    Edit("threshold-never-compared", "src/proxigraph/path_proximinal.py",
+         "    if parts.union == graph.vertices and graph != build_threshold_graph(space, parts):\n",
+         "    if False:\n",
+         ("tests/test_cli.py", "tests/test_path_proximinal.py")),
+    Edit("uncovered-read-as-best-pairs", "src/proxigraph/proximinal.py",
+         "    if parts.union != graph.vertices:\n        return path_bipartite_defect(graph, parts)\n", "",
+         ("tests/test_cli.py",)),
+)
+
+
+def _run_tests(tree: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=600,
+    )
+
+
+def _copy_tree(tmp: Path) -> Path:
+    tree = tmp / "tree"
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
+    return tree
+
+
+def check(edit: Edit) -> tuple[bool, str]:
+    """(killed, the failing test or what went wrong) for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = _copy_tree(Path(tmp))
+        target = tree / edit.file
+        text = target.read_text(encoding="utf-8")
+        found = text.count(edit.old)
+        if found != 1:
+            return False, f"old text occurs {found} times in {edit.file}; the mutant is stale"
+        target.write_text(text.replace(edit.old, edit.new), encoding="utf-8")
+        done = _run_tests(tree, edit.tests)
+        if done.returncode == 0:
+            return False, f"survived: {', '.join(edit.tests)} pass on the mutant"
+        if done.returncode != 1:
+            return False, f"pytest exited {done.returncode}, not 1:\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+        return True, next((line for line in done.stdout.splitlines() if line.startswith("FAILED")), "")
+
+
+def main(argv: list[str]) -> int:
+    edits = [edit for edit in EDITS if not argv or edit.name in argv]
+    unknown = set(argv) - {edit.name for edit in EDITS}
+    if unknown:
+        print(f"unknown edits: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="mutant-clean-") as tmp:
+        named = tuple(sorted({test for edit in edits for test in edit.tests}))
+        done = _run_tests(_copy_tree(Path(tmp)), named)
+        if done.returncode != 0:
+            print(f"the unmutated tree fails {', '.join(named)}:\n{done.stdout[-2000:]}", file=sys.stderr)
+            return 1
+    failures = 0
+    for edit in edits:
+        start = time.perf_counter()
+        killed, detail = check(edit)
+        failures += not killed
+        print(f"{'killed' if killed else 'FAILED'}  {edit.name}  ({time.perf_counter() - start:.1f} s)")
+        print(f"  {detail}")
+    print(f"{len(edits) - failures} of {len(edits)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
