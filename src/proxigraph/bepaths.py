@@ -17,13 +17,13 @@ only until the pair set or the union of paths is settled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .graphs import (
     Bipartition,
     GraphError,
     SimpleGraph,
+    cached_attribute,
     component_roots,
     edge_key,
     find_path,
@@ -234,11 +234,11 @@ class QuotientGraph:
     b_components: tuple[frozenset[str], ...]
     edges: frozenset[tuple[int, int]]
 
-    @cached_property
+    @cached_attribute
     def a_representatives(self) -> tuple[str, ...]:
         return tuple(min(block) for block in self.a_components)
 
-    @cached_property
+    @cached_attribute
     def b_representatives(self) -> tuple[str, ...]:
         return tuple(min(block) for block in self.b_components)
 
@@ -273,10 +273,11 @@ def is_quotient_complete_bipartite(quotient: QuotientGraph) -> bool:
 def find_path_bipartite_partition(graph: SimpleGraph) -> Optional[Bipartition]:
     """A canonical partition making the graph path-bipartite, if any exists.
 
-    Exists iff the graph has at least one vertex and no isolated vertex:
-    part A collects the smallest label of each component, part B the rest.
+    Exists iff the graph has at least one vertex and no isolated vertex, that
+    is no block of one vertex: part A collects the smallest label of each
+    component, part B the rest.
     """
-    if not graph.vertices or graph.isolated_vertices():
+    if not graph.vertices or any(len(block) == 1 for block in graph._blocks.values()):
         return None
     a = frozenset(graph._blocks)  # the smallest label of each block
     return Bipartition(a, graph.vertices - a)

@@ -3,14 +3,37 @@
 Vertices are identified by their label text.  All tie-breaking (component
 ordering, BFS expansion, canonical representatives) uses lexicographic label
 order so that every derived object is reproducible.
+
+A graph keeps what the bipartitions of an exhaustive sweep ask of it again:
+its blocks, and the blocks of each induced subgraph G[S] per vertex set S
+(`induced_components`).  Both live as long as the graph object, so a sweep
+that holds one graph at a time holds one graph's memo at a time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+
+class cached_attribute:
+    """`functools.cached_property` without its lock: the first read computes the value
+    and stores it in the instance `__dict__`, where every later read finds it first.
+    Python 3.11 takes that lock on every first read, which makes the read about three times as costly."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 class GraphError(ValueError):
@@ -40,7 +63,7 @@ class SimpleGraph:
     vertices: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
-    @cached_property
+    @cached_attribute
     def adjacency(self) -> dict[str, tuple[str, ...]]:
         """Neighbor lists in ascending label order."""
         nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
@@ -49,10 +72,14 @@ class SimpleGraph:
             nbrs[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
-    @cached_property
+    @cached_attribute
     def _blocks(self) -> dict[str, frozenset[str]]:
         """`component_roots` of the graph, for graphs asked about many bipartitions."""
         return component_roots(self.vertices, self.edges)
+
+    @cached_attribute
+    def _induced(self) -> dict[frozenset[str], tuple[frozenset[str], ...]]:
+        return {}  # per vertex set S: the blocks of G[S], filled by `induced_components`
 
     def has_edge(self, u: str, v: str) -> bool:
         return edge_key(u, v) in self.edges
@@ -86,7 +113,7 @@ class Bipartition:
     def of(cls, a: Iterable[str], b: Iterable[str]) -> "Bipartition":
         return cls(frozenset(check_label(x) for x in a), frozenset(check_label(x) for x in b))
 
-    @property
+    @cached_attribute
     def union(self) -> frozenset[str]:
         return self.a | self.b
 
@@ -181,6 +208,18 @@ def component_roots(
 def connected_components(graph: SimpleGraph) -> list[frozenset[str]]:
     """Vertex blocks of the maximal connected subgraphs, ordered by smallest label."""
     return list(component_roots(graph.vertices, graph.edges).values())
+
+
+def induced_components(graph: SimpleGraph, subset: frozenset[str]) -> tuple[frozenset[str], ...]:
+    """The blocks of `connected_components(induced_subgraph(graph, subset))`, kept per vertex set.
+
+    The memo lives on the host graph: a set that recurs across the bipartitions
+    of one graph (a part, or a block pair of the t3.6 oracle) is split once.
+    """
+    memo = graph._induced
+    if subset not in memo:
+        memo[subset] = tuple(connected_components(induced_subgraph(graph, subset)))
+    return memo[subset]
 
 
 def is_connected(graph: SimpleGraph) -> bool:

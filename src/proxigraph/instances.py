@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from .graphs import Bipartition, SimpleGraph, build_graph, edge_key, induced_subgraph
@@ -151,26 +151,42 @@ def example_3_12_truncation(params: TruncationParams) -> tuple[FiniteSemimetricS
     return space, parts
 
 
+def _subsets_in_mask_order(items: Sequence) -> Iterator[frozenset]:
+    """{items[i] : bit i of mask set} for mask = 0 .. 2**len(items) - 1, in that order.
+
+    Each subset is one union of two precomputed tables, over the low and the
+    high half of the bits; a table built by doubling lists its subsets in mask order.
+    """
+    def table(part: Sequence) -> list[frozenset]:
+        subsets = [frozenset()]
+        for item in part:
+            subsets += [subset | {item} for subset in subsets]
+        return subsets
+
+    half = len(items) // 2
+    low = table(items[:half])
+    for high in table(items[half:]):
+        for subset in low:
+            yield high | subset
+
+
 def enumerate_labeled_graphs(n: int) -> Iterator[SimpleGraph]:
-    """All 2**(n(n-1)/2) labeled graphs on vertices v1..vn, in bitmask order."""
+    """All 2**(n(n-1)/2) labeled graphs on vertices v1..vn, in bitmask order over the sorted pairs."""
     if not 1 <= n <= MAX_ENUMERATION_VERTICES:
         raise ValueError(f"vertex count must be in 1..{MAX_ENUMERATION_VERTICES}, got {n}")
     labels = [f"v{i}" for i in range(1, n + 1)]
     vertex_set = frozenset(labels)
-    pairs = [edge_key(u, v) for u, v in combinations(labels, 2)]
-    for mask in range(2 ** len(pairs)):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+    for edges in _subsets_in_mask_order([edge_key(u, v) for u, v in combinations(labels, 2)]):
         yield SimpleGraph(vertex_set, edges)
 
 
 def all_bipartitions(vertices: frozenset[str] | set[str]) -> Iterator[Bipartition]:
-    """All 2**n - 2 ordered pairs of disjoint nonempty covering subsets."""
+    """All 2**n - 2 ordered pairs of disjoint nonempty covering subsets, A by bitmask over the sorted labels."""
     labels = sorted(vertices)
     if len(labels) < 2:
         raise ValueError(f"need at least 2 vertices to bipartition, got {len(labels)}")
     full = frozenset(labels)
-    for mask in range(1, 2 ** len(labels) - 1):
-        a = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
+    for a in islice(_subsets_in_mask_order(labels), 1, 2 ** len(labels) - 1):
         yield Bipartition(a, full - a)
 
 

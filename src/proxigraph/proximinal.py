@@ -12,19 +12,25 @@ from typing import Optional
 
 from .bepaths import path_bipartite_defect
 from .graphs import Bipartition, GraphError, SimpleGraph, edge_key, require_cover
-from .spaces import FiniteSemimetricSpace, is_proximinal, proximity_report, set_distance
+from .spaces import FiniteSemimetricSpace, is_proximinal, proximity_report, set_distance, space_with_scaled_table
+
+
+_AS_FRACTION = (Fraction(0), Fraction(1), Fraction(2))  # shared by every adjacency table
 
 
 def adjacency_metric(graph: SimpleGraph) -> FiniteSemimetricSpace:
-    """The {0,1,2}-valued space on the vertices: 1 on edges, 2 on other distinct pairs."""
+    """The {0,1,2}-valued space on the vertices: 1 on edges, 2 on other distinct pairs.
+
+    Built as int rows, which the space keeps as its scaled table (scale 1).
+    """
     pts = tuple(graph.sorted_vertices())
     n, index = len(pts), {p: i for i, p in enumerate(pts)}
-    zero, one, two = Fraction(0), Fraction(1), Fraction(2)
-    table = [[two] * i + [zero] + [two] * (n - 1 - i) for i in range(n)]
+    rows = [[2] * i + [0] + [2] * (n - 1 - i) for i in range(n)]
     for u, v in graph.edges:
         i, j = index[u], index[v]
-        table[i][j] = table[j][i] = one
-    return FiniteSemimetricSpace(pts, tuple(map(tuple, table)))
+        rows[i][j] = rows[j][i] = 1
+    table = tuple(tuple(map(_AS_FRACTION.__getitem__, row)) for row in rows)
+    return space_with_scaled_table(pts, table, (1, tuple(map(tuple, rows))))
 
 
 def is_bipartite_with_parts(graph: SimpleGraph, parts: Bipartition) -> bool:

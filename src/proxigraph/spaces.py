@@ -15,7 +15,10 @@ borrows from or carries into its neighbour, and its guard bit 2^(w-1) is set
 iff d(i, k) + d(k, j) >= d(i, j).
 
 A space also keeps what its bipartitions derive again: the row indices of each
-frozenset of points it validated, and the threshold graph per dist(A, B).
+frozenset of points it validated, the cross minimum of each validated pair of
+frozensets (A, B), and the threshold graph per dist(A, B).  A space built from
+int rows (`space_with_scaled_table`, the {0, 1, 2} witness spaces) gets them as
+its scaled table at birth instead of scaling its `Fraction` table back.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .graphs import Bipartition, SimpleGraph, check_label, edge_key, require_cover
+from .graphs import Bipartition, SimpleGraph, cached_attribute, check_label, edge_key, require_cover
 
 
 class SpaceError(ValueError):
@@ -71,25 +73,33 @@ class FiniteSemimetricSpace:
     points: tuple[str, ...]
     table: tuple[tuple[Fraction, ...], ...]
 
-    @cached_property
+    @cached_attribute
     def index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
 
-    @cached_property
+    @cached_attribute
     def space_class(self) -> SpaceClass:
         return _table_class(self._scaled[1])
 
-    @cached_property
+    @cached_attribute
     def _scaled(self) -> tuple[int, tuple[tuple, ...]]:
         return _scaled_table(self.table)
 
-    @cached_property
+    @cached_attribute
     def _row_indices(self) -> dict[frozenset[str], tuple[int, ...]]:
         return {}  # per validated frozenset of points: its row indices
 
-    @cached_property
+    @cached_attribute
     def _threshold_graphs(self) -> dict[int | Fraction, SimpleGraph]:
         return {}  # per scaled dist(A, B): the threshold graph at that limit
+
+    @cached_attribute
+    def _cross_minima(self) -> dict[tuple[frozenset[str], frozenset[str]], tuple]:
+        return {}  # per validated (A, B): what `_cross_minimum` returns
+
+    @cached_attribute
+    def _point_set(self) -> frozenset[str]:
+        return frozenset(self.points)
 
     def __contains__(self, point: str) -> bool:
         return point in self.index
@@ -105,7 +115,7 @@ class FiniteSemimetricSpace:
         return len(self.points)
 
     def point_set(self) -> frozenset[str]:
-        return frozenset(self.points)
+        return self._point_set
 
 
 def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) -> FiniteSemimetricSpace:
@@ -169,6 +179,16 @@ def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace
         for j in range(i + 1, n):
             row[j] = table[j][i] = dist_fn(p, pts[j])
     return build_space(pts, table)
+
+
+def space_with_scaled_table(
+    points: tuple[str, ...], table: tuple[tuple[Fraction, ...], ...], scaled: tuple[int, tuple[tuple[int, ...], ...]]
+) -> FiniteSemimetricSpace:
+    """An unvalidated space whose scaled table arrives with it: `scaled` = (scale, int rows),
+    and each `table` entry must equal its row entry over the scale, as `_scaled_table` would find."""
+    space = FiniteSemimetricSpace(points, table)
+    space.__dict__["_scaled"] = scaled
+    return space
 
 
 def _scaled_table(table: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple, ...]]:
@@ -278,13 +298,23 @@ def _indices(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> 
 
 
 def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]):
-    """(m, ia, ib): the least scaled row entry over A x B, with the row indices of A and B."""
+    """(m, ia, ib): the least scaled row entry over A x B, with the row indices of A and B.
+
+    Kept per pair of frozensets once both have passed the checks, so an unknown
+    point or an empty set still raises however often its pair is asked.
+    """
+    memo, kept = space._cross_minima, type(a) is frozenset and type(b) is frozenset
+    if kept and (a, b) in memo:
+        return memo[a, b]
     ia = _indices(space, a, "first set")
     ib = _indices(space, b, "second set")
     if not ia or not ib:
         raise SpaceError("set distance needs two nonempty sets")
     rows = space._scaled[1]
-    return min([rows[i][j] for i in ia for j in ib]), ia, ib
+    found = min([rows[i][j] for i in ia for j in ib]), ia, ib
+    if kept:
+        memo[a, b] = found
+    return found
 
 
 def set_distance(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]) -> Fraction:

@@ -32,8 +32,7 @@ from .bepaths import (
 from .graphs import (
     Bipartition,
     SimpleGraph,
-    connected_components,
-    induced_subgraph,
+    induced_components,
     is_connected,
     prune_isolated,
 )
@@ -126,10 +125,12 @@ def _labeled_graphs(max_n: int) -> Iterator[SimpleGraph]:
 
 
 def _graphs_and_partitions(max_n: int) -> Iterator[tuple[SimpleGraph, Bipartition]]:
+    """Every labeled graph with each bipartition of its vertices; one graph, and its memo, alive at a time."""
     for n in range(2, max_n + 1):
-        graphs = list(enumerate_labeled_graphs(n))
-        partitions = list(all_bipartitions(graphs[0].vertices))
-        for graph in graphs:
+        graphs = enumerate_labeled_graphs(n)
+        first = next(graphs)
+        partitions = list(all_bipartitions(first.vertices))  # shared by every graph on these n labels
+        for graph in chain([first], graphs):
             for parts in partitions:
                 yield graph, parts
 
@@ -168,8 +169,8 @@ def sweep_t3_4(max_n: int = 5, progress: Progress = None) -> SweepResult:
                 yield [f"{_describe(graph, parts)}: component-set {sorted(fast)} != enumerated {sorted(oracle)}"]
                 continue
             # Statement 3: membership is all-or-nothing on component block pairs.
-            a_comps = connected_components(induced_subgraph(graph, parts.a))
-            b_comps = connected_components(induced_subgraph(graph, parts.b))
+            a_comps = induced_components(graph, parts.a)
+            b_comps = induced_components(graph, parts.b)
             found = []
             for a_block in a_comps:
                 for b_block in b_comps:
@@ -190,15 +191,16 @@ def induced_bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tup
     A block A1 of G[A] and a block B1 of G[B] are joinable iff G[A1 ∪ B1] is
     connected.  This costs O(k_A·k_B·(V+E)) and is kept only as the
     independent side of sweep t3.6 and of the `bpath_pairs` property tests;
-    `bpath_pairs` reads the same set off the component quotient.
+    `bpath_pairs` reads the same set off the component quotient.  Each
+    induced subgraph is split once per host graph (`induced_components`).
     """
-    a_comps = connected_components(induced_subgraph(graph, parts.a))
-    b_comps = connected_components(induced_subgraph(graph, parts.b))
+    a_comps = induced_components(graph, parts.a)
+    b_comps = induced_components(graph, parts.b)
     return frozenset(
         (a, b)
         for a_block in a_comps
         for b_block in b_comps
-        if is_connected(induced_subgraph(graph, a_block | b_block))
+        if len(induced_components(graph, a_block | b_block)) == 1
         for a in a_block
         for b in b_block
     )

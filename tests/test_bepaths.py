@@ -345,6 +345,21 @@ def test_find_path_bipartite_partition_absent_cases():
     assert find_path_bipartite_partition(SimpleGraph(frozenset(), frozenset())) is None
 
 
+def test_find_path_bipartite_partition_reads_isolation_off_its_own_blocks(monkeypatch):
+    """The partition exists iff no vertex is isolated, the oracle of sweep t3.16,
+    so the fast route must decide it without calling `isolated_vertices`."""
+    family = [graph for n in range(1, 5) for graph in enumerate_labeled_graphs(n)]
+    expected = [find_path_bipartite_partition(graph) for graph in family]
+    assert [parts is None for parts in expected] == [bool(graph.isolated_vertices()) for graph in family]
+
+    def raises(self):
+        raise AssertionError("the fast route called isolated_vertices")
+
+    monkeypatch.setattr(SimpleGraph, "isolated_vertices", raises)
+    fresh = [SimpleGraph(graph.vertices, graph.edges) for graph in family]  # no memoised blocks
+    assert [find_path_bipartite_partition(graph) for graph in fresh] == expected
+
+
 def test_singleton_part_connected_iff_path_complete():
     # the sharp corner: with both parts of size >= 2, P4 is connected
     # but not path-complete

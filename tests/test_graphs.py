@@ -18,6 +18,7 @@ from proxigraph import (
     prune_isolated,
     validate_path,
 )
+from proxigraph.graphs import induced_components
 from proxigraph.instances import (
     all_bipartitions,
     enumerate_labeled_graphs,
@@ -170,6 +171,32 @@ def test_memoised_components_equal_connected_components():
             assert list(graph._blocks.values()) == blocks
             assert list(graph._blocks) == [min(block) for block in blocks]
             assert graph._blocks is graph._blocks
+
+
+def test_induced_components_equal_the_components_of_every_induced_subgraph():
+    for n in range(1, 6):
+        subsets = None
+        for graph in enumerate_labeled_graphs(n):
+            labels = graph.sorted_vertices()
+            subsets = subsets or [frozenset(labels[i] for i in range(n) if mask >> i & 1)
+                                  for mask in range(1, 2 ** n)]
+            for subset in subsets:
+                assert list(induced_components(graph, subset)) == \
+                    connected_components(induced_subgraph(graph, subset))
+            assert len(graph._induced) == len(subsets)
+            assert all(induced_components(graph, subset) is graph._induced[subset] for subset in subsets)
+
+
+def test_induced_components_are_kept_per_host_graph_and_check_the_subset():
+    graph = build_graph(["a", "b", "c"], [["a", "b"]])
+    twin = build_graph(["a", "b", "c"], [["b", "c"]])
+    ab = frozenset({"a", "b"})
+    assert induced_components(graph, ab) == (ab,)
+    assert induced_components(twin, ab) == (frozenset({"a"}), frozenset({"b"}))
+    for bad, message in ((frozenset({"a", "zz"}), "not contained"), (frozenset(), "nonempty")):
+        with pytest.raises(GraphError, match=message):
+            induced_components(graph, bad)
+        assert bad not in graph._induced
 
 
 @pytest.mark.parametrize("cut", [None, 500], ids=["path", "path-cut-at-v500"])

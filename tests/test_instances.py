@@ -227,6 +227,25 @@ def test_all_bipartitions_are_ordered_and_cover():
     assert (("b", "c"), ("a",)) in seen
 
 
+def test_enumeration_orders_match_the_per_bit_definition():
+    """Mask m gives the graph with pair i (of the sorted pairs) iff bit i of m is set,
+    and the bipartition whose A holds label i (of the sorted labels) iff bit i is set."""
+    for n in range(1, 6):
+        labels = [f"v{i}" for i in range(1, n + 1)]
+        pairs = list(combinations(labels, 2))
+        assert [graph.edges for graph in enumerate_labeled_graphs(n)] == [
+            frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1) for mask in range(2 ** len(pairs))
+        ]
+        assert all(graph.vertices == frozenset(labels) for graph in enumerate_labeled_graphs(n))
+    for n in range(2, 9):
+        labels = sorted(f"p{i}" for i in range(n, 0, -1))
+        assert [(parts.a, parts.b) for parts in all_bipartitions(set(labels))] == [
+            (frozenset(labels[i] for i in range(n) if mask >> i & 1),
+             frozenset(labels[i] for i in range(n) if not mask >> i & 1))
+            for mask in range(1, 2 ** n - 1)
+        ]
+
+
 def test_random_ultrametric_space_is_ultrametric():
     for seed in range(50):
         space = random_ultrametric_space(2 + seed % 7, seed)

@@ -19,6 +19,7 @@ from proxigraph import (
 )
 from proxigraph.instances import all_bipartitions, enumerate_labeled_graphs, example_3_2, random_graph
 from proxigraph.proximinal import adjacency_metric, is_bipartite_with_parts
+from proxigraph.spaces import _scaled_table
 
 
 def has_edge_table(graph):
@@ -39,6 +40,13 @@ def test_adjacency_metric_matches_pairwise_edge_lookups():
         assert space.points == tuple(graph.sorted_vertices())
         assert space.table == has_edge_table(graph)
         assert all(type(v) is Fraction for row in space.table for v in row)
+
+
+def test_adjacency_metric_arrives_with_the_scaled_table_of_its_fractions():
+    for n in range(1, 7):
+        for graph in enumerate_labeled_graphs(n):
+            space = adjacency_metric(graph)
+            assert space._scaled == _scaled_table(space.table)
 
 
 def test_two_point_space_gives_k2():

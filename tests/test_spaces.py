@@ -566,6 +566,28 @@ def test_a_warm_memo_still_rejects_bad_partitions_and_unknown_points():
         set_distance(space, frozenset(pts[:2]), frozenset(pts[2:]))
 
 
+def test_cross_minima_are_kept_per_validated_pair_and_unknown_points_still_raise():
+    space = random_semimetric_space(6, 4)
+    rows = space._scaled[1]
+    for parts in all_bipartitions(space.point_set()):
+        found = spaces._cross_minimum(space, parts.a, parts.b)
+        assert found is space._cross_minima[parts.a, parts.b]
+        assert found is spaces._cross_minimum(space, parts.a, parts.b)
+        assert found[0] == min(rows[space.index[x]][space.index[y]] for x in parts.a for y in parts.b)
+        assert set_distance(space, parts.a, parts.b) == min(space.d(x, y) for x in parts.a for y in parts.b)
+    assert len(space._cross_minima) == 2 ** 6 - 2
+    pts = sorted(space.points)
+    a, b = frozenset(pts[:2]), frozenset(pts[2:])
+    for bad_a, bad_b, message in ((a, b | {"zz"}, r"second set contains unknown points: \['zz'\]"),
+                                  (a | {"zz"}, b, r"first set contains unknown points: \['zz'\]"),
+                                  (a, frozenset(), "two nonempty sets")):
+        with pytest.raises(SpaceError, match=message):
+            set_distance(space, bad_a, bad_b)
+        assert (bad_a, bad_b) not in space._cross_minima
+    assert set_distance(space, set(a), list(b)) == set_distance(space, a, b)
+    assert len(space._cross_minima) == 2 ** 6 - 2  # only pairs of frozensets are kept
+
+
 def test_set_distance_hypercube_partition():
     space, parts = example_3_2()
     assert set_distance(space, parts.a, parts.b) == 1

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from proxigraph import FiniteSemimetricSpace, bepaths, graphs, path_proximinal, proximinal, spaces, theorems
+from proxigraph.cli import main
 from proxigraph.instances import random_semimetric_space, random_ultrametric_space
 from proxigraph.theorems import (
     SWEEPS,
@@ -285,3 +286,51 @@ def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
         _rebind_everywhere(monkeypatch, route, counted(route))
     assert [oracle(*instance) for instance in instances] == expected
     assert all(calls[route] for route in shared), f"a declared shared routine is not called: {dict(calls)}"
+
+
+class _UnreadableMemo(dict):
+    def __contains__(self, key):
+        raise AssertionError("a fast route read the induced-components memo")
+
+    __getitem__ = __contains__
+
+
+def test_fast_routes_never_read_the_induced_components_memo(monkeypatch):
+    """The t3.4 and t3.6 fast routes answer alike while `induced_components` raises wherever it is
+    bound and each graph's memo raises on a read: the oracles' memo never feeds the fast routes."""
+    family = ORACLES["t3.6"][0]()
+    assert family == ORACLES["t3.4"][0]()
+    routes = (bepaths.quotient_graph, bepaths.bpath_pairs, bepaths.is_path_complete)
+    expected = [[route(graph, parts) for route in routes] for graph, parts in family]
+
+    def stub(original):
+        def raises(*args, **kwargs):
+            raise AssertionError("a fast route called induced_components")
+        return raises
+
+    assert {"proxigraph.graphs", "proxigraph.theorems"} <= _rebind_everywhere(
+        monkeypatch, "graphs.induced_components", stub)
+    answers = []
+    for graph, parts in family:
+        fresh = graphs.SimpleGraph(graph.vertices, graph.edges)
+        fresh.__dict__["_induced"] = _UnreadableMemo()
+        answers.append([route(fresh, parts) for route in routes])
+    assert answers == expected
+    with pytest.raises(AssertionError, match="called induced_components"):
+        theorems.induced_bpath_pairs(*family[0])
+
+
+# The stdout of `verify` for every graph sweep at --max-n 4, pinned byte for byte:
+# memos and streamed families must not change what a sweep checks or reports.
+GOLDEN_VERIFY = {
+    "t3.9": ([], 948), "t3.4": ([], 948), "t3.6": ([], 948), "c2.9": ([], 330),
+    "c3.10": ([], 75), "t3.16": ([], 75), "c3.12": ([], 75), "p3.22": ([], 166),
+    "p3.9": (["--count", "2", "--seed", "7"], 170),
+}
+
+
+@pytest.mark.parametrize("sweep_id", sorted(GOLDEN_VERIFY))
+def test_graph_sweep_stdout_is_pinned(capsys, sweep_id):
+    extra, checked = GOLDEN_VERIFY[sweep_id]
+    assert main(["verify", sweep_id, "--max-n", "4", *extra]) == 0
+    assert capsys.readouterr().out == f"true\nsweep {sweep_id}: checked {checked} instances\ncounterexamples: 0\n"

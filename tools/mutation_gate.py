@@ -66,9 +66,32 @@ EDITS = (
          "        ))\n"
          "    return graphs[0]\n",
          ("tests/test_spaces.py",)),
+    Edit("unscaled-numerators", "src/proxigraph/spaces.py",
+         "    return scale, tuple(tuple(n * (scale // d) for n, d in row) for row in ratios)\n",
+         "    return scale, tuple(tuple(n for n, d in row) for row in ratios)\n",
+         ("tests/test_spaces.py",)),
+    Edit("scale-missing-largest-denominator", "src/proxigraph/spaces.py",
+         "    for d in {d for row in ratios for _, d in row}:\n",
+         "    for d in sorted({d for row in ratios for _, d in row})[:-1]:\n",
+         ("tests/test_spaces.py",)),
+    Edit("induced-memo-keyed-by-size", "src/proxigraph/graphs.py",
+         "    if subset not in memo:\n"
+         "        memo[subset] = tuple(connected_components(induced_subgraph(graph, subset)))\n"
+         "    return memo[subset]\n",
+         "    if len(subset) not in memo:\n"
+         "        memo[len(subset)] = tuple(connected_components(induced_subgraph(graph, subset)))\n"
+         "    return memo[len(subset)]\n",
+         ("tests/test_graphs.py",)),
+    Edit("adjacency-int-row-disagrees", "src/proxigraph/proximinal.py",
+         "_AS_FRACTION = (Fraction(0), Fraction(1), Fraction(2))", "_AS_FRACTION = (Fraction(0), Fraction(1), Fraction(3))",
+         ("tests/test_proximinal.py",)),
+    Edit("singleton-read-as-pair", "src/proxigraph/bepaths.py",
+         "any(len(block) == 1 for block in graph._blocks.values())",
+         "any(len(block) == 2 for block in graph._blocks.values())",
+         ("tests/test_bepaths.py",)),
     Edit("t3.6-oracle-is-the-quotient", "src/proxigraph/theorems.py",
-         "    `bpath_pairs` reads the same set off the component quotient.\n    \"\"\"\n",
-         "    `bpath_pairs` reads the same set off the component quotient.\n    \"\"\"\n"
+         "    induced subgraph is split once per host graph (`induced_components`).\n    \"\"\"\n",
+         "    induced subgraph is split once per host graph (`induced_components`).\n    \"\"\"\n"
          "    return bpath_pairs(graph, parts)\n",
          ("tests/test_theorems.py",)),
     Edit("t3.10-oracle-is-all-degrees-one", "src/proxigraph/theorems.py",
