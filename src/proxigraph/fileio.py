@@ -7,14 +7,18 @@ Formats:
 
 Distance entries are integers or exact "p/q" strings; anything else
 (floats, booleans, malformed strings, non-square tables) is rejected.
+A space crosses a file as its scaled int rows, each distinct entry converted
+once; `save_json` streams the bytes of `json.dump(obj, fh, indent=2,
+sort_keys=True)` and a newline.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Iterator, Union
 
 from .bepaths import QuotientGraph
 from .graphs import Bipartition, GraphError, SimpleGraph, build_graph
@@ -78,10 +82,10 @@ def _rational_to_entry(value: Fraction) -> Union[int, str]:
 
 
 def space_to_obj(space: FiniteSemimetricSpace) -> dict:
-    return {
-        "points": list(space.points),
-        "distances": [[_rational_to_entry(v) for v in row] for row in space.table],
-    }
+    """The file object of a space, read from its scaled rows: one conversion per distinct entry."""
+    scale, rows = space._scaled
+    entry = {v: _rational_to_entry(Fraction(v, scale)) for v in set(chain.from_iterable(rows))}
+    return {"points": list(space.points), "distances": [list(map(entry.__getitem__, row)) for row in rows]}
 
 
 def space_from_obj(obj: Any) -> FiniteSemimetricSpace:
@@ -91,8 +95,8 @@ def space_from_obj(obj: Any) -> FiniteSemimetricSpace:
     distances = obj.get("distances")
     if not isinstance(distances, list) or not all(isinstance(row, list) for row in distances):
         raise FormatError('"distances" must be a row-major list of lists')
-    for row in distances:
-        for entry in row:
+    if not set(map(type, chain.from_iterable(distances))) <= {int, str}:
+        for entry in chain.from_iterable(distances):  # name the first bad entry in row-major order
             if isinstance(entry, bool) or not isinstance(entry, (int, str)):
                 raise FormatError(f"bad distance entry {entry!r}: expected int or 'p/q' string")
     try:
@@ -111,9 +115,38 @@ def load_json(path: PathLike) -> Any:
         raise FormatError(f"{path}: invalid JSON: nesting too deep") from None
 
 
+def _json_chunks(obj: Any, indent: str) -> Iterator[str]:
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)` nested at `indent`, in chunks.
+
+    A list of plain ints and strs is one C-level `json.dumps`, its ", " separators made
+    line breaks unless an item holds ", ".  Other values than lists and str-keyed mappings
+    are left to `json.dumps`, lines shifted by `indent` (its every newline is structural).
+    """
+    inner = indent + "  "
+    if type(obj) is list and obj:
+        if set(map(type, obj)) <= {int, str}:
+            text = json.dumps(obj)
+            if text.count(", ") == len(obj) - 1:
+                yield f"[\n{inner}" + text[1:-1].replace(", ", f",\n{inner}") + f"\n{indent}]"
+                return
+        items, brackets = (("", item) for item in obj), "[]"
+    elif type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items, brackets = ((json.dumps(key) + ": ", obj[key]) for key in sorted(obj)), "{}"
+    else:
+        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        return
+    separator = brackets[0] + "\n" + inner
+    for key, item in items:
+        yield separator + key
+        yield from _json_chunks(item, inner)
+        separator = ",\n" + inner
+    yield "\n" + indent + brackets[1]
+
+
 def save_json(path: PathLike, obj: Any) -> None:
+    """Write the bytes of `json.dump(obj, fh, indent=2, sort_keys=True)` and a newline, chunk by chunk."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.writelines(_json_chunks(obj, ""))
         fh.write("\n")
 
 

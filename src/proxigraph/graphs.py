@@ -41,8 +41,8 @@ class GraphError(ValueError):
 
 
 def check_label(label: object) -> str:
-    """Validate a vertex label: nonempty text token without whitespace."""
-    if not isinstance(label, str) or not label or any(c.isspace() for c in label):
+    """Validate a vertex label: nonempty text token without whitespace (`str.split` splits at `str.isspace`)."""
+    if not isinstance(label, str) or label.split() != [label]:
         raise GraphError(f"bad vertex label {label!r}: need a nonempty token without whitespace")
     return label
 

@@ -17,8 +17,9 @@ iff d(i, k) + d(k, j) >= d(i, j).
 A space also keeps what its bipartitions derive again: the row indices of each
 frozenset of points it validated, the cross minimum of each validated pair of
 frozensets (A, B), and the threshold graph per dist(A, B).  A space built from
-int rows (`space_with_scaled_table`, the {0, 1, 2} witness spaces) gets them as
-its scaled table at birth instead of scaling its `Fraction` table back.
+int rows (`space_with_scaled_table`: witness spaces, the hypercube, the
+truncation) gets them as its scaled table at birth instead of scaling its
+`Fraction` table back; so does `build_space` on a table of ints and strs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import lcm
 from operator import add
 from typing import Iterable, Sequence, Union
@@ -122,7 +123,10 @@ def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) 
     """Validate and build a finite semimetric space.
 
     Checks: square table matching the point count, symmetry, zero diagonal,
-    strictly positive off-diagonal entries, no negative entries.
+    strictly positive off-diagonal entries, no negative entries.  A square table
+    of ints and strs converts each distinct entry once and is checked row by row;
+    any other table, or one that fails, takes the ordered route, which words the
+    first defect in row-major order.
     """
     pts = tuple(points)
     seen: set[str] = set()
@@ -134,6 +138,10 @@ def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) 
     n = len(pts)
     if len(table) != n:
         raise SpaceError(f"table has {len(table)} rows for {n} points")
+    if set(map(type, chain.from_iterable(table))) <= {int, str} and all(len(row) == n for row in table):
+        space = _int_or_str_space(pts, table)
+        if space is not None:
+            return space
     parsed: dict[tuple[type, RationalLike], Fraction] = {}  # each distinct int or str entry is parsed once
 
     def parse(value: RationalLike) -> Fraction:
@@ -167,6 +175,26 @@ def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) 
             if row[j] == 0:
                 raise SpaceError(f"zero distance between distinct points ({pts[i]}, {pts[j]})")
     return space
+
+
+def _int_or_str_space(pts: tuple[str, ...], table: Sequence[Sequence[Union[int, str]]]):
+    """The space of a square int and str table, each distinct entry converted once and the rows
+    checked by row-level C operations; None when an entry is malformed or a check fails."""
+    try:
+        value = {v: to_rational(v) for v in set(chain.from_iterable(table))}
+    except SpaceError:
+        return None
+    scale, (distinct,) = _scaled_table([value.values()])  # the scale of the whole table
+    scaled = dict(zip(value, distinct))
+    rows = tuple(tuple(map(scaled.__getitem__, row)) for row in table)
+    if (
+        any(map(tuple.__getitem__, rows, range(len(rows))))  # a nonzero diagonal entry
+        or not all(map(tuple.__eq__, rows, zip(*rows)))  # each row against its column, lazily
+        or min(map(min, rows), default=0) < 0
+        or sum(map(tuple.count, rows, repeat(0))) != len(rows)  # a zero off the diagonal
+    ):
+        return None
+    return space_with_scaled_table(pts, tuple(tuple(map(value.__getitem__, row)) for row in table), (scale, rows))
 
 
 def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace:

@@ -18,7 +18,7 @@ from proxigraph import (
     prune_isolated,
     validate_path,
 )
-from proxigraph.graphs import induced_components
+from proxigraph.graphs import check_label, induced_components
 from proxigraph.instances import (
     all_bipartitions,
     enumerate_labeled_graphs,
@@ -63,6 +63,20 @@ def test_build_rejects_bad_labels():
         build_graph(["a b"], [])
     with pytest.raises(GraphError, match="bad vertex label"):
         build_graph([""], [])
+
+
+def test_labels_with_any_whitespace_code_point_are_rejected():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) >= 25  # the ASCII, Latin-1 and Unicode separators
+    for ch in spaces:
+        for label in ("a" + ch + "b", ch, ch + "a"):
+            with pytest.raises(GraphError) as info:
+                check_label(label)
+            assert str(info.value) == f"bad vertex label {label!r}: need a nonempty token without whitespace"
+    for label in ("", 3, None):
+        with pytest.raises(GraphError, match="bad vertex label"):
+            check_label(label)
+    assert check_label("a\u200bb") == "a\u200bb"  # a zero-width space is not whitespace to str.isspace
 
 
 def test_build_collapses_duplicate_edges():

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -24,6 +24,7 @@ from proxigraph.instances import (
     EXAMPLE_ERRATA,
     PUBLISHED_BPATH_PAIRS,
     TruncationParams,
+    _hamming,
     all_bipartitions,
     enumerate_labeled_graphs,
     example_3_1,
@@ -37,7 +38,7 @@ from proxigraph.instances import (
     random_ultrametric_space,
     truncation_distance,
 )
-from proxigraph.spaces import space_from_distance
+from proxigraph.spaces import _scaled_table, space_from_distance
 
 
 def test_hypercube_small():
@@ -297,15 +298,14 @@ def test_tabulator_reads_each_pair_of_distinct_points_once():
     assert all(space.d(p, p) == 0 for p in points)
 
 
-def test_generated_tables_equal_a_full_tabulation(monkeypatch):
-    def full_tabulation(points, dist_fn):  # every ordered pair; only the diagonal is skipped
-        pts = tuple(points)
-        return build_space(pts, [[0 if p == q else dist_fn(p, q) for q in pts] for p in pts])
+def full_tabulation(points, dist_fn):  # every ordered pair; only the diagonal is skipped
+    pts = tuple(points)
+    return build_space(pts, [[0 if p == q else dist_fn(p, q) for q in pts] for p in pts])
 
+
+def test_generated_tables_equal_a_full_tabulation(monkeypatch):
     def generate():
         return [
-            hypercube_space(5),
-            example_3_12_truncation(TruncationParams(5, 2, 3))[0],
             example_3_2()[0],
             *(random_ultrametric_space(2 + seed % 15, seed) for seed in range(20)),
             *(random_semimetric_space(2 + seed, seed) for seed in range(20)),
@@ -314,6 +314,22 @@ def test_generated_tables_equal_a_full_tabulation(monkeypatch):
     generated = generate()
     monkeypatch.setattr(proxigraph.instances, "space_from_distance", full_tabulation)
     assert generate() == generated
+
+
+def test_hypercube_and_truncation_are_born_with_the_scaled_table_of_their_fractions():
+    # both tabulate int rows themselves; the oracles are `_hamming` and `truncation_distance` through build_space
+    for n in range(1, 7):
+        cube = hypercube_space(n)
+        assert cube == full_tabulation(cube.points, _hamming)
+        assert cube._scaled == _scaled_table(cube.table)
+    for big_n, big_m, big_k in product(range(1, 5), range(5), range(1, 5)):
+        space, parts = example_3_12_truncation(TruncationParams(big_n, big_m, big_k))
+        a = [(x, 0) for x in range(1, big_n + 1)]
+        b = [(m, k) for m in range(big_m + 1) for k in range(1, big_k + 1)]
+        coords = {f"{x}+{y}i": (x, y) for x, y in a + b}
+        assert list(space.points) == list(coords) and parts.a == frozenset(list(coords)[:big_n])
+        assert space == full_tabulation(coords, lambda p, q: truncation_distance(coords[p], coords[q]))
+        assert space._scaled == _scaled_table(space.table)
 
 
 def test_random_semimetric_space_deterministic_and_valid():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxigraph import (
     Bipartition,
@@ -120,19 +121,72 @@ MERSENNE_P, MERSENNE_Q = 2**521 - 1, 2**607 - 1
 
 
 def test_build_space_keeps_fraction_entries_and_the_messages_of_other_entries(monkeypatch):
+    # a table holding a Fraction takes the ordered route, one of ints and strs the distinct-entry route;
+    # on both, each distinct int or str entry is parsed once, no Fraction is parsed again, and a bad
+    # entry is worded alike
     parsed = []
     parse = spaces.to_rational
     monkeypatch.setattr(spaces, "to_rational", lambda value: parsed.append(value) or parse(value))
     half = Fraction(1, 2)
-    space = build_space(["a", "b", "c"], [[Fraction(0), half, 1], [half, 0, "3/2"], [1, "3/2", 0]])
-    assert space.table[0][1] is half and space.table[2][1] == Fraction(3, 2)
-    assert not any(type(value) is Fraction for value in parsed)
-    for bad, message in ((True, "not a rational value: True"), (1.5, "not a rational value: 1.5"),
-                         ("1/0", "malformed rational '1/0': expected an integer or 'p/q' with q > 0"),
-                         ("0.5", "malformed rational '0.5': expected an integer or 'p/q' with q > 0")):
-        with pytest.raises(SpaceError) as info:
-            build_space(["a", "b"], [[Fraction(0), Fraction(1)], [bad, 0]])
-        assert str(info.value) == message
+    for zero, first in ((Fraction(0), half), (0, "1/2")):
+        parsed.clear()
+        space = build_space(["a", "b", "c"], [[zero, first, 1], ["1/2", 0, "3/2"], [1, "3/2", 0]])
+        assert space.table[0][1] == half and space.table[2][1] == Fraction(3, 2)
+        assert space._scaled == (2, ((0, 1, 2), (1, 0, 3), (2, 3, 0)))
+        assert sorted(map(repr, parsed)) == ["'1/2'", "'3/2'", "0", "1"]
+        for bad, message in ((True, "not a rational value: True"), (1.5, "not a rational value: 1.5"),
+                             ("1/0", "malformed rational '1/0': expected an integer or 'p/q' with q > 0"),
+                             ("0.5", "malformed rational '0.5': expected an integer or 'p/q' with q > 0")):
+            with pytest.raises(SpaceError) as info:
+                build_space(["a", "b"], [[zero, 1], [bad, 0]])
+            assert str(info.value) == message
+    assert build_space(["a", "b"], [[0, half], [half, 0]]).table[0][1] is half
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, "x/y", True], ["x/y", 0, 1.5], [True, 1.5, 0]],
+     "malformed rational 'x/y': expected an integer or 'p/q' with q > 0"),
+    ([[0, 1, True], [1, 0, "1/0"], [True, "1/0", 0]], "not a rational value: True"),
+    ([[0, 2.5, "0.5"], [2.5, 0, "0.5"], ["0.5", "0.5", 0]], "not a rational value: 2.5"),
+    ([[0, 1, 2], [1, 0, [3]], [2, "bad", 0]], "not a rational value: [3]"),
+    ([[0, 1, 2], [1, 0, "1/0"], [2, [3], 0]], "malformed rational '1/0': expected an integer or 'p/q' with q > 0"),
+    ([[0, -1, "x"], [-1, 0, 1], ["x", 1, 0]], "malformed rational 'x': expected an integer or 'p/q' with q > 0"),
+    ([[0, "1/2", 2], ["1/2", 0, None], [2, 1, 0]], "not a rational value: None"),
+    ([[0, 1, 2], [1, 0], [2, 1, 0]], "table row 1 has 2 entries for 3 points"),
+    ([[0, "q", 2], [1, 0], [2, 1, 0]], "malformed rational 'q': expected an integer or 'p/q' with q > 0"),
+])
+def test_build_space_names_the_first_of_several_bad_entries(table, message):
+    with pytest.raises(SpaceError) as info:
+        build_space(["a", "b", "c"], table)
+    assert str(info.value) == message
+
+
+def _outcome(points, table):
+    try:
+        space = build_space(points, table)
+    except SpaceError as exc:
+        return str(exc)
+    return space, space._scaled
+
+
+entry_text = st.sampled_from([0, 1, 2, 3, -1, "0", "1", "1/2", "2/4", "3/2", "-1/3", "5/6"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(entry_text, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n),
+)))
+def test_int_or_str_route_matches_the_fraction_route(drawn):
+    # the upper triangle mirrored and the diagonal zeroed, then some cells copied across: valid and invalid tables
+    cells, mirrored = drawn
+    n = len(cells)
+    table = [[0 if i == j else cells[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    for i, j in mirrored:
+        table[i][j] = cells[i][j]
+    points = [f"p{i}" for i in range(n)]
+    as_fractions = [[to_rational(v) for v in row] for row in table]  # a Fraction entry keeps the ordered route
+    assert _outcome(points, table) == _outcome(points, as_fractions)
 
 
 @pytest.mark.parametrize("table, message", [
@@ -363,17 +417,25 @@ def test_class_is_computed_once_per_space(monkeypatch):
 
 
 def test_int_table_is_built_once_per_space_and_classify_reads_it(monkeypatch):
+    # the Fraction route scales its table on first use; the int-or-str route scales its distinct entries at birth
     built, classified = [], []
     scale, kernel = spaces._scaled_table, spaces._table_class
     monkeypatch.setattr(spaces, "_scaled_table", lambda table: built.append(scale(table)) or built[-1])
     monkeypatch.setattr(spaces, "_table_class", lambda rows: classified.append(rows) or kernel(rows))
-    space = random_ultrametric_space(6, 3)
-    for parts in all_bipartitions(space.point_set()):
-        check_theorem_2_1(space, parts)
-        build_threshold_graph(space, parts)
-    assert classify(space) is SpaceClass.ULTRAMETRIC
-    assert len(built) == 1 and built[0][0] > 1  # the table has fractional entries
-    assert len(classified) == 1 and classified[0] is built[0][1]
+    source = random_ultrametric_space(6, 3)
+    for table, scaled_rows in ((source.table, 6), ([[str(v) for v in row] for row in source.table], 1)):
+        built.clear()
+        classified.clear()
+        space = build_space(source.points, table)
+        assert space == source
+        scaled = space._scaled
+        for parts in all_bipartitions(space.point_set()):
+            check_theorem_2_1(space, parts)
+            build_threshold_graph(space, parts)
+        assert classify(space) is SpaceClass.ULTRAMETRIC
+        assert len(built) == 1 and len(built[0][1]) == scaled_rows and built[0][0] == scaled[0] > 1
+        assert space._scaled is scaled == scale(source.table)
+        assert len(classified) == 1 and classified[0] is scaled[1]
 
 
 # edge cases of the packed-field triangle test, each checked against the ordered-triple scans

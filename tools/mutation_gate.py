@@ -74,6 +74,18 @@ EDITS = (
          "    for d in {d for row in ratios for _, d in row}:\n",
          "    for d in sorted({d for row in ratios for _, d in row})[:-1]:\n",
          ("tests/test_spaces.py",)),
+    Edit("symmetry-row-against-itself", "src/proxigraph/spaces.py",
+         "        or not all(map(tuple.__eq__, rows, zip(*rows)))", "        or not all(map(tuple.__eq__, rows, rows))",
+         ("tests/test_spaces.py", "tests/test_fileio.py")),
+    Edit("writer-splits-items-holding-the-separator", "src/proxigraph/fileio.py",
+         "            if text.count(\", \") == len(obj) - 1:\n", "            if True:\n",
+         ("tests/test_fileio.py",)),
+    Edit("space-to-obj-ignores-the-scale", "src/proxigraph/fileio.py",
+         "_rational_to_entry(Fraction(v, scale))", "_rational_to_entry(Fraction(v))",
+         ("tests/test_fileio.py",)),
+    Edit("truncation-rows-at-scale-1", "src/proxigraph/instances.py",
+         "table, (2, rows))", "table, (1, rows))",
+         ("tests/test_instances.py",)),
     Edit("induced-memo-keyed-by-size", "src/proxigraph/graphs.py",
          "    if subset not in memo:\n"
          "        memo[subset] = tuple(connected_components(induced_subgraph(graph, subset)))\n"
