@@ -7,9 +7,10 @@ Formats:
 
 Distance entries are integers or exact "p/q" strings; anything else
 (floats, booleans, malformed strings, non-square tables) is rejected.
-A space crosses a file as its scaled int rows, each distinct entry converted
-once; `save_json` streams the bytes of `json.dump(obj, fh, indent=2,
-sort_keys=True)` and a newline.
+A space is read through `build_space` and written from its scaled int rows,
+each distinct entry converted once; `save_json` streams the bytes of
+`json.dump(obj, fh, indent=2, sort_keys=True)` and a newline.  Repeated labels
+are rejected in every format.
 """
 
 from __future__ import annotations
@@ -70,9 +71,14 @@ def partition_from_obj(obj: Any) -> Bipartition:
     a = _string_list(obj.get("A"), '"A"')
     b = _string_list(obj.get("B"), '"B"')
     try:
-        return Bipartition.of(a, b)
+        parts = Bipartition.of(a, b)
     except GraphError as exc:
         raise FormatError(str(exc)) from None
+    for name, labels, part in (("A", a, parts.a), ("B", b, parts.b)):
+        if len(labels) != len(part):
+            repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+            raise FormatError(f'duplicate vertex {repeated!r} in "{name}"')
+    return parts
 
 
 def _rational_to_entry(value: Fraction) -> Union[int, str]:
@@ -83,7 +89,7 @@ def _rational_to_entry(value: Fraction) -> Union[int, str]:
 
 def space_to_obj(space: FiniteSemimetricSpace) -> dict:
     """The file object of a space, read from its scaled rows: one conversion per distinct entry."""
-    scale, rows = space._scaled
+    scale, rows = space.scale, space.rows
     entry = {v: _rational_to_entry(Fraction(v, scale)) for v in set(chain.from_iterable(rows))}
     return {"points": list(space.points), "distances": [list(map(entry.__getitem__, row)) for row in rows]}
 
@@ -95,13 +101,12 @@ def space_from_obj(obj: Any) -> FiniteSemimetricSpace:
     distances = obj.get("distances")
     if not isinstance(distances, list) or not all(isinstance(row, list) for row in distances):
         raise FormatError('"distances" must be a row-major list of lists')
-    if not set(map(type, chain.from_iterable(distances))) <= {int, str}:
-        for entry in chain.from_iterable(distances):  # name the first bad entry in row-major order
-            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
-                raise FormatError(f"bad distance entry {entry!r}: expected int or 'p/q' string")
     try:
         return build_space(points, distances)
     except (GraphError, SpaceError) as exc:
+        for entry in chain.from_iterable(distances):  # a bad entry type, first in row-major order, is named first
+            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+                raise FormatError(f"bad distance entry {entry!r}: expected int or 'p/q' string") from None
         raise FormatError(str(exc)) from None
 
 

@@ -3,8 +3,9 @@
 The worked examples (`example_3_1` .. `example_3_16`) reproduce a published
 collection of 4-bit Hamming instances and a complex-lattice metric; the
 random generators back the exhaustive and randomized verification sweeps.
-The hypercube and the truncation are born as scaled int rows; `_hamming` and
-`truncation_distance` state their distances pair by pair, as the tests' oracles.
+The hypercube and the truncation are built as the space's int rows at their
+scale (1 and 2); `_hamming` and `truncation_distance` state their distances
+pair by pair, as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from .graphs import Bipartition, SimpleGraph, build_graph, edge_key, induced_subgraph
-from .spaces import FiniteSemimetricSpace, RationalLike, space_from_distance, space_with_scaled_table, to_rational
+from .spaces import FiniteSemimetricSpace, RationalLike, space_from_distance, to_rational
 
 MAX_HYPERCUBE_DIM = 10
 MAX_ENUMERATION_VERTICES = 6
@@ -35,9 +36,7 @@ def hypercube_space(n: int) -> FiniteSemimetricSpace:
         raise ValueError(f"hypercube dimension must be in 1..{MAX_HYPERCUBE_DIM}, got {n}")
     size = 2**n
     rows = tuple(tuple(map(int.bit_count, map(i.__xor__, range(size)))) for i in range(size))
-    as_fraction = [Fraction(k) for k in range(n + 1)]
-    table = tuple(tuple(map(as_fraction.__getitem__, row)) for row in rows)
-    return space_with_scaled_table(tuple(format(i, f"0{n}b") for i in range(size)), table, (1, rows))
+    return FiniteSemimetricSpace(tuple(format(i, f"0{n}b") for i in range(size)), 1, rows)
 
 
 def hamming_graph(space: FiniteSemimetricSpace) -> SimpleGraph:
@@ -155,10 +154,8 @@ def example_3_12_truncation(params: TruncationParams) -> tuple[FiniteSemimetricS
     rows = tuple(  # twice `truncation_distance`: |Δre| + 2|Δim| + 2 off the diagonal
         tuple(abs(x - u) + 2 * abs(y - v) + 2 if (x, y) != (u, v) else 0 for u, v in coords) for x, y in coords
     )
-    half = {k: Fraction(k, 2) for k in set(chain.from_iterable(rows))}
-    table = tuple(tuple(map(half.__getitem__, row)) for row in rows)
     # scale 2 is the LCM of the denominators: d(1, i) = 5/2 in every truncation
-    space = space_with_scaled_table(tuple(map(label, coords)), table, (2, rows))
+    space = FiniteSemimetricSpace(tuple(map(label, coords)), 2, rows)
     parts = Bipartition.of([label(z) for z in a_coords], [label(z) for z in b_coords])
     return space, parts
 

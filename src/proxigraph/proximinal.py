@@ -2,35 +2,28 @@
 
 A bipartite graph with fixed parts (A, B) is proximinal for a space when A
 and B are disjoint proximinal subsets and the edges are exactly the cross
-pairs realizing dist(A, B).
+pairs realizing dist(A, B).  The {0, 1, 2} witness metric is built directly
+as the space's int rows at scale 1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .bepaths import path_bipartite_defect
 from .graphs import Bipartition, GraphError, SimpleGraph, edge_key, require_cover
-from .spaces import FiniteSemimetricSpace, is_proximinal, proximity_report, set_distance, space_with_scaled_table
-
-
-_AS_FRACTION = (Fraction(0), Fraction(1), Fraction(2))  # shared by every adjacency table
+from .spaces import FiniteSemimetricSpace, is_proximinal, proximity_report, set_distance
 
 
 def adjacency_metric(graph: SimpleGraph) -> FiniteSemimetricSpace:
-    """The {0,1,2}-valued space on the vertices: 1 on edges, 2 on other distinct pairs.
-
-    Built as int rows, which the space keeps as its scaled table (scale 1).
-    """
+    """The {0,1,2}-valued space on the vertices: 1 on edges, 2 on other distinct pairs, as int rows at scale 1."""
     pts = tuple(graph.sorted_vertices())
     n, index = len(pts), {p: i for i, p in enumerate(pts)}
     rows = [[2] * i + [0] + [2] * (n - 1 - i) for i in range(n)]
     for u, v in graph.edges:
         i, j = index[u], index[v]
         rows[i][j] = rows[j][i] = 1
-    table = tuple(tuple(map(_AS_FRACTION.__getitem__, row)) for row in rows)
-    return space_with_scaled_table(pts, table, (1, tuple(map(tuple, rows))))
+    return FiniteSemimetricSpace(pts, 1, tuple(map(tuple, rows)))
 
 
 def is_bipartite_with_parts(graph: SimpleGraph, parts: Bipartition) -> bool:

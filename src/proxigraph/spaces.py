@@ -1,25 +1,25 @@
 """Finite semimetric spaces with exact rational distances.
 
-`d()`, `table`, reports and files give `fractions.Fraction`s.  Each space also
-keeps its table as ints over the LCM of the entry denominators, built once on
-first use; `build_space` validates those, `classify`, every dist(A, B)
-question and `build_threshold_graph` compare them, and floating point never
-enters.  `classify` tests the strong triangle inequality by single linkage in
-O(n² log n) and, on a table that fails it, the triangle inequality by a
-packed-field test in O(n²) big-int operations (Lamport 1975, "Multiple byte
-processing with full-word instructions"): each int row is one Python int
-with a w-bit field per point, w = (2·max entry).bit_length() + 1.  Field k of
-P_i + P_j + G - d(i, j)·ONES is d(i, k) + d(k, j) + 2^(w-1) - d(i, j), which
-lies in [0, 2^w) as entries are nonnegative and 2·max < 2^(w-1), so no field
-borrows from or carries into its neighbour, and its guard bit 2^(w-1) is set
-iff d(i, k) + d(k, j) >= d(i, j).
+A space is its points and one distance table, stored as rows of Python ints
+over a common scale, the LCM of the entry denominators: d(i, j) is
+rows[i][j] / scale.  Past 512 bits of scale the rows stay `Fraction`s at
+scale 1.  `build_space` converts each distinct entry once and validates the
+rows; `classify`, every dist(A, B) question and `build_threshold_graph`
+compare them, and floating point never enters.  `d()`, `table`, reports and
+files give `fractions.Fraction`s; `table` is a view of the rows, built on
+first read.  `classify` tests the strong triangle inequality by single
+linkage in O(n² log n) and, on a table that fails it, the triangle
+inequality by a packed-field test in O(n²) big-int operations (Lamport
+1975, "Multiple byte processing with full-word instructions"): each int row
+is one Python int with a w-bit field per point, w = (2·max entry).bit_length()
++ 1.  Field k of P_i + P_j + G - d(i, j)·ONES is d(i, k) + d(k, j) + 2^(w-1) -
+d(i, j), which lies in [0, 2^w) as entries are nonnegative and 2·max <
+2^(w-1), so no field borrows from or carries into its neighbour, and its
+guard bit 2^(w-1) is set iff d(i, k) + d(k, j) >= d(i, j).
 
 A space also keeps what its bipartitions derive again: the row indices of each
 frozenset of points it validated, the cross minimum of each validated pair of
-frozensets (A, B), and the threshold graph per dist(A, B).  A space built from
-int rows (`space_with_scaled_table`: witness spaces, the hypercube, the
-truncation) gets them as its scaled table at birth instead of scaling its
-`Fraction` table back; so does `build_space` on a table of ints and strs.
+frozensets (A, B), and the threshold graph per dist(A, B).
 """
 
 from __future__ import annotations
@@ -69,10 +69,20 @@ class SpaceClass(Enum):
 
 @dataclass(frozen=True)
 class FiniteSemimetricSpace:
-    """Point labels plus a symmetric, positive-off-diagonal distance table."""
+    """Point labels plus a symmetric, positive-off-diagonal distance table: d(i, j) = rows[i][j] / scale.
+
+    Unvalidated; `build_space` validates and finds the scale.
+    """
 
     points: tuple[str, ...]
-    table: tuple[tuple[Fraction, ...], ...]
+    scale: int
+    rows: tuple[tuple, ...]
+
+    @cached_attribute
+    def table(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as `Fraction`s, one per distinct row entry, built on first read."""
+        value = {v: Fraction(v, self.scale) for v in set(chain.from_iterable(self.rows))}
+        return tuple(tuple(map(value.__getitem__, row)) for row in self.rows)
 
     @cached_attribute
     def index(self) -> dict[str, int]:
@@ -80,11 +90,7 @@ class FiniteSemimetricSpace:
 
     @cached_attribute
     def space_class(self) -> SpaceClass:
-        return _table_class(self._scaled[1])
-
-    @cached_attribute
-    def _scaled(self) -> tuple[int, tuple[tuple, ...]]:
-        return _scaled_table(self.table)
+        return _table_class(self.rows)
 
     @cached_attribute
     def _row_indices(self) -> dict[frozenset[str], tuple[int, ...]]:
@@ -123,10 +129,10 @@ def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) 
     """Validate and build a finite semimetric space.
 
     Checks: square table matching the point count, symmetry, zero diagonal,
-    strictly positive off-diagonal entries, no negative entries.  A square table
-    of ints and strs converts each distinct entry once and is checked row by row;
-    any other table, or one that fails, takes the ordered route, which words the
-    first defect in row-major order.
+    strictly positive off-diagonal entries, no negative entries.  Each distinct
+    entry is converted once and the scaled rows are checked by row-level
+    operations; only a table that fails is scanned in row-major order, to word
+    its first defect.
     """
     pts = tuple(points)
     seen: set[str] = set()
@@ -138,63 +144,74 @@ def build_space(points: Sequence[str], table: Sequence[Sequence[RationalLike]]) 
     n = len(pts)
     if len(table) != n:
         raise SpaceError(f"table has {len(table)} rows for {n} points")
-    if set(map(type, chain.from_iterable(table))) <= {int, str} and all(len(row) == n for row in table):
-        space = _int_or_str_space(pts, table)
-        if space is not None:
-            return space
-    parsed: dict[tuple[type, RationalLike], Fraction] = {}  # each distinct int or str entry is parsed once
+    kinds = set(map(type, chain.from_iterable(table)))
+    if not kinds <= {int, str, Fraction}:  # a bool, a float, an unhashable entry: parsed in row-major order
+        table = _parsed(table, n)
+    scaled = _scaled_rows(table, Fraction in kinds) if all(len(row) == n for row in table) else None
+    if scaled is None or not _is_semimetric(scaled[1]):
+        raise SpaceError(_first_defect(pts, _parsed(table, n)))
+    return FiniteSemimetricSpace(pts, *scaled)
 
-    def parse(value: RationalLike) -> Fraction:
-        kind = type(value)
-        if kind is Fraction:
-            return value
-        if kind is not int and kind is not str:  # bool, or not a rational at all
-            return to_rational(value)
-        key = (kind, value)
-        if key not in parsed:
-            parsed[key] = to_rational(value)
-        return parsed[key]
 
-    entries = []
+def _parsed(table: Sequence[Sequence[RationalLike]], n: int) -> list[tuple[Fraction, ...]]:
+    """The table as `Fraction` rows, read in row-major order: SpaceError names the first row
+    of the wrong length or the first malformed entry."""
+    rows = []
     for i, row in enumerate(table):
         if len(row) != n:
             raise SpaceError(f"table row {i} has {len(row)} entries for {n} points")
-        entries.append(tuple(map(parse, row)))
-    space = FiniteSemimetricSpace(pts, tuple(entries))
-    rows = space._scaled[1]  # the checks compare scaled ints; the messages print the Fractions
-    for i, row in enumerate(rows):
-        if row[i] != 0:
-            raise SpaceError(f"nonzero diagonal entry at ({pts[i]}, {pts[i]}): {entries[i][i]}")
-        for j in range(i + 1, n):
-            if row[j] < 0:
-                raise SpaceError(f"negative entry at ({pts[i]}, {pts[j]}): {entries[i][j]}")
-            if row[j] != rows[j][i]:
-                raise SpaceError(
-                    f"asymmetric entries at ({pts[i]}, {pts[j]}): {entries[i][j]} vs {entries[j][i]}"
-                )
-            if row[j] == 0:
-                raise SpaceError(f"zero distance between distinct points ({pts[i]}, {pts[j]})")
-    return space
+        rows.append(tuple(map(to_rational, row)))
+    return rows
 
 
-def _int_or_str_space(pts: tuple[str, ...], table: Sequence[Sequence[Union[int, str]]]):
-    """The space of a square int and str table, each distinct entry converted once and the rows
-    checked by row-level C operations; None when an entry is malformed or a check fails."""
+def _scaled_rows(table: Sequence[Sequence[RationalLike]], has_fractions: bool):
+    """(scale, rows) of a square table of ints, strs and Fractions, or None if an entry is malformed.
+
+    Each distinct entry is converted once; a `Fraction` is keyed by its (numerator, denominator),
+    whose hash is computed in C.  The rows are ints over the LCM of the denominators; past
+    512 bits, where an int entry outgrows the Fraction it replaces, Fractions at scale 1.
+    """
+    if has_fractions:
+        table = [[v.as_integer_ratio() if type(v) is Fraction else v for v in row] for row in table]
     try:
-        value = {v: to_rational(v) for v in set(chain.from_iterable(table))}
+        ratio = {v: v if type(v) is tuple else to_rational(v).as_integer_ratio()
+                 for v in set(chain.from_iterable(table))}
     except SpaceError:
         return None
-    scale, (distinct,) = _scaled_table([value.values()])  # the scale of the whole table
-    scaled = dict(zip(value, distinct))
-    rows = tuple(tuple(map(scaled.__getitem__, row)) for row in table)
-    if (
+    scale = 1
+    for d in {d for _, d in ratio.values()}:
+        scale = lcm(scale, d)
+        if scale.bit_length() > 512:
+            scale, value = 1, {v: Fraction(*r) for v, r in ratio.items()}
+            break
+    else:
+        value = {v: n * (scale // d) for v, (n, d) in ratio.items()}
+    return scale, tuple(tuple(map(value.__getitem__, row)) for row in table)
+
+
+def _is_semimetric(rows: Sequence[tuple]) -> bool:
+    """Zero diagonal, symmetry, no negative entry and no zero off the diagonal, by row-level C operations."""
+    return not (
         any(map(tuple.__getitem__, rows, range(len(rows))))  # a nonzero diagonal entry
         or not all(map(tuple.__eq__, rows, zip(*rows)))  # each row against its column, lazily
         or min(map(min, rows), default=0) < 0
         or sum(map(tuple.count, rows, repeat(0))) != len(rows)  # a zero off the diagonal
-    ):
-        return None
-    return space_with_scaled_table(pts, tuple(tuple(map(value.__getitem__, row)) for row in table), (scale, rows))
+    )
+
+
+def _first_defect(pts: tuple[str, ...], rows: Sequence[tuple[Fraction, ...]]) -> str:
+    """The first defect of rows that fail `_is_semimetric`, in row-major order: per row, its
+    diagonal entry, then the sign, symmetry and zero check of each entry right of it."""
+    for i, row in enumerate(rows):
+        if row[i] != 0:
+            return f"nonzero diagonal entry at ({pts[i]}, {pts[i]}): {row[i]}"
+        for j in range(i + 1, len(rows)):
+            if row[j] < 0:
+                return f"negative entry at ({pts[i]}, {pts[j]}): {row[j]}"
+            if row[j] != rows[j][i]:
+                return f"asymmetric entries at ({pts[i]}, {pts[j]}): {row[j]} vs {rows[j][i]}"
+            if row[j] == 0:
+                return f"zero distance between distinct points ({pts[i]}, {pts[j]})"
 
 
 def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace:
@@ -207,27 +224,6 @@ def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace
         for j in range(i + 1, n):
             row[j] = table[j][i] = dist_fn(p, pts[j])
     return build_space(pts, table)
-
-
-def space_with_scaled_table(
-    points: tuple[str, ...], table: tuple[tuple[Fraction, ...], ...], scaled: tuple[int, tuple[tuple[int, ...], ...]]
-) -> FiniteSemimetricSpace:
-    """An unvalidated space whose scaled table arrives with it: `scaled` = (scale, int rows),
-    and each `table` entry must equal its row entry over the scale, as `_scaled_table` would find."""
-    space = FiniteSemimetricSpace(points, table)
-    space.__dict__["_scaled"] = scaled
-    return space
-
-
-def _scaled_table(table: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple, ...]]:
-    """(scale, rows): each entry times the LCM of the entry denominators, as an int."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in table]  # one call per entry, not three
-    scale = 1
-    for d in {d for row in ratios for _, d in row}:
-        scale = lcm(scale, d)
-        if scale.bit_length() > 512:  # past that an int entry outgrows the Fraction it replaces
-            return 1, table
-    return scale, tuple(tuple(n * (scale // d) for n, d in row) for row in ratios)
 
 
 def _is_ultrametric(rows: Sequence[Sequence]) -> bool:
@@ -338,7 +334,7 @@ def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[s
     ib = _indices(space, b, "second set")
     if not ia or not ib:
         raise SpaceError("set distance needs two nonempty sets")
-    rows = space._scaled[1]
+    rows = space.rows
     found = min([rows[i][j] for i in ia for j in ib]), ia, ib
     if kept:
         memo[a, b] = found
@@ -347,7 +343,7 @@ def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[s
 
 def set_distance(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]) -> Fraction:
     """Minimum distance over all cross pairs of two nonempty point sets."""
-    return Fraction(_cross_minimum(space, a, b)[0], space._scaled[0])
+    return Fraction(_cross_minimum(space, a, b)[0], space.scale)
 
 
 def best_approximations(space: FiniteSemimetricSpace, x: str, candidates: Iterable[str]) -> frozenset[str]:
@@ -357,7 +353,7 @@ def best_approximations(space: FiniteSemimetricSpace, x: str, candidates: Iterab
         raise SpaceError("best approximation needs a nonempty candidate set")
     if x not in space:
         raise SpaceError(f"unknown point {x!r}")
-    row = space._scaled[1][space.index[x]]
+    row = space.rows[space.index[x]]
     best = min([row[j] for j in s])
     return frozenset(space.points[j] for j in s if row[j] == best)
 
@@ -377,7 +373,7 @@ def is_proximinal(space: FiniteSemimetricSpace, subset: Iterable[str]) -> bool:
 def diameter(space: FiniteSemimetricSpace, subset: Iterable[str]) -> Fraction:
     """Maximum pairwise distance within a set; 0 for empty or singleton sets."""
     s = _indices(space, subset, "subset")
-    scale, rows = space._scaled
+    scale, rows = space.scale, space.rows
     return Fraction(max((rows[i][j] for i, j in combinations(s, 2)), default=0), scale)
 
 
@@ -398,7 +394,7 @@ class ProximityReport:
 def proximity_report(space: FiniteSemimetricSpace, parts: Bipartition) -> ProximityReport:
     """Distance between the parts, plus all pairs realizing it."""
     m, ia, ib = _cross_minimum(space, parts.a, parts.b)
-    scale, rows = space._scaled
+    scale, rows = space.scale, space.rows
     pairs = frozenset((space.points[i], space.points[j]) for i in ia for j in ib if rows[i][j] == m)
     a0 = frozenset(x for x, _ in pairs)
     b0 = frozenset(y for _, y in pairs)
@@ -419,7 +415,7 @@ def build_threshold_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> S
         pts = space.points
         graphs[limit] = SimpleGraph(space.point_set(), frozenset(
             edge_key(pts[i], pts[j])
-            for i, row in enumerate(space._scaled[1])
+            for i, row in enumerate(space.rows)
             for j in range(i + 1, len(pts))
             if row[j] <= limit
         ))

@@ -61,6 +61,7 @@ from .proximinal import (
 from .spaces import (
     FiniteSemimetricSpace,
     SpaceClass,
+    build_space,
     check_theorem_2_1,
     classify,
 )
@@ -288,9 +289,9 @@ def _perturbed_within_part(
         return None
     i, j = rng.choice(same_part_pairs)
     value = rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
-    rows = [list(row) for row in space.table]
-    rows[i][j] = rows[j][i] = value
-    return FiniteSemimetricSpace(space.points, tuple(tuple(r) for r in rows))
+    table = [list(row) for row in space.table]
+    table[i][j] = table[j][i] = value
+    return build_space(space.points, table)
 
 
 def sweep_p3_9(

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -165,6 +164,14 @@ def test_check_partition_with_an_unknown_vertex_exits_2(kind, tmp_path, capsys):
     assert out == "" and err == "error: partition mentions unknown vertices: ['zz']\n"
 
 
+def test_check_partition_with_a_repeated_label_exits_2(tmp_path, capsys):
+    save_json(tmp_path / "g.json", graph_to_obj(build_graph(["a", "b"], [["a", "b"]])))
+    save_json(tmp_path / "p.json", {"A": ["a", "a"], "B": ["b"]})
+    assert main(["check", "path-bipartite", str(tmp_path / "g.json"), str(tmp_path / "p.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == 'error: duplicate vertex \'a\' in "A"\n'
+
+
 def test_check_vertex_mismatch_exits_2(bundle, tmp_path, capsys):
     other = tmp_path / "k2.json"
     save_json(other, graph_to_obj(build_graph(["a", "b"], [["a", "b"]])))
@@ -311,7 +318,7 @@ def test_witness_proximinal_metric_empty_graph_exits_1(tmp_path, capsys):
 def _all_ones_table(graph):
     """A wrong witness table: every distinct pair at distance 1, edge or not."""
     pts = tuple(graph.sorted_vertices())
-    return FiniteSemimetricSpace(pts, tuple(tuple(Fraction(p != q) for q in pts) for p in pts))
+    return FiniteSemimetricSpace(pts, 1, tuple(tuple(int(p != q) for q in pts) for p in pts))
 
 
 @pytest.mark.parametrize("kind, module", [

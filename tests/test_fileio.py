@@ -78,6 +78,16 @@ def test_partition_obj_validation():
         partition_from_obj({"A": ["a"], "B": ["a"]})
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"A": ["a", "a"], "B": ["b"]}, "duplicate vertex 'a' in \"A\""),
+    ({"A": ["a"], "B": ["b", "c", "d", "c", "b"]}, "duplicate vertex 'c' in \"B\""),
+])
+def test_partition_obj_rejects_a_repeated_label(obj, message):
+    with pytest.raises(FormatError) as info:
+        partition_from_obj(obj)
+    assert str(info.value) == message
+
+
 def test_space_obj_validation():
     with pytest.raises(FormatError, match="row-major"):
         space_from_obj({"points": ["a"], "distances": "x"})

@@ -38,7 +38,7 @@ from proxigraph.instances import (
     random_ultrametric_space,
     truncation_distance,
 )
-from proxigraph.spaces import _scaled_table, space_from_distance
+from proxigraph.spaces import space_from_distance
 
 
 def test_hypercube_small():
@@ -317,19 +317,21 @@ def test_generated_tables_equal_a_full_tabulation(monkeypatch):
 
 
 def test_hypercube_and_truncation_are_born_with_the_scaled_table_of_their_fractions():
-    # both tabulate int rows themselves; the oracles are `_hamming` and `truncation_distance` through build_space
+    # both tabulate int rows themselves; the oracles are `_hamming` and `truncation_distance`, pair by pair,
+    # and build_space on the Fraction view, which pins the scale to the LCM of the denominators
     for n in range(1, 7):
         cube = hypercube_space(n)
-        assert cube == full_tabulation(cube.points, _hamming)
-        assert cube._scaled == _scaled_table(cube.table)
+        assert cube.table == tuple(tuple(Fraction(_hamming(p, q)) for q in cube.points) for p in cube.points)
+        assert cube == build_space(cube.points, cube.table) == full_tabulation(cube.points, _hamming)
     for big_n, big_m, big_k in product(range(1, 5), range(5), range(1, 5)):
         space, parts = example_3_12_truncation(TruncationParams(big_n, big_m, big_k))
         a = [(x, 0) for x in range(1, big_n + 1)]
         b = [(m, k) for m in range(big_m + 1) for k in range(1, big_k + 1)]
         coords = {f"{x}+{y}i": (x, y) for x, y in a + b}
         assert list(space.points) == list(coords) and parts.a == frozenset(list(coords)[:big_n])
+        assert space.table == tuple(tuple(truncation_distance(z, w) for w in coords.values()) for z in coords.values())
+        assert space == build_space(space.points, space.table)
         assert space == full_tabulation(coords, lambda p, q: truncation_distance(coords[p], coords[q]))
-        assert space._scaled == _scaled_table(space.table)
 
 
 def test_random_semimetric_space_deterministic_and_valid():

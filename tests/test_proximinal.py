@@ -19,7 +19,6 @@ from proxigraph import (
 )
 from proxigraph.instances import all_bipartitions, enumerate_labeled_graphs, example_3_2, random_graph
 from proxigraph.proximinal import adjacency_metric, is_bipartite_with_parts
-from proxigraph.spaces import _scaled_table
 
 
 def has_edge_table(graph):
@@ -43,10 +42,12 @@ def test_adjacency_metric_matches_pairwise_edge_lookups():
 
 
 def test_adjacency_metric_arrives_with_the_scaled_table_of_its_fractions():
+    # the view is 1 on edges and 2 on other distinct pairs, and build_space on it gives the same space: scale 1
     for n in range(1, 7):
         for graph in enumerate_labeled_graphs(n):
             space = adjacency_metric(graph)
-            assert space._scaled == _scaled_table(space.table)
+            assert space.table == has_edge_table(graph)
+            assert space == build_space(space.points, space.table)
 
 
 def test_two_point_space_gives_k2():

@@ -2,14 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxigraph import (
     Bipartition,
-    FiniteSemimetricSpace,
     GraphError,
     SimpleGraph,
     SpaceClass,
@@ -29,6 +29,7 @@ from proxigraph import (
     set_distance,
     spaces,
 )
+from proxigraph.fileio import load_space, save_json, space_to_obj
 from proxigraph.instances import all_bipartitions, example_3_2, example_3_12_truncation, TruncationParams
 from proxigraph.path_proximinal import witness_ultrametric
 from proxigraph.proximinal import adjacency_metric
@@ -63,13 +64,11 @@ def semimetric_axioms_hold(space):
 
 # Each ordered triple (a, b, c) is read off the table rows as d(a, b), d(a, c) and d(c, b).
 
-def metric_axiom_holds(space):
-    t = space.table
+def metric_axiom_holds(t):
     return all(ab <= ac + cb for row_a in t for ac, row_c in zip(row_a, t) for ab, cb in zip(row_a, row_c))
 
 
-def ultrametric_axiom_holds(space):
-    t = space.table
+def ultrametric_axiom_holds(t):
     return all(ab <= max(ac, cb) for row_a in t for ac, row_c in zip(row_a, t) for ab, cb in zip(row_a, row_c))
 
 
@@ -121,9 +120,8 @@ MERSENNE_P, MERSENNE_Q = 2**521 - 1, 2**607 - 1
 
 
 def test_build_space_keeps_fraction_entries_and_the_messages_of_other_entries(monkeypatch):
-    # a table holding a Fraction takes the ordered route, one of ints and strs the distinct-entry route;
-    # on both, each distinct int or str entry is parsed once, no Fraction is parsed again, and a bad
-    # entry is worded alike
+    # with or without Fraction entries, each distinct int or str entry is parsed once, no Fraction is
+    # parsed, and a bad entry is worded alike
     parsed = []
     parse = spaces.to_rational
     monkeypatch.setattr(spaces, "to_rational", lambda value: parsed.append(value) or parse(value))
@@ -132,7 +130,7 @@ def test_build_space_keeps_fraction_entries_and_the_messages_of_other_entries(mo
         parsed.clear()
         space = build_space(["a", "b", "c"], [[zero, first, 1], ["1/2", 0, "3/2"], [1, "3/2", 0]])
         assert space.table[0][1] == half and space.table[2][1] == Fraction(3, 2)
-        assert space._scaled == (2, ((0, 1, 2), (1, 0, 3), (2, 3, 0)))
+        assert (space.scale, space.rows) == (2, ((0, 1, 2), (1, 0, 3), (2, 3, 0)))
         assert sorted(map(repr, parsed)) == ["'1/2'", "'3/2'", "0", "1"]
         for bad, message in ((True, "not a rational value: True"), (1.5, "not a rational value: 1.5"),
                              ("1/0", "malformed rational '1/0': expected an integer or 'p/q' with q > 0"),
@@ -140,7 +138,8 @@ def test_build_space_keeps_fraction_entries_and_the_messages_of_other_entries(mo
             with pytest.raises(SpaceError) as info:
                 build_space(["a", "b"], [[zero, 1], [bad, 0]])
             assert str(info.value) == message
-    assert build_space(["a", "b"], [[0, half], [half, 0]]).table[0][1] is half
+    space = build_space(["a", "b"], [[0, half], [half, 0]])
+    assert (space.scale, space.rows, space.table) == (2, ((0, 1), (1, 0)), ((0, half), (half, 0)))
 
 
 @pytest.mark.parametrize("table, message", [
@@ -166,7 +165,7 @@ def _outcome(points, table):
         space = build_space(points, table)
     except SpaceError as exc:
         return str(exc)
-    return space, space._scaled
+    return space.scale, space.rows, space.table
 
 
 entry_text = st.sampled_from([0, 1, 2, 3, -1, "0", "1", "1/2", "2/4", "3/2", "-1/3", "5/6"])
@@ -185,8 +184,16 @@ def test_int_or_str_route_matches_the_fraction_route(drawn):
     for i, j in mirrored:
         table[i][j] = cells[i][j]
     points = [f"p{i}" for i in range(n)]
-    as_fractions = [[to_rational(v) for v in row] for row in table]  # a Fraction entry keeps the ordered route
-    assert _outcome(points, table) == _outcome(points, as_fractions)
+    as_fractions = [[to_rational(v) for v in row] for row in table]
+    outcome = _outcome(points, table)
+    assert outcome == _outcome(points, as_fractions)
+    valid = all((v == 0) == (i == j) and v >= 0 and v == as_fractions[j][i]
+                for i, row in enumerate(as_fractions) for j, v in enumerate(row))
+    assert isinstance(outcome, str) is not valid
+    if valid:  # the rows are the input entries over the LCM of their denominators, the view the entries
+        scale = lcm(*(v.denominator for row in as_fractions for v in row))
+        assert outcome == (scale, tuple(tuple(int(v * scale) for v in row) for row in as_fractions),
+                           tuple(map(tuple, as_fractions)))
 
 
 @pytest.mark.parametrize("table, message", [
@@ -258,16 +265,16 @@ def test_classify_matches_axiom_scans_on_random_spaces():
         got = classify(space)
         seen.add(got)
         assert semimetric_axioms_hold(space)
-        assert metric_axiom_holds(space) == (got in (SpaceClass.METRIC, SpaceClass.ULTRAMETRIC))
-        assert ultrametric_axiom_holds(space) == (got is SpaceClass.ULTRAMETRIC)
+        assert metric_axiom_holds(space.table) == (got in (SpaceClass.METRIC, SpaceClass.ULTRAMETRIC))
+        assert ultrametric_axiom_holds(space.table) == (got is SpaceClass.ULTRAMETRIC)
     assert seen == set(SpaceClass)
 
 
-def oracle_class(space):
-    """The class read off the ordered-triple axiom scans."""
-    if not metric_axiom_holds(space):
+def oracle_class(table):
+    """The class read off the ordered-triple axiom scans of a table."""
+    if not metric_axiom_holds(table):
         return SpaceClass.SEMIMETRIC
-    return SpaceClass.ULTRAMETRIC if ultrametric_axiom_holds(space) else SpaceClass.METRIC
+    return SpaceClass.ULTRAMETRIC if ultrametric_axiom_holds(table) else SpaceClass.METRIC
 
 
 def random_table_space(size, values, seed):
@@ -289,14 +296,14 @@ def test_classify_exact_at_a_mixed_denominator_boundary():
     assert classify(triangle("1/2")) is SpaceClass.ULTRAMETRIC
     assert classify(triangle("3/7")) is SpaceClass.METRIC  # a third denominator: lcm 42
     for ab in ("5/6", "1", "1/2", "3/7", "1/3"):
-        assert classify(triangle(ab)) is oracle_class(triangle(ab))
+        assert classify(triangle(ab)) is oracle_class(triangle(ab).table)
     # Mersenne-prime denominators: a common denominator of over 1000 bits
     p, q = 2**521 - 1, 2**607 - 1
     for ab, expected in ((Fraction(1, p) + Fraction(1, q), SpaceClass.METRIC),
                          (Fraction(1, p) + Fraction(1, q) + Fraction(1, p * q), SpaceClass.SEMIMETRIC)):
         space = build_space(["a", "b", "c"], [[0, ab, Fraction(1, p)], [ab, 0, Fraction(1, q)],
                                               [Fraction(1, p), Fraction(1, q), 0]])
-        assert classify(space) is oracle_class(space) is expected
+        assert classify(space) is oracle_class(space.table) is expected
 
 
 def test_classify_matches_axiom_scans_on_few_distinct_values():
@@ -306,7 +313,7 @@ def test_classify_matches_axiom_scans_on_few_distinct_values():
         space = random_table_space(4 + seed % 5, values, seed)
         got = classify(space)
         seen.add(got)
-        assert got is oracle_class(space)
+        assert got is oracle_class(space.table)
     assert seen == set(SpaceClass)
 
 
@@ -315,7 +322,7 @@ def test_classify_matches_axiom_scans_on_larger_metric_spaces():
     truncation = example_3_12_truncation(TruncationParams(10, 5, 5))[0]
     assert truncation.size == 40
     for space in (cube, truncation):
-        assert classify(space) is oracle_class(space) is SpaceClass.METRIC
+        assert classify(space) is oracle_class(space.table) is SpaceClass.METRIC
 
 
 def test_classify_finds_a_violation_only_at_the_last_pair():
@@ -333,7 +340,7 @@ def test_classify_finds_a_violation_only_at_the_last_pair():
         > space.d(a, b) + space.d(a, c) + space.d(b, c)
     }
     assert violating and all(set(space.points[-2:]) <= triple for triple in violating)
-    assert classify(space) is oracle_class(space) is SpaceClass.SEMIMETRIC
+    assert classify(space) is oracle_class(space.table) is SpaceClass.SEMIMETRIC
 
 
 def test_classify_matches_axiom_scans_with_ties_at_a_merge_level():
@@ -350,10 +357,10 @@ def test_classify_matches_axiom_scans_with_ties_at_a_merge_level():
     ]
     for table, expected in cases:
         space = build_space(pts, table)
-        assert classify(space) is oracle_class(space) is expected
+        assert classify(space) is oracle_class(space.table) is expected
     for seed in range(20):  # the triangles of an ultrametric are isosceles, so these have ties too
         space = random_ultrametric_space(8, seed)
-        assert classify(space) is oracle_class(space) is SpaceClass.ULTRAMETRIC
+        assert classify(space) is oracle_class(space.table) is SpaceClass.ULTRAMETRIC
 
 
 def test_classify_finds_a_violation_only_at_the_last_merge():
@@ -364,10 +371,10 @@ def test_classify_finds_a_violation_only_at_the_last_merge():
     assert classify(build_space(pts, table)) is SpaceClass.ULTRAMETRIC
     table[7][15] = table[15][7] = 5
     space = build_space(pts, table)
-    assert classify(space) is oracle_class(space) is SpaceClass.METRIC
+    assert classify(space) is oracle_class(space.table) is SpaceClass.METRIC
     without_15 = build_space(pts[:15], [row[:15] for row in table[:15]])
     without_7 = build_space(pts[:7] + pts[8:], [row[:7] + row[8:] for row in table[:7] + table[8:]])
-    assert oracle_class(without_15) is oracle_class(without_7) is SpaceClass.ULTRAMETRIC
+    assert oracle_class(without_15.table) is oracle_class(without_7.table) is SpaceClass.ULTRAMETRIC
 
 
 def test_classify_matches_axiom_scans_on_fraction_rows_past_512_bits():
@@ -376,15 +383,15 @@ def test_classify_matches_axiom_scans_on_fraction_rows_past_512_bits():
                          (3 * near, SpaceClass.SEMIMETRIC)):
         space = build_space(["a", "b", "c", "e"], [[0, near, ac, far], [near, 0, near, far],
                                                     [ac, near, 0, far], [far, far, far, 0]])
-        scale, rows = space._scaled
+        scale, rows = space.scale, space.rows
         assert scale == 1 and type(rows[0][1]) is Fraction
-        assert classify(space) is oracle_class(space) is expected
+        assert classify(space) is oracle_class(space.table) is expected
 
 
-def integral_copy(space):
-    """The same table with plain int entries, so that the triple scans stay fast on 128 points."""
+def integral_table(space):
+    """The table with plain int entries, so that the triple scans stay fast on 128 points."""
     assert all(v.denominator == 1 for row in space.table for v in row)
-    return FiniteSemimetricSpace(space.points, tuple(tuple(int(v) for v in row) for row in space.table))
+    return [[int(v) for v in row] for row in space.table]
 
 
 def test_classify_matches_axiom_scans_on_the_128_point_matching_space():
@@ -392,7 +399,7 @@ def test_classify_matches_axiom_scans_on_the_128_point_matching_space():
     points = [format(i, "07b") for i in range(128)]
     matching = build_graph(points, [[p, "1" + p[1:]] for p in points if p[0] == "0"])
     witness = witness_ultrametric(matching).space
-    assert classify(witness) is oracle_class(integral_copy(witness)) is SpaceClass.ULTRAMETRIC
+    assert classify(witness) is oracle_class(integral_table(witness)) is SpaceClass.ULTRAMETRIC
     # 1111101 and 1111111 are unmatched, at 2: at 1 only the strong triangle inequality
     # breaks, at 3 every triangle holds (as an equality through a partner), at 4 one breaks
     i, j = witness.index["1111101"], witness.index["1111111"]
@@ -400,7 +407,7 @@ def test_classify_matches_axiom_scans_on_the_128_point_matching_space():
         table = [list(row) for row in witness.table]
         table[i][j] = table[j][i] = Fraction(value)
         space = build_space(witness.points, table)
-        assert classify(space) is oracle_class(integral_copy(space)) is expected
+        assert classify(space) is oracle_class(integral_table(space)) is expected
 
 
 def test_class_is_computed_once_per_space(monkeypatch):
@@ -417,25 +424,49 @@ def test_class_is_computed_once_per_space(monkeypatch):
 
 
 def test_int_table_is_built_once_per_space_and_classify_reads_it(monkeypatch):
-    # the Fraction route scales its table on first use; the int-or-str route scales its distinct entries at birth
+    # build_space scales its input once, at birth, to the LCM of the input denominators;
+    # classify reads those very rows, and no query scales again
     built, classified = [], []
-    scale, kernel = spaces._scaled_table, spaces._table_class
-    monkeypatch.setattr(spaces, "_scaled_table", lambda table: built.append(scale(table)) or built[-1])
+    scaled_rows, kernel = spaces._scaled_rows, spaces._table_class
+    monkeypatch.setattr(spaces, "_scaled_rows", lambda *args: built.append(scaled_rows(*args)) or built[-1])
     monkeypatch.setattr(spaces, "_table_class", lambda rows: classified.append(rows) or kernel(rows))
     source = random_ultrametric_space(6, 3)
-    for table, scaled_rows in ((source.table, 6), ([[str(v) for v in row] for row in source.table], 1)):
+    fractions = [list(row) for row in source.table]
+    scale = lcm(*(v.denominator for row in fractions for v in row))
+    expected = (scale, tuple(tuple(int(v * scale) for v in row) for row in fractions))
+    for table in (fractions, [[str(v) for v in row] for row in fractions]):
         built.clear()
         classified.clear()
         space = build_space(source.points, table)
-        assert space == source
-        scaled = space._scaled
         for parts in all_bipartitions(space.point_set()):
             check_theorem_2_1(space, parts)
             build_threshold_graph(space, parts)
         assert classify(space) is SpaceClass.ULTRAMETRIC
-        assert len(built) == 1 and len(built[0][1]) == scaled_rows and built[0][0] == scaled[0] > 1
-        assert space._scaled is scaled == scale(source.table)
-        assert len(classified) == 1 and classified[0] is scaled[1]
+        assert scale > 1 and built == [expected] and space == source
+        assert space.rows is built[0][1] and classified == [space.rows]
+
+
+def test_queries_and_the_writer_never_build_the_fraction_view(tmp_path):
+    path = tmp_path / "space.json"
+    save_json(path, {"points": ["a", "b", "c"], "distances": [[0, "1/2", 1], ["1/2", 0, 1], [1, 1, 0]]})
+    generated = [
+        load_space(path),
+        hypercube_space(3),
+        example_3_12_truncation(TruncationParams(2, 1, 2))[0],
+        example_3_2()[0],
+        adjacency_metric(build_graph(["a", "b", "c", "d"], [["a", "b"], ["c", "d"]])),
+        random_ultrametric_space(6, 1),
+        random_semimetric_space(5, 1),
+    ]
+    for space in generated:
+        for parts in islice(all_bipartitions(space.point_set()), 40):
+            build_threshold_graph(space, parts)
+            if classify(space) is SpaceClass.ULTRAMETRIC:
+                check_theorem_2_1(space, parts)
+        space_to_obj(space)
+        assert "table" not in vars(space)
+        space.d(space.points[0], space.points[1])
+        assert "table" in vars(space)  # the first read of d() builds it
 
 
 # edge cases of the packed-field triangle test, each checked against the ordered-triple scans
@@ -456,10 +487,10 @@ def with_entry(space, x, y, value):
 
 def test_packed_test_keeps_exact_equalities_and_catches_one_unit_over():
     line = line_space([0, 1, 3, 4, 7, 9])
-    assert classify(line) is oracle_class(line) is SpaceClass.METRIC
+    assert classify(line) is oracle_class(line.table) is SpaceClass.METRIC
     for x, y in (("p0", "p2"), ("p1", "p3"), ("p2", "p5"), ("p0", "p5")):
         over = with_entry(line, x, y, line.d(x, y) + 1)  # d(x, k) + d(k, y) one unit below d(x, y)
-        assert classify(over) is oracle_class(over) is SpaceClass.SEMIMETRIC
+        assert classify(over) is oracle_class(over.table) is SpaceClass.SEMIMETRIC
 
 
 @pytest.mark.parametrize("middle", [0, 5], ids=["lowest-field", "highest-field"])
@@ -472,10 +503,10 @@ def test_packed_test_finds_a_violation_in_the_lowest_and_highest_field(middle):
     for end in (a, b):
         table[middle][end] = table[end][middle] = 1
     space = build_space([f"p{k}" for k in range(6)], table)
-    assert classify(space) is oracle_class(space) is SpaceClass.SEMIMETRIC
+    assert classify(space) is oracle_class(space.table) is SpaceClass.SEMIMETRIC
     table[a][b] = table[b][a] = 2
     space = build_space([f"p{k}" for k in range(6)], table)
-    assert classify(space) is oracle_class(space) is SpaceClass.METRIC
+    assert classify(space) is oracle_class(space.table) is SpaceClass.METRIC
 
 
 @pytest.mark.parametrize("top", [4, 8, 16, 3, 7, 15])
@@ -485,25 +516,25 @@ def test_packed_test_at_field_width_boundaries(top):
     # of 2·top - 1, the largest a metric table can put in a field
     table = [[0, 1, top, 2], [1, 0, top, 3], [top, top, 0, top], [2, 3, top, 0]]
     space = build_space(["a", "b", "c", "e"], table)
-    assert classify(space) is oracle_class(space) is SpaceClass.METRIC
+    assert classify(space) is oracle_class(space.table) is SpaceClass.METRIC
     for value, expected in ((top - 2, SpaceClass.METRIC), (top - 3, SpaceClass.SEMIMETRIC)):
         # d(c, e) lowered: d(c, e) + d(e, a) = value + 2 against d(c, a) = top
         if value > 0:
             table[2][3] = table[3][2] = value
             space = build_space(["a", "b", "c", "e"], table)
-            assert classify(space) is oracle_class(space) is expected
+            assert classify(space) is oracle_class(space.table) is expected
 
 
 def test_packed_test_on_int_rows_just_under_the_512_bit_cutover():
     denominator = 3**315  # 500 bits
     line = line_space([0, Fraction(1, denominator), 1, Fraction(3, 2), 2 + Fraction(2, denominator)])
-    scale, rows = line._scaled
+    scale, rows = line.scale, line.rows
     assert scale == 2 * denominator and 490 < scale.bit_length() <= 512
     assert type(rows[0][1]) is int and max(map(max, rows)).bit_length() > 500
-    assert classify(line) is oracle_class(line) is SpaceClass.METRIC
+    assert classify(line) is oracle_class(line.table) is SpaceClass.METRIC
     over = with_entry(line, "p0", "p4", line.d("p0", "p4") + Fraction(1, scale))
-    assert over._scaled[0] == scale
-    assert classify(over) is oracle_class(over) is SpaceClass.SEMIMETRIC
+    assert over.scale == scale
+    assert classify(over) is oracle_class(over.table) is SpaceClass.SEMIMETRIC
 
 
 def test_packed_test_agrees_with_axiom_scans_on_random_int_tables():
@@ -514,7 +545,7 @@ def test_packed_test_agrees_with_axiom_scans_on_random_int_tables():
         space = random_table_space(rng.randint(3, 8), range(rng.randint(1, top), top + 1), seed)
         got = classify(space)
         seen.add(got)
-        assert got is oracle_class(space)
+        assert got is oracle_class(space.table)
     assert seen == set(SpaceClass)
 
 
@@ -522,15 +553,25 @@ def test_classify_8_cube_is_metric():
     assert classify(hypercube_space(8)) is SpaceClass.METRIC
 
 
-# plain per-pair Fraction scans through space.d(), the oracles of the int-row distance layer
+# plain per-pair Fraction scans of the tables the spaces were built from, the oracles of the int-row distance layer
 
-def scan_set_distance(space, a, b):
-    return min(space.d(x, y) for x in a for y in b)
+def input_distances(points, table):
+    """d(x, y) read off an input table, for every ordered pair of points."""
+    return {(x, y): to_rational(v) for x, row in zip(points, table) for y, v in zip(points, row)}
 
 
-def scan_threshold_edges(space, parts):
-    limit = scan_set_distance(space, parts.a, parts.b)
-    return {(x, y) for x, y in combinations(sorted(space.points), 2) if space.d(x, y) <= limit}
+def scan_set_distance(d, a, b):
+    return min(d[x, y] for x in a for y in b)
+
+
+def scan_threshold_edges(d, points, parts):
+    limit = scan_set_distance(d, parts.a, parts.b)
+    return {(x, y) for x, y in combinations(sorted(points), 2) if d[x, y] <= limit}
+
+
+def built_from(points, table):
+    """The space built from a table, with the distances of that table."""
+    return build_space(points, table), input_distances(points, table)
 
 
 def distance_layer_spaces():
@@ -539,41 +580,42 @@ def distance_layer_spaces():
     f = Fraction
     return [
         # mixed denominators 3, 2, 6 with ties at the minimum 1/3
-        build_space(["a", "b", "c", "d"], [[0, "1/3", "1/3", "5/6"], ["1/3", 0, "1/2", "1/3"],
-                                           ["1/3", "1/2", 0, "1/2"], ["5/6", "1/3", "1/2", 0]]),
+        built_from(["a", "b", "c", "d"], [[0, "1/3", "1/3", "5/6"], ["1/3", 0, "1/2", "1/3"],
+                                          ["1/3", "1/2", 0, "1/2"], ["5/6", "1/3", "1/2", 0]]),
         # every threshold of {x} against the rest equals the within-part distance 3/4
-        build_space(["x", "y", "z"], [[0, "3/4", "3/4"], ["3/4", 0, "3/4"], ["3/4", "3/4", 0]]),
-        # built directly, without build_space; denominators 4, 3, 5 and 7, each needed by the scale
-        FiniteSemimetricSpace(("u", "v", "w", "z"), (
-            (f(0), f(1, 4), f(2, 3), f(3, 5)), (f(1, 4), f(0), f(2, 7), f(1, 4)),
-            (f(2, 3), f(2, 7), f(0), f(2, 3)), (f(3, 5), f(1, 4), f(2, 3), f(0)))),
+        built_from(["x", "y", "z"], [[0, "3/4", "3/4"], ["3/4", 0, "3/4"], ["3/4", "3/4", 0]]),
+        # Fraction entries with denominators 4, 3, 5 and 7, each needed by the scale
+        built_from(["u", "v", "w", "z"], [
+            [f(0), f(1, 4), f(2, 3), f(3, 5)], [f(1, 4), f(0), f(2, 7), f(1, 4)],
+            [f(2, 3), f(2, 7), f(0), f(2, 3)], [f(3, 5), f(1, 4), f(2, 3), f(0)]]),
         # a common denominator past 512 bits: the rows stay Fractions
-        build_space(["a", "b", "c"], [[0, ab, Fraction(1, p)], [ab, 0, Fraction(1, q)],
-                                      [Fraction(1, p), Fraction(1, q), 0]]),
+        built_from(["a", "b", "c"], [[0, ab, Fraction(1, p)], [ab, 0, Fraction(1, q)],
+                                     [Fraction(1, p), Fraction(1, q), 0]]),
     ]
 
 
 def test_distance_layer_matches_plain_fraction_scans():
     within_part_ties = 0
-    for space in distance_layer_spaces():
+    for space, d in distance_layer_spaces():
+        scale = lcm(*(v.denominator for v in d.values()))
+        assert space.scale == (scale if scale.bit_length() <= 512 else 1)
         assert type(diameter(space, space.points)) is Fraction
-        assert diameter(space, space.points) == max(space.d(x, y) for x in space.points for y in space.points)
+        assert diameter(space, space.points) == max(d.values())
         for parts in all_bipartitions(space.point_set()):
             dist = set_distance(space, parts.a, parts.b)
-            assert type(dist) is Fraction and dist == scan_set_distance(space, parts.a, parts.b)
+            assert type(dist) is Fraction and dist == scan_set_distance(d, parts.a, parts.b)
             report = proximity_report(space, parts)
-            pairs = {(x, y) for x in parts.a for y in parts.b if space.d(x, y) == dist}
+            pairs = {(x, y) for x in parts.a for y in parts.b if d[x, y] == dist}
             assert report.distance == dist and report.pairs == pairs
             assert report.a0 == {x for x, _ in pairs} and report.b0 == {y for _, y in pairs}
             for part in (parts.a, parts.b):
-                assert diameter(space, part) == max(space.d(x, y) for x in part for y in part)
+                assert diameter(space, part) == max(d[x, y] for x in part for y in part)
                 for x in space.points:
-                    best = min(space.d(x, y) for y in part)
-                    assert best_approximations(space, x, part) == {y for y in part if space.d(x, y) == best}
-            edges = scan_threshold_edges(space, parts)
+                    best = min(d[x, y] for y in part)
+                    assert best_approximations(space, x, part) == {y for y in part if d[x, y] == best}
+            edges = scan_threshold_edges(d, space.points, parts)
             assert build_threshold_graph(space, parts).edges == edges
-            within_part_ties += any(
-                space.d(x, y) == dist for x, y in edges if (x in parts.a) == (y in parts.a))
+            within_part_ties += any(d[x, y] == dist for x, y in edges if (x in parts.a) == (y in parts.a))
     assert within_part_ties  # some threshold equals a within-part distance, so `<=` vs `<` shows
 
 
@@ -581,23 +623,23 @@ def test_distance_layer_matches_plain_fraction_scans():
 
 def memo_spaces():
     near, far = Fraction(1, MERSENNE_Q), Fraction(1, MERSENNE_P)
-    yield build_space(["a", "b", "c", "e"], [[0, near, 2 * near, far], [near, 0, near, far],
-                                             [2 * near, near, 0, far], [far, far, far, 0]])
+    yield built_from(["a", "b", "c", "e"], [[0, near, 2 * near, far], [near, 0, near, far],
+                                            [2 * near, near, 0, far], [far, far, far, 0]])
     for seed in range(4):
         for n in range(2, 8):
-            yield random_ultrametric_space(n, seed)
-            yield random_semimetric_space(n, seed)
+            for generated in (random_ultrametric_space(n, seed), random_semimetric_space(n, seed)):
+                yield built_from(generated.points, generated.table)
 
 
 def test_threshold_graphs_are_shared_per_distance_and_match_a_plain_scan():
     fraction_rows = 0
-    for space in memo_spaces():
-        fraction_rows += type(space._scaled[1][0][1]) is Fraction
+    for space, d in memo_spaces():
+        fraction_rows += type(space.rows[0][1]) is Fraction
         by_limit, bipartitions = {}, 0
         for parts in all_bipartitions(space.point_set()):
             graph = build_threshold_graph(space, parts)
-            assert graph == SimpleGraph(space.point_set(), frozenset(scan_threshold_edges(space, parts)))
-            assert by_limit.setdefault(scan_set_distance(space, parts.a, parts.b), graph) is graph
+            assert graph == SimpleGraph(space.point_set(), frozenset(scan_threshold_edges(d, space.points, parts)))
+            assert by_limit.setdefault(scan_set_distance(d, parts.a, parts.b), graph) is graph
             bipartitions += 1
         assert len(space._threshold_graphs) == len(by_limit)
         if space.size > 3:
@@ -629,14 +671,14 @@ def test_a_warm_memo_still_rejects_bad_partitions_and_unknown_points():
 
 
 def test_cross_minima_are_kept_per_validated_pair_and_unknown_points_still_raise():
-    space = random_semimetric_space(6, 4)
-    rows = space._scaled[1]
+    generated = random_semimetric_space(6, 4)
+    space, d = built_from(generated.points, generated.table)
     for parts in all_bipartitions(space.point_set()):
         found = spaces._cross_minimum(space, parts.a, parts.b)
         assert found is space._cross_minima[parts.a, parts.b]
         assert found is spaces._cross_minimum(space, parts.a, parts.b)
-        assert found[0] == min(rows[space.index[x]][space.index[y]] for x in parts.a for y in parts.b)
-        assert set_distance(space, parts.a, parts.b) == min(space.d(x, y) for x in parts.a for y in parts.b)
+        assert found[0] == min(space.rows[space.index[x]][space.index[y]] for x in parts.a for y in parts.b)
+        assert set_distance(space, parts.a, parts.b) == scan_set_distance(d, parts.a, parts.b)
     assert len(space._cross_minima) == 2 ** 6 - 2
     pts = sorted(space.points)
     a, b = frozenset(pts[:2]), frozenset(pts[2:])

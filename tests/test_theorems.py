@@ -5,7 +5,6 @@ import importlib
 import random
 import sys
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -154,7 +153,7 @@ def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, 
 def _all_ones_table(graph):
     """A wrong witness table: every distinct pair at distance 1, edge or not."""
     pts = tuple(graph.sorted_vertices())
-    return FiniteSemimetricSpace(pts, tuple(tuple(Fraction(p != q) for q in pts) for p in pts))
+    return FiniteSemimetricSpace(pts, 1, tuple(tuple(int(p != q) for q in pts) for p in pts))
 
 
 @pytest.mark.parametrize("sweep_id, bounds, message", [

@@ -51,7 +51,7 @@ EDITS = (
          "        pts = space.points\n"
          "        graphs[limit] = SimpleGraph(space.point_set(), frozenset(\n"
          "            edge_key(pts[i], pts[j])\n"
-         "            for i, row in enumerate(space._scaled[1])\n"
+         "            for i, row in enumerate(space.rows)\n"
          "            for j in range(i + 1, len(pts))\n"
          "            if row[j] <= limit\n"
          "        ))\n"
@@ -60,19 +60,19 @@ EDITS = (
          "        pts = space.points\n"
          "        graphs[0] = SimpleGraph(space.point_set(), frozenset(\n"
          "            edge_key(pts[i], pts[j])\n"
-         "            for i, row in enumerate(space._scaled[1])\n"
+         "            for i, row in enumerate(space.rows)\n"
          "            for j in range(i + 1, len(pts))\n"
          "            if row[j] <= limit\n"
          "        ))\n"
          "    return graphs[0]\n",
          ("tests/test_spaces.py",)),
     Edit("unscaled-numerators", "src/proxigraph/spaces.py",
-         "    return scale, tuple(tuple(n * (scale // d) for n, d in row) for row in ratios)\n",
-         "    return scale, tuple(tuple(n for n, d in row) for row in ratios)\n",
+         "        value = {v: n * (scale // d) for v, (n, d) in ratio.items()}\n",
+         "        value = {v: n for v, (n, d) in ratio.items()}\n",
          ("tests/test_spaces.py",)),
     Edit("scale-missing-largest-denominator", "src/proxigraph/spaces.py",
-         "    for d in {d for row in ratios for _, d in row}:\n",
-         "    for d in sorted({d for row in ratios for _, d in row})[:-1]:\n",
+         "    for d in {d for _, d in ratio.values()}:\n",
+         "    for d in sorted({d for _, d in ratio.values()})[:-1]:\n",
          ("tests/test_spaces.py",)),
     Edit("symmetry-row-against-itself", "src/proxigraph/spaces.py",
          "        or not all(map(tuple.__eq__, rows, zip(*rows)))", "        or not all(map(tuple.__eq__, rows, rows))",
@@ -84,7 +84,7 @@ EDITS = (
          "_rational_to_entry(Fraction(v, scale))", "_rational_to_entry(Fraction(v))",
          ("tests/test_fileio.py",)),
     Edit("truncation-rows-at-scale-1", "src/proxigraph/instances.py",
-         "table, (2, rows))", "table, (1, rows))",
+         "(tuple(map(label, coords)), 2, rows)", "(tuple(map(label, coords)), 1, rows)",
          ("tests/test_instances.py",)),
     Edit("induced-memo-keyed-by-size", "src/proxigraph/graphs.py",
          "    if subset not in memo:\n"
@@ -94,8 +94,8 @@ EDITS = (
          "        memo[len(subset)] = tuple(connected_components(induced_subgraph(graph, subset)))\n"
          "    return memo[len(subset)]\n",
          ("tests/test_graphs.py",)),
-    Edit("adjacency-int-row-disagrees", "src/proxigraph/proximinal.py",
-         "_AS_FRACTION = (Fraction(0), Fraction(1), Fraction(2))", "_AS_FRACTION = (Fraction(0), Fraction(1), Fraction(3))",
+    Edit("adjacency-non-edges-at-3", "src/proxigraph/proximinal.py",
+         "[[2] * i + [0] + [2] * (n - 1 - i) for i in range(n)]", "[[3] * i + [0] + [3] * (n - 1 - i) for i in range(n)]",
          ("tests/test_proximinal.py",)),
     Edit("singleton-read-as-pair", "src/proxigraph/bepaths.py",
          "any(len(block) == 1 for block in graph._blocks.values())",
