@@ -9,6 +9,7 @@ or failed precondition, 2 for usage and format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -116,8 +117,7 @@ def cmd_bpath(args: argparse.Namespace) -> int:
     if args.quotient:
         sys.stdout.write(fileio.quotient_to_dot(quotient_graph(graph, parts)))
         return 0
-    pairs = sorted(bpath_pairs(graph, parts))
-    print(json.dumps([list(p) for p in pairs]))
+    print(json.dumps(sorted(bpath_pairs(graph, parts))))  # the pairs are tuples, written as arrays
     return 0
 
 
@@ -317,6 +317,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxigraph",

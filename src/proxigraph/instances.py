@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
+from operator import add
 from typing import Iterator, Sequence
 
 from .graphs import Bipartition, SimpleGraph, build_graph, edge_key, induced_subgraph
@@ -151,11 +152,14 @@ def example_3_12_truncation(params: TruncationParams) -> tuple[FiniteSemimetricS
         return f"{z[0]}+{z[1]}i"
 
     coords = a_coords + b_coords
-    rows = tuple(  # twice `truncation_distance`: |Δre| + 2|Δim| + 2 off the diagonal
-        tuple(abs(x - u) + 2 * abs(y - v) + 2 if (x, y) != (u, v) else 0 for u, v in coords) for x, y in coords
-    )
+    # twice `truncation_distance`: (|Δre| + 1) + (2|Δim| + 1) off the diagonal, one gap row per coordinate value
+    re_gap = [[abs(x - u) + 1 for u, _ in coords] for x in range(max(params.N, params.M) + 1)]
+    im_gap = [[2 * abs(y - v) + 1 for _, v in coords] for y in range(params.K + 1)]
+    rows = [list(map(add, re_gap[x], im_gap[y])) for x, y in coords]
+    for i, row in enumerate(rows):
+        row[i] = 0
     # scale 2 is the LCM of the denominators: d(1, i) = 5/2 in every truncation
-    space = FiniteSemimetricSpace(tuple(map(label, coords)), 2, rows)
+    space = FiniteSemimetricSpace(tuple(map(label, coords)), 2, tuple(map(tuple, rows)))
     parts = Bipartition.of([label(z) for z in a_coords], [label(z) for z in b_coords])
     return space, parts
 

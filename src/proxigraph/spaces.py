@@ -7,8 +7,9 @@ scale 1.  `build_space` converts each distinct entry once and validates the
 rows; `classify`, every dist(A, B) question and `build_threshold_graph`
 compare them, and floating point never enters.  `d()`, `table`, reports and
 files give `fractions.Fraction`s; `table` is a view of the rows, built on
-first read.  `classify` tests the strong triangle inequality by single
-linkage in O(n² log n) and, on a table that fails it, the triangle
+first read.  `classify` tests the strong triangle inequality on the
+triples through point 0, one row comparison in C per point, then by single
+linkage in O(n² log n); on a table that fails it, it tests the triangle
 inequality by a packed-field test in O(n²) big-int operations (Lamport
 1975, "Multiple byte processing with full-word instructions"): each int row
 is one Python int with a w-bit field per point, w = (2·max entry).bit_length()
@@ -30,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import lcm
-from operator import add
+from operator import add, le
 from typing import Iterable, Sequence, Union
 
 from .graphs import Bipartition, SimpleGraph, cached_attribute, check_label, edge_key, require_cover
@@ -227,12 +228,20 @@ def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace
 
 
 def _is_ultrametric(rows: Sequence[Sequence]) -> bool:
-    """Single linkage (Gower & Ross 1969) over the pairs in increasing distance order.
+    """The pivot row of point 0, then single linkage (Gower & Ross 1969) over the pairs by distance.
 
-    Pairs below a level w already share a cluster, so the cross pairs of a merge at
-    level w lie at w or above.  The table is ultrametric iff all of them lie at w:
-    then it equals its single-linkage ultrametric.  Each pair is checked once.
+    The triples through point 0 are checked first, row by row in C: d(i, j) <= max(d(i, 0),
+    d(0, j)), so a table that fails there is refuted before any sort.  Single linkage: pairs
+    below a level w already share a cluster, so the cross pairs of a merge at level w lie at
+    w or above.  The table is ultrametric iff all of them lie at w: then it equals its
+    single-linkage ultrametric.  Each pair is checked once.
     """
+    bounds = {}  # per distinct d(i, 0), built when first met: the row of max(d(i, 0), d(0, j)) over j
+    for row in rows:
+        if row[0] not in bounds:
+            bounds[row[0]] = [max(row[0], v) for v in rows[0]]
+        if not all(map(le, row, bounds[row[0]])):
+            return False
     cluster = [[i] for i in range(len(rows))]  # cluster[i]: the members of the cluster holding i
     for w, i, j in sorted((w, i, j) for i, row in enumerate(rows) for j, w in enumerate(row[:i])):
         small, big = cluster[i], cluster[j]

@@ -17,7 +17,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bepaths import (
@@ -278,18 +278,15 @@ def sweep_p3_22(max_n: int = 5, progress: Progress = None) -> SweepResult:
 def _perturbed_within_part(
     space: FiniteSemimetricSpace, parts: Bipartition, rng: random.Random
 ) -> Optional[FiniteSemimetricSpace]:
-    """Copy of the space with one random same-part distance rewritten."""
-    same_part_pairs = [
-        (i, j)
-        for i in range(space.size)
-        for j in range(i + 1, space.size)
-        if (space.points[i] in parts.a) == (space.points[j] in parts.a)
-    ]
+    """Copy of the space with one random same-part distance rewritten; the rows are copied at scale 1."""
+    in_a = [p in parts.a for p in space.points]
+    same_part_pairs = [(i, j) for i, j in combinations(range(space.size), 2) if in_a[i] == in_a[j]]
     if not same_part_pairs:
         return None
     i, j = rng.choice(same_part_pairs)
     value = rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
-    table = [list(row) for row in space.table]
+    assert space.scale == 1  # the witness metric: its rows are the distances
+    table = [list(row) for row in space.rows]
     table[i][j] = table[j][i] = value
     return build_space(space.points, table)
 

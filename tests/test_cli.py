@@ -11,7 +11,7 @@ import pytest
 import proxigraph
 from proxigraph import Bipartition, FiniteSemimetricSpace, build_graph, build_space, path_proximinal, proximinal
 from proxigraph.bepaths import bpath_pairs
-from proxigraph.cli import main
+from proxigraph.cli import build_parser, main
 from proxigraph.fileio import (
     graph_to_obj,
     load_graph,
@@ -497,15 +497,63 @@ def test_missing_file_exits_2(capsys):
     assert main(["classify", "/nonexistent/space.json"]) == 2
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*args):
+    """Python in a fresh process that imports this proxigraph, with `args`: (exit code, stdout, stderr)."""
     src = str(Path(proxigraph.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "proxigraph", "verify", "t3.9", "--max-n", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    code, out, err = run_python("-m", "proxigraph", "verify", "t3.9", "--max-n", "2")
+    assert code == 0, err
+    assert out.splitlines()[0] == "true"
+
+
+@pytest.mark.parametrize("points, distances", [([], []), (["a"], [[0]]), (["a", "b"], [[0, "1/2"], ["1/2", 0]])])
+def test_classify_spaces_without_three_points_exits_0(points, distances, tmp_path):
+    path = tmp_path / "small.space.json"
+    save_json(path, {"points": points, "distances": distances})
+    assert run_python("-m", "proxigraph", "classify", str(path)) == (0, "Ultrametric\n", "")
+
+
+def test_one_process_answers_as_fresh_processes_do(bundle):
+    graph, parts = example_3_1()
+    a, b = sorted(bpath_pairs(graph, parts))[0]
+    calls = [
+        ["check", "path-bipartite", bundle["g31"], bundle["p31"]],
+        ["check", "no-such-kind", bundle["g31"], bundle["p31"]],
+        ["bpath", bundle["g31"], bundle["p31"], "--witness", a, b],
+        ["bpath", bundle["g31"], bundle["p31"]],
+        ["verify", "t3.9", "--max-n", "3"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from proxigraph.cli import main\n"
+        "answers = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        answers.append([main(argv), out.getvalue()])\n"
+        "print(json.dumps(answers))\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == "true"
+    code, out, err = run_python("-c", script, json.dumps(calls))
+    assert code == 0, err
+    fresh = [list(run_python("-m", "proxigraph", *argv)[:2]) for argv in calls]
+    assert json.loads(out) == fresh
+    assert [code for code, _ in fresh] == [0, 2, 0, 0, 0]
+
+
+@pytest.mark.parametrize("command", [[], ["classify"], ["check"], ["bpath"], ["witness"], ["verify"], ["example"],
+                                     ["export-dot"]])
+def test_help_from_the_one_parser_matches_a_fresh_parser(command, capsys):
+    assert build_parser() is build_parser()
+    assert main([*command, "--help"]) == 0
+    kept = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args([*command, "--help"])
+    assert capsys.readouterr().out == kept and kept.startswith("usage: proxigraph")
 
 
 # Inputs for every verdict branch of `check` and every false reason of `witness`.

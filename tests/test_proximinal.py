@@ -17,7 +17,14 @@ from proxigraph import (
     verify_proximinal_graph,
     witness_proximinal_metric,
 )
-from proxigraph.instances import all_bipartitions, enumerate_labeled_graphs, example_3_2, random_graph
+from proxigraph.graphs import edge_key
+from proxigraph.instances import (
+    all_bipartitions,
+    enumerate_labeled_graphs,
+    example_3_2,
+    random_graph,
+    random_semimetric_space,
+)
 from proxigraph.proximinal import adjacency_metric, is_bipartite_with_parts
 
 
@@ -83,6 +90,45 @@ def test_verify_round_trip():
     space, parts = example_3_2()
     g = build_proximinal_graph(space, parts)
     assert verify_proximinal_graph(g, parts, space)
+    assert scan_is_proximinal_graph(g, parts, space)
+
+
+def scan_is_proximinal_graph(graph, parts, space):
+    """The pairwise scan through `space.d`: the oracle of `verify_proximinal_graph` when A ∪ B covers the graph."""
+    dist = min(space.d(x, y) for x in parts.a for y in parts.b)
+    return is_bipartite_with_parts(graph, parts) and all(
+        graph.has_edge(x, y) == (space.d(x, y) == dist) for x in parts.a for y in parts.b
+    )
+
+
+def best_pair_variants(space, parts):
+    """The best-pair graph found by a scan; it minus one edge; plus one cross edge; with one edge
+    moved to another cross pair (the edge count kept); plus one edge inside a part."""
+    cross = sorted(edge_key(x, y) for x in parts.a for y in parts.b)
+    dist = min(space.d(x, y) for x, y in cross)
+    best = frozenset(e for e in cross if space.d(*e) == dist)
+    other = [e for e in cross if e not in best]
+    inner = [edge_key(x, y) for side in (parts.a, parts.b) for x in side for y in side if x < y]
+    first = min(best)
+    variants = [best, best - {first}]
+    if other:
+        variants += [best | {other[0]}, best - {first} | {other[0]}]
+    if inner:
+        variants.append(best | {inner[0]})
+    return [SimpleGraph(parts.union, edges) for edges in variants]
+
+
+def test_verify_matches_the_pairwise_scan_on_random_semimetric_spaces():
+    answers = []
+    for seed in range(40):
+        space = random_semimetric_space(2 + seed % 5, seed)
+        for parts in all_bipartitions(space.point_set()):
+            graphs = best_pair_variants(space, parts)
+            assert build_proximinal_graph(space, parts) == graphs[0]
+            for graph in graphs:
+                answers.append(verify_proximinal_graph(graph, parts, space))
+                assert answers[-1] == scan_is_proximinal_graph(graph, parts, space)
+    assert answers.count(True) == sum(2 ** (2 + seed % 5) - 2 for seed in range(40)) < answers.count(False)
 
 
 def test_verify_fails_with_edge_deleted():

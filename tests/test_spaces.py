@@ -388,6 +388,64 @@ def test_classify_matches_axiom_scans_on_fraction_rows_past_512_bits():
         assert classify(space) is oracle_class(space.table) is expected
 
 
+def pivot_refutes(t):
+    """True iff some d(i, j) exceeds max(d(i, 0), d(0, j)): a plain scan of the triples through point 0."""
+    return any(t[i][j] > max(t[i][0], t[0][j]) for i in range(len(t)) for j in range(len(t)))
+
+
+@pytest.mark.parametrize("points, table", [
+    ([], []),
+    (["a"], [[0]]),
+    (["a", "b"], [[0, "3/2"], ["3/2", 0]]),
+    (["a", "b"], [[0, f"1/{MERSENNE_P}"], [f"1/{MERSENNE_P}", 0]]),  # Fraction rows past 512 bits
+])
+def test_classify_spaces_without_three_points_are_ultrametric(points, table):
+    space = build_space(points, table)
+    assert classify(space) is oracle_class(space.table) is SpaceClass.ULTRAMETRIC
+
+
+def test_classify_refutes_by_the_merge_loop_what_avoids_point_0():
+    # d(x, y) = bit length of x ^ y on 16 points; 8..15 all lie at 4 from point 0, so every
+    # pivot bound on their rows is 4 and only the merge loop sees a change among them
+    pts = [f"p{x:02d}" for x in range(16)]
+    for value, expected in ((4, SpaceClass.METRIC), (2, SpaceClass.METRIC), (1, SpaceClass.SEMIMETRIC)):
+        table = [[(x ^ y).bit_length() for y in range(16)] for x in range(16)]
+        table[8][12] = table[12][8] = value  # was 3: (8, 9, 12) breaks the strong triangle inequality
+        space = build_space(pts, table)
+        assert not pivot_refutes(space.table)
+        assert classify(space) is oracle_class(space.table) is expected
+
+
+def test_classify_with_point_0_tied_at_the_top_of_every_row():
+    # row 0 is one tie at the largest value, so the pivot passes every table; the other
+    # points carry a random table, at small ints, halves, or Fractions past 512 bits
+    near = Fraction(1, MERSENNE_Q)
+    seen = set()
+    for seed in range(150):
+        values = ([1, 2], [1, 2, 3], ["1/2", 1, "3/2"], [near, 2 * near, 3 * near])[seed % 4]
+        rest = random_table_space(2 + seed % 6, values, seed)
+        top = max(map(Fraction, values))
+        table = [[0] + [top] * rest.size] + [[top, *row] for row in rest.table]
+        space = build_space(["z", *rest.points], table)
+        assert not pivot_refutes(space.table)
+        assert (seed % 4 == 3) == (type(space.rows[0][1]) is Fraction)
+        got = classify(space)
+        seen.add(got)
+        assert got is oracle_class(space.table)
+    assert seen == set(SpaceClass)
+
+
+def test_classify_matches_axiom_scans_whichever_check_refutes():
+    outcomes = set()
+    for seed in range(200):
+        space = random_table_space(3 + seed % 6, ([1, 2], [1, 2, 3], ["1/2", 1, "3/2"])[seed % 3], seed)
+        got = classify(space)
+        assert got is oracle_class(space.table)
+        outcomes.add((got, pivot_refutes(space.table)))
+    non_ultrametric = {(c, refuted) for c in (SpaceClass.METRIC, SpaceClass.SEMIMETRIC) for refuted in (False, True)}
+    assert outcomes == {(SpaceClass.ULTRAMETRIC, False), *non_ultrametric}  # each class, by each check
+
+
 def integral_table(space):
     """The table with plain int entries, so that the triple scans stay fast on 128 points."""
     assert all(v.denominator == 1 for row in space.table for v in row)

@@ -5,10 +5,11 @@ import importlib
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from proxigraph import FiniteSemimetricSpace, bepaths, graphs, path_proximinal, proximinal, spaces, theorems
+from proxigraph import FiniteSemimetricSpace, bepaths, build_space, graphs, path_proximinal, proximinal, spaces, theorems
 from proxigraph.cli import main
 from proxigraph.instances import random_semimetric_space, random_ultrametric_space
 from proxigraph.theorems import (
@@ -184,6 +185,32 @@ def _p3_9_family():
             perturbed = _perturbed_within_part(base, parts, rng)
             family += [(space, parts) for space in (base, perturbed) if space is not None]
     return family
+
+
+def test_perturbation_copies_the_rows_as_the_fraction_view_did():
+    # p3.9 copied `space.table` before its one rewritten entry; its rows at scale 1 are the same copy,
+    # drawn in the same order, so the sweep checks its 2266 instances at every seed
+    for seed in range(3):
+        rng, view_rng, checked = random.Random(seed), random.Random(seed), 0
+        for graph, parts in _graphs_and_partitions(5):
+            if not graph.edges or graph.isolated_vertices() or not proximinal.is_bipartite_with_parts(graph, parts):
+                continue
+            base = proximinal.witness_proximinal_metric(graph, parts)
+            checked += 1
+            for _ in range(3):
+                perturbed = _perturbed_within_part(base, parts, rng)
+                checked += perturbed is not None
+                pairs = [(i, j) for i in range(base.size) for j in range(i + 1, base.size)
+                         if (base.points[i] in parts.a) == (base.points[j] in parts.a)]
+                if not pairs:
+                    assert perturbed is None
+                    continue
+                i, j = view_rng.choice(pairs)
+                table = [list(row) for row in base.table]
+                table[i][j] = table[j][i] = view_rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+                                                             Fraction(3)])
+                assert perturbed == build_space(base.points, table)
+        assert checked == 2266
 
 
 BEPATHS_FAST = tuple(f"bepaths.{name}" for name in (

@@ -43,6 +43,9 @@ EDITS = (
     Edit("ultrametric-no-cross-pairs", "src/proxigraph/spaces.py",
          "            if any(row[y] != w for y in big):\n", "            if False:\n",
          ("tests/test_spaces.py",)),
+    Edit("pivot-bound-min", "src/proxigraph/spaces.py",
+         "[max(row[0], v) for v in rows[0]]", "[min(row[0], v) for v in rows[0]]",
+         ("tests/test_spaces.py",)),
     Edit("packed-field-one-bit-short", "src/proxigraph/spaces.py",
          "    w = (2 * max(map(max, rows))).bit_length() + 1\n", "    w = (2 * max(map(max, rows))).bit_length()\n",
          ("tests/test_spaces.py",)),
@@ -84,7 +87,8 @@ EDITS = (
          "_rational_to_entry(Fraction(v, scale))", "_rational_to_entry(Fraction(v))",
          ("tests/test_fileio.py",)),
     Edit("truncation-rows-at-scale-1", "src/proxigraph/instances.py",
-         "(tuple(map(label, coords)), 2, rows)", "(tuple(map(label, coords)), 1, rows)",
+         "(tuple(map(label, coords)), 2, tuple(map(tuple, rows)))",
+         "(tuple(map(label, coords)), 1, tuple(map(tuple, rows)))",
          ("tests/test_instances.py",)),
     Edit("induced-memo-keyed-by-size", "src/proxigraph/graphs.py",
          "    if subset not in memo:\n"
@@ -130,6 +134,10 @@ EDITS = (
          "    if parts.union == graph.vertices and graph != build_threshold_graph(space, parts):\n",
          "    if False:\n",
          ("tests/test_cli.py", "tests/test_path_proximinal.py")),
+    Edit("proximinal-defect-counts-edges", "src/proxigraph/proximinal.py",
+         "graph.edges == build_proximinal_graph(space, parts).edges",
+         "len(graph.edges) == len(build_proximinal_graph(space, parts).edges)",
+         ("tests/test_proximinal.py",)),
     Edit("uncovered-read-as-best-pairs", "src/proxigraph/proximinal.py",
          "    if parts.union != graph.vertices:\n        return path_bipartite_defect(graph, parts)\n", "",
          ("tests/test_cli.py",)),
