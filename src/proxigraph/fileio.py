@@ -52,7 +52,8 @@ def graph_from_obj(obj: Any) -> SimpleGraph:
     edges = obj.get("edges")
     if not isinstance(edges, list):
         raise FormatError('"edges" must be a list of 2-element string lists')
-    for e in edges:
+    shaped = {*map(type, edges)} <= {list} and {*map(len, edges)} <= {2} and {*map(type, chain(*edges))} <= {str}
+    for e in () if shaped else edges:  # a failing list is rescanned in order: its first bad entry is named
         if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
             raise FormatError(f'bad edge entry {e!r}: expected a 2-element string list')
     try:

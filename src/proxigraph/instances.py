@@ -11,9 +11,11 @@ pair by pair, as the tests' oracles.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, compress, islice, starmap
 from operator import add
 from typing import Iterator, Sequence
 
@@ -245,18 +247,35 @@ def random_semimetric_space(n: int, seed: int) -> FiniteSemimetricSpace:
     return space_from_distance(labels, lambda p, q: dist[edge_key(p, q)])
 
 
+def _draws_below(rng: random.Random, p: Fraction, words: int = 8192) -> Iterator[list[bool]]:
+    """`rng.randrange(q) < a` for p = a/q, call after call, one list per chunk of about `words` words."""
+    k = p.denominator.bit_length()
+    m, s = -(-k // 32), -k % 32
+    keep, below, low, size = p.denominator << s, p.numerator << s, 32 * m - 32, words // m * m
+    while True:
+        data = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
+        keys = array("I", data) if m == 1 and sys.byteorder == "little" else [  # a word is its own key
+            d >> low + s << low + s | (d & (1 << low) - 1) << s
+            for d in (int.from_bytes(data[i:i + 4 * m], "little") for i in range(0, 4 * size, 4 * m))]
+        yield [key < below for key in keys if key < keep]
+
+
 def random_graph(n: int, edge_probability: RationalLike, seed: int) -> SimpleGraph:
-    """Seeded Erdős–Rényi graph with an exact rational edge probability."""
-    if n < 1:
-        raise ValueError(f"vertex count must be at least 1, got {n}")
+    """Seeded Erdős–Rényi graph with an exact rational edge probability a/q: the i-th pair of
+    `combinations(v1..vn, 2)` is an edge iff the i-th `random.Random(seed).randrange(q)` is below a.
+
+    In CPython `randrange(q)` repeats `getrandbits(k)`, k = q.bit_length(), until a draw is below q, and
+    `getrandbits(k)` takes ceil(k / 32) Mersenne Twister words, least significant first, dropping the low
+    s = -k % 32 bits of the last; `getrandbits(32c)` takes c words whole.  So a draw r is below q iff any
+    key in [r << s, (r + 1) << s) is below q << s, and `_draws_below` reads the words in chunks, to the same graph.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"vertex count must be an int of at least 1, got {n!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     p = to_rational(edge_probability)
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    rng = random.Random(seed)
     labels = [f"v{i}" for i in range(1, n + 1)]
-    edges = frozenset(
-        edge_key(u, v)
-        for u, v in combinations(labels, 2)
-        if rng.randrange(p.denominator) < p.numerator
-    )
-    return SimpleGraph(frozenset(labels), edges)
+    flags = chain.from_iterable(_draws_below(random.Random(seed), p))
+    return SimpleGraph(frozenset(labels), frozenset(starmap(edge_key, compress(combinations(labels, 2), flags))))

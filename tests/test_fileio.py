@@ -71,6 +71,21 @@ def test_graph_obj_validation():
         graph_from_obj({"vertices": ["a"], "edges": [["a", "a"]]})
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    (["a", "b", "a"], [["a", "b"], ["b"]], "bad edge entry ['b']: expected a 2-element string list"),
+    (["a", "b"], [["a", "z"], ["a", "b", "a"]], "bad edge entry ['a', 'b', 'a']: expected a 2-element string list"),
+    (["a", "b"], [["a", "b"], ["a", 1], "ab"], "bad edge entry ['a', 1]: expected a 2-element string list"),
+    (["a", "b"], [("a", "b"), ["a", "b"], None], "bad edge entry ('a', 'b'): expected a 2-element string list"),
+    (["a", "b", "a"], [["a", "z"]], "duplicate vertex 'a'"),
+    (["a", "b"], [["a", "z"], ["b", "b"]], "unknown edge endpoint 'z'"),
+])
+def test_graph_obj_names_the_first_of_two_defects(vertices, edges, message):
+    # every bad edge shape, in list order, is named before a bad vertex list or an unknown endpoint
+    with pytest.raises(FormatError) as info:
+        graph_from_obj({"vertices": vertices, "edges": edges})
+    assert str(info.value) == message
+
+
 def test_partition_obj_validation():
     with pytest.raises(FormatError, match='"A" must be'):
         partition_from_obj({"A": "a", "B": ["b"]})

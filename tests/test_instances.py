@@ -1,10 +1,13 @@
 """Instance generators: examples, hypercubes, enumerations, random families."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from functools import partial
+from itertools import chain, combinations, cycle, islice, product
 from pathlib import Path
 
 import pytest
@@ -19,11 +22,13 @@ from proxigraph import (
     is_path_bipartite,
     set_distance,
 )
+from proxigraph.graphs import edge_key
 from proxigraph.instances import (
     EXAMPLE_COORDINATES,
     EXAMPLE_ERRATA,
     PUBLISHED_BPATH_PAIRS,
     TruncationParams,
+    _draws_below,
     _hamming,
     all_bipartitions,
     enumerate_labeled_graphs,
@@ -285,6 +290,107 @@ def test_random_graph_probability_range():
 def test_random_graph_rejects_a_float_probability():
     with pytest.raises(ValueError, match="not a rational value"):
         random_graph(5, 0.5, 1)
+
+
+def test_random_graph_rejects_a_bool_vertex_count_and_a_non_int_seed():
+    for n in (True, False, 3.0, "3"):
+        with pytest.raises(ValueError, match="vertex count"):
+            random_graph(n, "1/2", 1)
+    for seed in (1.5, 2.0, "1", None, True, Fraction(1)):
+        with pytest.raises(ValueError, match="seed"):
+            random_graph(3, "1/2", seed)
+    for seed in (2**200 + 1, -7, 0):
+        assert random_graph(12, "1/2", seed).edges == per_pair_random_graph(12, "1/2", seed)
+
+
+def per_pair_random_graph(n, edge_probability, seed):
+    """The edges of `random_graph` as one `randrange` call per vertex pair, in `combinations` order."""
+    p = Fraction(edge_probability)
+    rng = random.Random(seed)
+    labels = [f"v{i}" for i in range(1, n + 1)]
+    return frozenset(
+        edge_key(u, v) for u, v in combinations(labels, 2) if rng.randrange(p.denominator) < p.numerator
+    )
+
+
+PROBABILITIES = [0, 1, "1/2", "1/3", "7/9", "3/1600", "1/1024",
+                 Fraction(1, 2**32 - 1), Fraction(2**32 - 1, 2**32), Fraction(1, 2**40 + 3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 130])
+def test_random_graph_is_the_per_pair_loop(n):
+    for seed, p in product(range(6), PROBABILITIES):
+        assert random_graph(n, p, seed).edges == per_pair_random_graph(n, p, seed), (seed, p)
+
+
+def test_random_graph_is_the_per_pair_loop_on_800_vertices():
+    # each of the 60 cases of the full product takes about 0.6 s on 2 shared vCPUs, so: every probability at
+    # seed 0, and the probability of the benchmark's 800-vertex graph at seeds 0-5
+    for seed, p in [(0, p) for p in PROBABILITIES] + [(seed, "3/1600") for seed in range(1, 6)]:
+        assert random_graph(800, p, seed).edges == per_pair_random_graph(800, p, seed), (seed, p)
+
+
+@pytest.mark.parametrize("p", [Fraction(2**31, 2**32 - 1), Fraction(2**63, 2**64 - 1)])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_random_graph_with_a_chunk_ending_at_the_last_pair_or_one_either_side(monkeypatch, p, shift):
+    # a draw is rejected only at 2**32 - 1 (2**64 - 1), so a chunk of 8128 + shift draws
+    # ends one pair before, at or after the 8128th pair of 128 vertices
+    words = -(-p.denominator.bit_length() // 32) * (128 * 127 // 2 + shift)
+    monkeypatch.setattr(proxigraph.instances, "_draws_below", partial(_draws_below, words=words))
+    for seed in range(2):
+        assert random_graph(128, p, seed).edges == per_pair_random_graph(128, p, seed)
+
+
+def test_random_graph_pins_the_cli_large_graphs():
+    # a change to the draw and to the loop above at once still fails here
+    digests = {1: "1069514aeb7888fc729c521c639d6777adbd9148ecfe71cffc30fd6a54482453",
+               2: "f13502981b3577c1b2137e5430a650f27679371d9a3961f272efe00849e46ce7"}
+    for seed, digest in digests.items():
+        edges = sorted(random_graph(800, "3/1600", seed).edges)
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+
+class WordStream(random.Random):
+    """A `Random` drawing the given 32-bit words: `getrandbits(k)` takes ceil(k / 32) of them, least
+    significant first, and drops the low -k % 32 bits of the last, as CPython's Mersenne Twister does."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = iter(words)
+
+    def getrandbits(self, k):
+        taken = [next(self.words) for _ in range(-(-k // 32))]
+        taken[-1] >>= -k % 32
+        return int.from_bytes(b"".join(w.to_bytes(4, "little") for w in taken[:-1]), "little") | (
+            taken[-1] << 32 * (len(taken) - 1))
+
+
+def test_word_stream_is_the_layout_of_the_mersenne_twister():
+    widths = [1, 5, 11, 31, 32, 33, 41, 63, 64, 65, 100, 32 * 7, 32 * 7 + 3]
+    for seed in range(4):
+        words, rng = random.Random(seed), random.Random(seed)
+        model = WordStream(iter(lambda: words.getrandbits(32), None))
+        assert [model.getrandbits(k) for k in widths * 3] == [rng.getrandbits(k) for k in widths * 3]
+        assert [model.randrange(q) for q in (1, 3, 1600, 2**32 - 1, 2**40 + 3)] == [
+            rng.randrange(q) for q in (1, 3, 1600, 2**32 - 1, 2**40 + 3)]
+
+
+@pytest.mark.parametrize("p", [Fraction(3, 1600), Fraction(7, 9), Fraction(1, 2**32 - 1), Fraction(1, 1),
+                               Fraction(5, 2**40 + 3), Fraction(2**32 - 1, 2**32), Fraction(5, 2**64 + 13)])
+def test_draws_at_the_keep_and_edge_bounds(p):
+    """Words at q << s and a << s, the bounds of p = a/q, and one either side, with and without the low
+    s bits that `getrandbits` drops, decide each pair as `randrange(q) < a` does, across chunks of
+    1000 words (333 draws of 3 words)."""
+    k = p.denominator.bit_length()
+    m, s = -(-k // 32), -k % 32
+    stream = []
+    for r in (p.denominator - 1, p.denominator, p.denominator + 1, p.numerator - 1, p.numerator, p.numerator + 1):
+        for junk in (0, (1 << s) - 1):
+            if 0 <= r < 1 << k:
+                stream += [(r << s | junk) >> 32 * i & 0xFFFFFFFF for i in range(m)]
+    flags = chain.from_iterable(_draws_below(WordStream(cycle(stream)), p, words=1000))
+    rng = WordStream(cycle(stream))
+    assert list(islice(flags, 3000)) == [rng.randrange(p.denominator) < p.numerator for _ in range(3000)]
 
 
 def test_tabulator_reads_each_pair_of_distinct_points_once():

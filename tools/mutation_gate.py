@@ -90,6 +90,12 @@ EDITS = (
          "(tuple(map(label, coords)), 2, tuple(map(tuple, rows)))",
          "(tuple(map(label, coords)), 1, tuple(map(tuple, rows)))",
          ("tests/test_instances.py",)),
+    Edit("bulk-draw-keep-bound-inclusive", "src/proxigraph/instances.py",
+         " if key < keep]", " if key <= keep]",
+         ("tests/test_instances.py",)),
+    Edit("bulk-draw-edge-bound-inclusive", "src/proxigraph/instances.py",
+         "[key < below for", "[key <= below for",
+         ("tests/test_instances.py",)),
     Edit("induced-memo-keyed-by-size", "src/proxigraph/graphs.py",
          "    if subset not in memo:\n"
          "        memo[subset] = tuple(connected_components(induced_subgraph(graph, subset)))\n"
