@@ -246,23 +246,22 @@ class QuotientGraph:
 def quotient_graph(graph: SimpleGraph, parts: Bipartition) -> QuotientGraph:
     """Contract the components of G[A] and G[B] and keep the B_path relation.
 
-    One union-find pass over the within-part edges yields the blocks of
-    both parts; the crossing edges then join their blocks.
+    One union-find pass over the within-part edges yields the blocks of both
+    parts and each vertex's root; each crossing edge, read from its end in A,
+    joins the numbers its part gives the roots of its ends.  O(V + E).
     """
     require_cover(graph.vertices, parts)
     in_a = parts.a
     within = (e for e in graph.edges if (e[0] in in_a) == (e[1] in in_a))
-    blocks = component_roots(graph.vertices, within)
-    a_comps = tuple(block for r, block in blocks.items() if r in in_a)
-    b_comps = tuple(block for r, block in blocks.items() if r not in in_a)
-    a_of = {v: i for i, block in enumerate(a_comps) for v in block}
-    b_of = {v: j for j, block in enumerate(b_comps) for v in block}
-    edges = set()
-    for u, v in graph.edges:
-        if (u in in_a) != (v in in_a):
-            x, y = (u, v) if u in in_a else (v, u)
-            edges.add((a_of[x], b_of[y]))
-    return QuotientGraph(a_comps, b_comps, frozenset(edges))
+    blocks, root = component_roots(graph.vertices, within)
+    comps, number = ([], []), {}  # the blocks of A and of B; each root's index in its part's list
+    for r, block in blocks.items():
+        side = comps[r not in in_a]
+        number[r] = len(side)
+        side.append(block)
+    edges = frozenset((number[root[u]], number[root[v]]) if u in in_a else (number[root[v]], number[root[u]])
+                      for u, v in graph.edges if (u in in_a) != (v in in_a))
+    return QuotientGraph(tuple(comps[0]), tuple(comps[1]), edges)
 
 
 def is_quotient_complete_bipartite(quotient: QuotientGraph) -> bool:

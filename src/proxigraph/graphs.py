@@ -74,8 +74,8 @@ class SimpleGraph:
 
     @cached_attribute
     def _blocks(self) -> dict[str, frozenset[str]]:
-        """`component_roots` of the graph, for graphs asked about many bipartitions."""
-        return component_roots(self.vertices, self.edges)
+        """The blocks `component_roots` finds in the graph, for graphs asked about many bipartitions."""
+        return component_roots(self.vertices, self.edges)[0]
 
     @cached_attribute
     def _induced(self) -> dict[frozenset[str], tuple[frozenset[str], ...]]:
@@ -180,8 +180,9 @@ def induced_bipartite_subgraph(graph: SimpleGraph, parts: Bipartition) -> Simple
 
 def component_roots(
     vertices: Iterable[str], edges: Iterable[tuple[str, str]]
-) -> dict[str, frozenset[str]]:
-    """Blocks of the graph (vertices, edges) keyed by their smallest label, in label order.
+) -> tuple[dict[str, frozenset[str]], dict[str, str]]:
+    """Blocks of the graph (vertices, edges) keyed by their smallest label, in label order,
+    and the root map: each vertex to the smallest label of its block.
 
     Union-find with path halving, inlined for speed on tiny graphs.  Each
     union hangs the larger root under the smaller, so root[v] <= v always
@@ -202,12 +203,12 @@ def component_roots(
     for v in sorted(root):  # root[v] <= v was visited already and points at its final root
         root[v] = root[root[v]]
         blocks.setdefault(root[v], []).append(v)
-    return {r: frozenset(block) for r, block in blocks.items()}
+    return {r: frozenset(block) for r, block in blocks.items()}, root
 
 
 def connected_components(graph: SimpleGraph) -> list[frozenset[str]]:
     """Vertex blocks of the maximal connected subgraphs, ordered by smallest label."""
-    return list(component_roots(graph.vertices, graph.edges).values())
+    return list(component_roots(graph.vertices, graph.edges)[0].values())
 
 
 def induced_components(graph: SimpleGraph, subset: frozenset[str]) -> tuple[frozenset[str], ...]:

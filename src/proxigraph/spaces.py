@@ -20,7 +20,8 @@ guard bit 2^(w-1) is set iff d(i, k) + d(k, j) >= d(i, j).
 
 A space also keeps what its bipartitions derive again: the row indices of each
 frozenset of points it validated, the cross minimum of each validated pair of
-frozensets (A, B), and the threshold graph per dist(A, B).
+frozensets (A, B), the threshold graph per dist(A, B), and the `Fraction` of
+each scaled value a distance question returned, made on its first ask.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache, partial
 from itertools import chain, combinations, repeat
 from math import lcm
 from operator import add, le
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .graphs import Bipartition, SimpleGraph, cached_attribute, check_label, edge_key, require_cover
 
@@ -104,6 +106,11 @@ class FiniteSemimetricSpace:
     @cached_attribute
     def _cross_minima(self) -> dict[tuple[frozenset[str], frozenset[str]], tuple]:
         return {}  # per validated (A, B): what `_cross_minimum` returns
+
+    @cached_attribute
+    def _fraction(self) -> Callable[[int | Fraction], Fraction]:
+        """Fraction(value, scale), made on the first ask of each value; a repeated ask is a C cache hit."""
+        return cache(partial(Fraction, denominator=self.scale))
 
     @cached_attribute
     def _point_set(self) -> frozenset[str]:
@@ -315,16 +322,16 @@ def classify(space: FiniteSemimetricSpace) -> SpaceClass:
 
 
 def _indices(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> tuple[int, ...]:
-    """Row indices of the distinct points of `subset`, kept per frozenset; SpaceError names unknown points."""
+    """Row indices of the distinct points of `subset`, looked up in C and kept per frozenset;
+    only a failed lookup rescans the set, for the SpaceError that names its unknown points."""
     memo, kept = space._row_indices, type(subset) is frozenset
     if kept and subset in memo:
         return memo[subset]
-    index = space.index
-    s = set(subset)
-    unknown = [p for p in s if p not in index]
-    if unknown:
-        raise SpaceError(f"{what} contains unknown points: {sorted(unknown)}")
-    rows = tuple(index[p] for p in s)
+    s = subset if kept else set(subset)
+    try:
+        rows = tuple(map(space.index.__getitem__, s))
+    except KeyError:
+        raise SpaceError(f"{what} contains unknown points: {sorted(p for p in s if p not in space)}") from None
     if kept:
         memo[subset] = rows
     return rows
@@ -352,7 +359,7 @@ def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[s
 
 def set_distance(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]) -> Fraction:
     """Minimum distance over all cross pairs of two nonempty point sets."""
-    return Fraction(_cross_minimum(space, a, b)[0], space.scale)
+    return space._fraction(_cross_minimum(space, a, b)[0])
 
 
 def best_approximations(space: FiniteSemimetricSpace, x: str, candidates: Iterable[str]) -> frozenset[str]:
@@ -382,8 +389,8 @@ def is_proximinal(space: FiniteSemimetricSpace, subset: Iterable[str]) -> bool:
 def diameter(space: FiniteSemimetricSpace, subset: Iterable[str]) -> Fraction:
     """Maximum pairwise distance within a set; 0 for empty or singleton sets."""
     s = _indices(space, subset, "subset")
-    scale, rows = space.scale, space.rows
-    return Fraction(max((rows[i][j] for i, j in combinations(s, 2)), default=0), scale)
+    rows = space.rows
+    return space._fraction(max((rows[i][j] for i, j in combinations(s, 2)), default=0))
 
 
 @dataclass(frozen=True)
@@ -403,11 +410,11 @@ class ProximityReport:
 def proximity_report(space: FiniteSemimetricSpace, parts: Bipartition) -> ProximityReport:
     """Distance between the parts, plus all pairs realizing it."""
     m, ia, ib = _cross_minimum(space, parts.a, parts.b)
-    scale, rows = space.scale, space.rows
+    rows = space.rows
     pairs = frozenset((space.points[i], space.points[j]) for i in ia for j in ib if rows[i][j] == m)
     a0 = frozenset(x for x, _ in pairs)
     b0 = frozenset(y for _, y in pairs)
-    return ProximityReport(Fraction(m, scale), a0, b0, pairs)
+    return ProximityReport(space._fraction(m), a0, b0, pairs)
 
 
 def build_threshold_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> SimpleGraph:

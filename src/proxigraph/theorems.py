@@ -104,8 +104,8 @@ def _run(sweep: str, problems: Problems, progress: Progress) -> SweepResult:
 def _describe(
     subject: SimpleGraph | FiniteSemimetricSpace, parts: Optional[Bipartition] = None
 ) -> str:
-    if isinstance(subject, FiniteSemimetricSpace):
-        txt = f"points={subject.points}"
+    if isinstance(subject, FiniteSemimetricSpace):  # d(i, j) = rows[i][j] / scale, enough for `build_space`
+        txt = f"points={subject.points} scale={subject.scale} rows={subject.rows}"
     else:
         txt = f"G(V={subject.sorted_vertices()}, E={subject.sorted_edges()})"
     if parts is not None:
@@ -143,11 +143,16 @@ def _spaces_and_partitions(
 
     Each space costs one `randint` and then one `randrange(2**32)` draw;
     `perfbench/workloads.py` replays these draws to predict instance counts.
+    The bipartitions of a point set are built once, for every space drawn on it.
     """
     rng = random.Random(seed)
+    partitions: dict[frozenset[str], list[Bipartition]] = {}
     for _ in range(count):
         space = make_space(rng.randint(2, max_points), rng.randrange(2**32))
-        for parts in all_bipartitions(space.point_set()):
+        points = space.point_set()
+        if points not in partitions:
+            partitions[points] = list(all_bipartitions(points))
+        for parts in partitions[points]:
             yield space, parts
 
 

@@ -1,5 +1,7 @@
 """Be-paths, B_path, path-completeness, quotient, canonical partitions."""
 
+import random
+
 import pytest
 
 from proxigraph import (
@@ -322,6 +324,31 @@ def test_quotient_blocks_are_the_components_of_each_part():
         q = quotient_graph(graph, parts)
         assert list(q.a_components) == connected_components(induced_subgraph(graph, parts.a))
         assert list(q.b_components) == connected_components(induced_subgraph(graph, parts.b))
+
+
+def quotient_by_definition(graph, parts):
+    """The components of G[A] and of G[B], and the block pairs some crossing edge joins."""
+    a_comps = connected_components(induced_subgraph(graph, parts.a))
+    b_comps = connected_components(induced_subgraph(graph, parts.b))
+    block = {v: i for comps in (a_comps, b_comps) for i, comp in enumerate(comps) for v in comp}
+    edges = {(block[x], block[y]) for u, v in graph.edges for x, y in ((u, v), (v, u))
+             if x in parts.a and y in parts.b}
+    return tuple(a_comps), tuple(b_comps), edges
+
+
+@pytest.mark.parametrize("n", [50, 200, 800])
+def test_quotient_matches_its_definition_on_large_random_graphs(n):
+    for seed in range(2):
+        graph = random_graph(n, f"3/{2 * n}", seed)
+        labels = sorted(graph.vertices, key=lambda v: int(v[1:]))
+        drawn = frozenset(random.Random(seed).sample(labels, n // 2))
+        crossing_from_b = 0
+        for a in (frozenset(labels[::2]), drawn):  # odd/even parts, then random ones
+            parts = Bipartition(a, graph.vertices - a)
+            q = quotient_graph(graph, parts)
+            assert (q.a_components, q.b_components, q.edges) == quotient_by_definition(graph, parts)
+            crossing_from_b += sum(u in parts.b and v in parts.a for u, v in graph.edges)
+        assert crossing_from_b  # some crossing edge is stored with its end in B first
 
 
 def test_find_path_bipartite_partition_k2():

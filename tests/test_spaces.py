@@ -637,6 +637,8 @@ def distance_layer_spaces():
     ab = Fraction(1, p) + Fraction(1, q)
     f = Fraction
     return [
+        # integer distances: scale 1
+        built_from(["a", "b", "c", "d"], [[0, 1, 2, 2], [1, 0, 3, 1], [2, 3, 0, 2], [2, 1, 2, 0]]),
         # mixed denominators 3, 2, 6 with ties at the minimum 1/3
         built_from(["a", "b", "c", "d"], [[0, "1/3", "1/3", "5/6"], ["1/3", 0, "1/2", "1/3"],
                                           ["1/3", "1/2", 0, "1/2"], ["5/6", "1/3", "1/2", 0]]),
@@ -662,12 +664,14 @@ def test_distance_layer_matches_plain_fraction_scans():
         for parts in all_bipartitions(space.point_set()):
             dist = set_distance(space, parts.a, parts.b)
             assert type(dist) is Fraction and dist == scan_set_distance(d, parts.a, parts.b)
+            assert set_distance(space, parts.a, parts.b) is dist  # one Fraction per value asked
             report = proximity_report(space, parts)
             pairs = {(x, y) for x in parts.a for y in parts.b if d[x, y] == dist}
-            assert report.distance == dist and report.pairs == pairs
+            assert report.distance is dist and report.pairs == pairs
             assert report.a0 == {x for x, _ in pairs} and report.b0 == {y for _, y in pairs}
             for part in (parts.a, parts.b):
                 assert diameter(space, part) == max(d[x, y] for x in part for y in part)
+                assert diameter(space, list(part)) is diameter(space, part)
                 for x in space.points:
                     best = min(d[x, y] for y in part)
                     assert best_approximations(space, x, part) == {y for y in part if d[x, y] == best}
@@ -675,6 +679,21 @@ def test_distance_layer_matches_plain_fraction_scans():
             assert build_threshold_graph(space, parts).edges == edges
             within_part_ties += any(d[x, y] == dist for x, y in edges if (x in parts.a) == (y in parts.a))
     assert within_part_ties  # some threshold equals a within-part distance, so `<=` vs `<` shows
+
+
+@pytest.mark.parametrize("make", [list, iter, set, frozenset], ids=["list", "generator", "set", "frozenset"])
+def test_unknown_point_messages_name_the_sorted_unknown_points(make):
+    space = random_semimetric_space(4, 2)
+    known = sorted(space.points)
+    bad = ["zz", known[0], "aa", known[1], "zz"]
+    for query, message in ((lambda s: set_distance(space, s, known[2:]), "first set"),
+                           (lambda s: set_distance(space, known[2:], s), "second set"),
+                           (lambda s: diameter(space, s), "subset"),
+                           (lambda s: is_proximinal(space, s), "subset"),
+                           (lambda s: best_approximations(space, known[2], s), "candidate set")):
+        with pytest.raises(SpaceError) as caught:
+            query(make(bad))
+        assert str(caught.value) == f"{message} contains unknown points: ['aa', 'zz']"
 
 
 # the per-space memos: one threshold graph per dist(A, B), row indices per frozenset

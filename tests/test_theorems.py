@@ -1,17 +1,30 @@
 """Sweep smoke runs at small bounds; the full bounds run in the acceptance suite."""
 
+import ast
 import functools
 import importlib
+import operator
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from proxigraph import FiniteSemimetricSpace, bepaths, build_space, graphs, path_proximinal, proximinal, spaces, theorems
+from proxigraph import (
+    Bipartition,
+    FiniteSemimetricSpace,
+    bepaths,
+    build_space,
+    graphs,
+    path_proximinal,
+    proximinal,
+    spaces,
+    theorems,
+)
 from proxigraph.cli import main
-from proxigraph.instances import random_semimetric_space, random_ultrametric_space
+from proxigraph.instances import all_bipartitions, random_semimetric_space, random_ultrametric_space
 from proxigraph.theorems import (
     SWEEPS,
     SweepSpec,
@@ -149,6 +162,51 @@ def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, 
     assert not result.ok
     assert result.checked == clean.checked
     assert all(name in result.counterexamples[0] for name in names)
+
+
+def test_space_counterexample_line_rebuilds_the_space(monkeypatch):
+    bounds = dict(count=10, max_points=5, seed=1)
+    space, parts = next(_spaces_and_partitions(random_semimetric_space, *bounds.values()))
+    assert space.scale > 1  # the line must carry the scale, not only the rows
+    monkeypatch.setattr(theorems, "check_structural_conditions", _negated(theorems.check_structural_conditions))
+    line = sweep_t3_5(**bounds).counterexamples[0]  # negated, the route fails on the first instance
+    found = re.fullmatch(r"points=(.*) scale=(\d+) rows=(.*) A=(.*) B=(.*): structural=.*", line)
+    points, scale, rows, a, b = map(ast.literal_eval, found.groups())
+    rebuilt = build_space(points, [[Fraction(v, scale) for v in row] for row in rows])
+    assert rebuilt == space and Bipartition.of(a, b) == parts
+    answers = (theorems.check_structural_conditions(rebuilt, parts),
+               bepaths.is_path_bipartite(spaces.build_threshold_graph(rebuilt, parts), parts))
+    assert theorems._compare((rebuilt, parts), ("structural", "path-bipartite"), answers) == [line]
+
+
+@pytest.mark.parametrize("make_space", [random_ultrametric_space, random_semimetric_space])
+def test_space_family_shares_one_bipartition_list_per_point_set(make_space):
+    repeats = 0
+    for seed in range(4):
+        family = list(_spaces_and_partitions(make_space, 12, 5, seed))
+        rng = random.Random(seed)
+        drawn = [make_space(rng.randint(2, 5), rng.randrange(2**32)) for _ in range(12)]
+        assert family == [(space, parts) for space in drawn for parts in all_bipartitions(space.point_set())]
+        first, at = {}, 0  # per point set: the Bipartition objects its first space was given
+        for space in drawn:
+            given = [parts for _, parts in family[at:at + 2 ** space.size - 2]]
+            at += len(given)
+            shared = first.setdefault(space.point_set(), given)
+            repeats += shared is not given
+            assert all(map(operator.is_, given, shared))
+    assert repeats
+
+
+def test_space_family_gives_each_label_set_its_own_bipartitions():
+    calls = iter(range(12))
+
+    def relabelled(n, seed):  # one size, two label sets, alternating
+        prefix = "xy"[next(calls) % 2]
+        return build_space([f"{prefix}{i}" for i in range(3)], [[int(i != j) for j in range(3)] for i in range(3)])
+
+    family = list(_spaces_and_partitions(relabelled, 6, 4, 0))
+    assert len(family) == 6 * 6 and {space.points[0][0] for space, _ in family} == {"x", "y"}
+    assert all(parts.union == space.point_set() for space, parts in family)
 
 
 def _all_ones_table(graph):

@@ -104,6 +104,21 @@ EDITS = (
          "        memo[len(subset)] = tuple(connected_components(induced_subgraph(graph, subset)))\n"
          "    return memo[len(subset)]\n",
          ("tests/test_graphs.py",)),
+    Edit("partition-list-keyed-by-size", "src/proxigraph/theorems.py",
+         "        if points not in partitions:\n"
+         "            partitions[points] = list(all_bipartitions(points))\n"
+         "        for parts in partitions[points]:\n",
+         "        if len(points) not in partitions:\n"
+         "            partitions[len(points)] = list(all_bipartitions(points))\n"
+         "        for parts in partitions[len(points)]:\n",
+         ("tests/test_theorems.py",)),
+    Edit("fraction-memo-drops-scale", "src/proxigraph/spaces.py",
+         "cache(partial(Fraction, denominator=self.scale))", "cache(Fraction)",
+         ("tests/test_spaces.py",)),
+    Edit("quotient-crossing-edge-unoriented", "src/proxigraph/bepaths.py",
+         "(number[root[u]], number[root[v]]) if u in in_a else (number[root[v]], number[root[u]])",
+         "(number[root[u]], number[root[v]])",
+         ("tests/test_bepaths.py",)),
     Edit("adjacency-non-edges-at-3", "src/proxigraph/proximinal.py",
          "[[2] * i + [0] + [2] * (n - 1 - i) for i in range(n)]", "[[3] * i + [0] + [3] * (n - 1 - i) for i in range(n)]",
          ("tests/test_proximinal.py",)),
