@@ -126,7 +126,7 @@ def check_within_part_separation(space: FiniteSemimetricSpace, parts: Bipartitio
     """True iff all distinct same-part pairs are strictly farther than dist(A, B)."""
     require_cover(space.point_set(), parts, "point set")
     threshold = set_distance(space, parts.a, parts.b)
-    return all(space.d(x, y) > threshold for part in (parts.a, parts.b) for x, y in combinations(sorted(part), 2))
+    return all(space.d(x, y) > threshold for part in (parts.a, parts.b) for x, y in combinations(part, 2))
 
 
 def all_degrees_one(graph: SimpleGraph) -> bool:

@@ -7,16 +7,18 @@ scale 1.  `build_space` converts each distinct entry once and validates the
 rows; `classify`, every dist(A, B) question and `build_threshold_graph`
 compare them, and floating point never enters.  `d()`, `table`, reports and
 files give `fractions.Fraction`s; `table` is a view of the rows, built on
-first read.  `classify` tests the strong triangle inequality on the
-triples through point 0, one row comparison in C per point, then by single
-linkage in O(n² log n); on a table that fails it, it tests the triangle
-inequality by a packed-field test in O(n²) big-int operations (Lamport
-1975, "Multiple byte processing with full-word instructions"): each int row
-is one Python int with a w-bit field per point, w = (2·max entry).bit_length()
-+ 1.  Field k of P_i + P_j + G - d(i, j)·ONES is d(i, k) + d(k, j) + 2^(w-1) -
-d(i, j), which lies in [0, 2^w) as entries are nonnegative and 2·max <
-2^(w-1), so no field borrows from or carries into its neighbour, and its
-guard bit 2^(w-1) is set iff d(i, k) + d(k, j) >= d(i, j).
+first read.  `classify` decides the class of int rows in one packed-field
+pass of O(n²) big-int operations (Lamport 1975, "Multiple byte processing
+with full-word instructions"): row i is one Python int P_i with a w-bit field
+per point, d(i, k) in field k, w = (2·max entry).bit_length() + 1; G holds
+the guard bit 2^(w-1) of every field and ONES a 1 in every field.  Per pair
+i < j at d = d(i, j), field k of S_i = P_i + G - d·ONES is
+d(i, k) + 2^(w-1) - d, and field k of S_i + P_j is d(i, k) + d(k, j) +
+2^(w-1) - d.  Entries are nonnegative and 2·max < 2^(w-1), so both lie in
+[0, 2^w): no field borrows from or carries into its neighbour.  Field k of
+S_i keeps its guard bit iff d(i, k) >= d, so the strong triangle inequality
+holds at (i, j) iff (S_i | S_j) & G == G, and the triangle inequality iff
+(S_i + P_j) & G == G.
 
 A space also keeps what its bipartitions derive again: the row indices of each
 frozenset of points it validated, the cross minimum of each validated pair of
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, repeat
 from math import lcm
-from operator import add, le
+from operator import add
 from typing import Callable, Iterable, Sequence, Union
 
 from .graphs import Bipartition, SimpleGraph, cached_attribute, check_label, edge_key, require_cover
@@ -121,7 +123,7 @@ class FiniteSemimetricSpace:
 
     def d(self, x: str, y: str) -> Fraction:
         try:
-            return self.table[self.index[x]][self.index[y]]
+            return self._fraction(self.rows[self.index[x]][self.index[y]])
         except KeyError as exc:
             raise SpaceError(f"unknown point {exc.args[0]!r}") from None
 
@@ -234,45 +236,11 @@ def space_from_distance(points: Sequence[str], dist_fn) -> FiniteSemimetricSpace
     return build_space(pts, table)
 
 
-def _is_ultrametric(rows: Sequence[Sequence]) -> bool:
-    """The pivot row of point 0, then single linkage (Gower & Ross 1969) over the pairs by distance.
+def _packed_class(rows: Sequence[Sequence[int]]) -> SpaceClass:
+    """Axiom class of nonnegative int rows, by one packed-field pass (see the module docstring).
 
-    The triples through point 0 are checked first, row by row in C: d(i, j) <= max(d(i, 0),
-    d(0, j)), so a table that fails there is refuted before any sort.  Single linkage: pairs
-    below a level w already share a cluster, so the cross pairs of a merge at level w lie at
-    w or above.  The table is ultrametric iff all of them lie at w: then it equals its
-    single-linkage ultrametric.  Each pair is checked once.
-    """
-    bounds = {}  # per distinct d(i, 0), built when first met: the row of max(d(i, 0), d(0, j)) over j
-    for row in rows:
-        if row[0] not in bounds:
-            bounds[row[0]] = [max(row[0], v) for v in rows[0]]
-        if not all(map(le, row, bounds[row[0]])):
-            return False
-    cluster = [[i] for i in range(len(rows))]  # cluster[i]: the members of the cluster holding i
-    for w, i, j in sorted((w, i, j) for i, row in enumerate(rows) for j, w in enumerate(row[:i])):
-        small, big = cluster[i], cluster[j]
-        if small is big:
-            continue
-        if len(small) > len(big):
-            small, big = big, small
-        for x in small:
-            row = rows[x]
-            if any(row[y] != w for y in big):
-                return False
-        for x in small:
-            cluster[x] = big
-        big += small
-    return True
-
-
-def _breaks_triangle(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff d(i, k) + d(k, j) < d(i, j) for some i, j, k, on nonnegative int rows.
-
-    Row i is packed into P_i, field k (bits k·w up to (k+1)·w) holding d(i, k); G holds
-    the guard bit 2^(w-1) and ONES a 1 in every field.  Per pair i < j, one sum tests
-    every k at once: field k of P_i + P_j + G - d(i, j)·ONES keeps its guard bit iff
-    d(i, k) + d(k, j) >= d(i, j), and no field borrows (see the module docstring).
+    A pair that passes the strong test passes the triangle test, so the triangle test
+    runs only from the first pair that fails the strong test on.
     """
     n = len(rows)
     w = (2 * max(map(max, rows))).bit_length() + 1
@@ -280,36 +248,44 @@ def _breaks_triangle(rows: Sequence[Sequence[int]]) -> bool:
     guards = ones << (w - 1)
     field = {v: format(v, f"0{w}b") for v in set(chain.from_iterable(rows))}.__getitem__
     packed = [int("".join(map(field, reversed(row))), 2) for row in rows]  # field 0 lowest
+    ultrametric = True
     for i, row in enumerate(rows):
-        base, shifted = packed[i] + guards, {}  # shifted[d] = P_i + G - d·ONES, per value in row i
+        base, shifted = packed[i], {}  # shifted[d] = (G - d·ONES, S_i), per value in row i
         for j in range(i + 1, n):
             d = row[j]
             if d not in shifted:
-                shifted[d] = base - d * ones
-            if (shifted[d] + packed[j]) & guards != guards:
-                return True
-    return False
+                low = guards - d * ones
+                shifted[d] = low, base + low
+            low, s_i = shifted[d]
+            if ultrametric:
+                if (s_i | (packed[j] + low)) & guards == guards:
+                    continue
+                ultrametric = False
+            if (s_i + packed[j]) & guards != guards:
+                return SpaceClass.SEMIMETRIC
+    return SpaceClass.ULTRAMETRIC if ultrametric else SpaceClass.METRIC
 
 
 def _table_class(rows: Sequence[Sequence]) -> SpaceClass:
     """Axiom class of the scaled rows of a distance table.
 
-    An ultrametric table is metric.  Otherwise int rows take the packed-field test.
-    Fraction rows (past the 512-bit common denominator) take a scan: as d(i, i) = 0,
-    the minimum over k of d(i, k) + d(k, j) is at most d(i, j), and below it iff some
-    k breaks the triangle inequality.
+    Int rows take the packed-field pass.  Fraction rows (past the 512-bit common
+    denominator) take a scan per inequality: as d(i, i) = 0, the minimum over k of
+    op(d(i, k), d(k, j)) is at most d(i, j) for op = max and op = add, and below it
+    iff some k breaks the strong triangle inequality (max) or the triangle inequality (add).
     """
-    if _is_ultrametric(rows):
+    if len(rows) < 3:
         return SpaceClass.ULTRAMETRIC
     if type(rows[0][0]) is int:
-        broken = _breaks_triangle(rows)
-    else:
-        broken = any(
-            min(map(add, row_i, row_j)) < row_i[j]
+        return _packed_class(rows)
+    for op, verdict in ((max, SpaceClass.ULTRAMETRIC), (add, SpaceClass.METRIC)):
+        if not any(
+            min(map(op, row_i, row_j)) < row_i[j]
             for i, row_i in enumerate(rows)
             for j, row_j in enumerate(rows[i + 1:], i + 1)
-        )
-    return SpaceClass.SEMIMETRIC if broken else SpaceClass.METRIC
+        ):
+            return verdict
+    return SpaceClass.SEMIMETRIC
 
 
 def classify(space: FiniteSemimetricSpace) -> SpaceClass:

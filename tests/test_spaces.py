@@ -404,9 +404,9 @@ def test_classify_spaces_without_three_points_are_ultrametric(points, table):
     assert classify(space) is oracle_class(space.table) is SpaceClass.ULTRAMETRIC
 
 
-def test_classify_refutes_by_the_merge_loop_what_avoids_point_0():
-    # d(x, y) = bit length of x ^ y on 16 points; 8..15 all lie at 4 from point 0, so every
-    # pivot bound on their rows is 4 and only the merge loop sees a change among them
+def test_classify_refutes_what_avoids_point_0():
+    # d(x, y) = bit length of x ^ y on 16 points; 8..15 all lie at 4 from point 0, so the
+    # triples through point 0 cannot see a change among them
     pts = [f"p{x:02d}" for x in range(16)]
     for value, expected in ((4, SpaceClass.METRIC), (2, SpaceClass.METRIC), (1, SpaceClass.SEMIMETRIC)):
         table = [[(x ^ y).bit_length() for y in range(16)] for x in range(16)]
@@ -417,7 +417,7 @@ def test_classify_refutes_by_the_merge_loop_what_avoids_point_0():
 
 
 def test_classify_with_point_0_tied_at_the_top_of_every_row():
-    # row 0 is one tie at the largest value, so the pivot passes every table; the other
+    # row 0 is one tie at the largest value, so every triple through it holds; the other
     # points carry a random table, at small ints, halves, or Fractions past 512 bits
     near = Fraction(1, MERSENNE_Q)
     seen = set()
@@ -524,10 +524,12 @@ def test_queries_and_the_writer_never_build_the_fraction_view(tmp_path):
         space_to_obj(space)
         assert "table" not in vars(space)
         space.d(space.points[0], space.points[1])
-        assert "table" in vars(space)  # the first read of d() builds it
+        assert "table" not in vars(space)  # d() reads the rows
+        space.table
+        assert "table" in vars(space)  # the first read of the view builds it
 
 
-# edge cases of the packed-field triangle test, each checked against the ordered-triple scans
+# edge cases of the packed-field pass, each checked against the ordered-triple scans
 
 def line_space(positions):
     """Points on a line at the given rational positions: every triangle through a middle point is tight."""
@@ -605,6 +607,68 @@ def test_packed_test_agrees_with_axiom_scans_on_random_int_tables():
         seen.add(got)
         assert got is oracle_class(space.table)
     assert seen == set(SpaceClass)
+
+
+@pytest.mark.parametrize("top", [4, 8, 16, 3, 7, 15])
+def test_packed_strong_test_at_field_width_boundaries(top):
+    # d(a, b) = 1 and every other pair at top: ultrametric; field c of S_a at d(a, b) = 1 and
+    # field a of S_a at d(a, c) = top sit top - 1 above and top below the guard bit, the
+    # ends of the range that a table with largest entry top can give
+    points = ["a", "b", "c", "e"]
+    table = [[0, 1, top, top], [1, 0, top, top], [top, top, 0, top], [top, top, top, 0]]
+    space = build_space(points, table)
+    assert classify(space) is oracle_class(space.table) is SpaceClass.ULTRAMETRIC
+    for pairs, value, expected in (
+        ([(2, 3)], top - 1, SpaceClass.ULTRAMETRIC),  # one pair of the top cluster lowered
+        ([(0, 3)], top - 1, SpaceClass.METRIC),  # (a, e, c): top over max(top - 1, top - 1)
+        ([(0, 3), (2, 3)], 1, SpaceClass.SEMIMETRIC),  # (a, e, c): top over 1 + 1
+    ):
+        for x, y in pairs:
+            table[x][y] = table[y][x] = value
+        space = build_space(points, table)
+        assert classify(space) is oracle_class(space.table) is expected
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+def test_packed_pass_finds_a_strong_violation_at_the_first_middle_or_last_pair(place):
+    # every entry 2 except one (1, 1, 2) triangle: metric, and the strong triangle
+    # inequality breaks only at the pair at 2 of that triangle, put at the first, a
+    # middle or the last pair i < j in the order of the pass
+    n = 8
+    i, j = {"first": (0, 1), "middle": (3, 5), "last": (n - 2, n - 1)}[place]
+    k = next(k for k in range(n) if k not in (i, j))
+    table = [[0 if x == y else 2 for y in range(n)] for x in range(n)]
+    for x, y in ((i, k), (k, j)):
+        table[x][y] = table[y][x] = 1
+    space = build_space([f"p{x}" for x in range(n)], table)
+    assert classify(space) is oracle_class(space.table) is SpaceClass.METRIC
+    table[i][j] = table[j][i] = 3  # now (i, k, j) breaks the triangle inequality too
+    space = build_space([f"p{x}" for x in range(n)], table)
+    assert classify(space) is oracle_class(space.table) is SpaceClass.SEMIMETRIC
+
+
+def test_packed_pass_on_a_64_point_bit_length_ultrametric():
+    table = [[(x ^ y).bit_length() for y in range(64)] for x in range(64)]
+    space = build_space([f"p{x:02d}" for x in range(64)], table)
+    assert classify(space) is oracle_class(space.table) is SpaceClass.ULTRAMETRIC
+    table[40][45] = table[45][40] = 4  # was 3: (40, 41, 45) breaks only the strong triangle inequality
+    space = build_space(space.points, table)
+    assert classify(space) is oracle_class(space.table) is SpaceClass.METRIC
+
+
+def test_fraction_rows_past_512_bits_take_both_scans():
+    unit = Fraction(1, MERSENNE_Q)
+    table = [[(x ^ y).bit_length() * unit for y in range(8)] for x in range(8)]
+    space = build_space([f"p{x}" for x in range(8)], table)
+    assert space.scale == 1 and type(space.rows[0][1]) is Fraction
+    assert classify(space) is oracle_class(space.table) is SpaceClass.ULTRAMETRIC
+    # d(0, 2) is 2 units and d(2, 3) 1 unit, so d(0, 3) keeps the strong triangle inequality
+    # at 2 units only, and the triangle inequality from 1 to 3 units
+    for value, expected in ((unit, SpaceClass.METRIC), (2 * unit, SpaceClass.ULTRAMETRIC),
+                            (3 * unit, SpaceClass.METRIC), (4 * unit, SpaceClass.SEMIMETRIC)):
+        table[0][3] = table[3][0] = value
+        space = build_space(space.points, table)
+        assert classify(space) is oracle_class(space.table) is expected
 
 
 def test_classify_8_cube_is_metric():

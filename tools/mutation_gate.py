@@ -40,11 +40,14 @@ EDITS = (
     Edit("symmetry-against-itself", "src/proxigraph/spaces.py",
          "            if row[j] != rows[j][i]:\n", "            if row[j] != row[j]:\n",
          ("tests/test_spaces.py",)),
-    Edit("ultrametric-no-cross-pairs", "src/proxigraph/spaces.py",
-         "            if any(row[y] != w for y in big):\n", "            if False:\n",
+    Edit("strong-guards-anded", "src/proxigraph/spaces.py",
+         "if (s_i | (packed[j] + low)) & guards == guards:", "if (s_i & (packed[j] + low)) & guards == guards:",
          ("tests/test_spaces.py",)),
-    Edit("pivot-bound-min", "src/proxigraph/spaces.py",
-         "[max(row[0], v) for v in rows[0]]", "[min(row[0], v) for v in rows[0]]",
+    Edit("ultra-never-refuted", "src/proxigraph/spaces.py",
+         "                ultrametric = False\n", "",
+         ("tests/test_spaces.py",)),
+    Edit("fraction-ultra-scan-adds", "src/proxigraph/spaces.py",
+         "((max, SpaceClass.ULTRAMETRIC)", "((add, SpaceClass.ULTRAMETRIC)",
          ("tests/test_spaces.py",)),
     Edit("packed-field-one-bit-short", "src/proxigraph/spaces.py",
          "    w = (2 * max(map(max, rows))).bit_length() + 1\n", "    w = (2 * max(map(max, rows))).bit_length()\n",
