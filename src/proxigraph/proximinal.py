@@ -12,7 +12,7 @@ from typing import Optional
 
 from .bepaths import path_bipartite_defect
 from .graphs import Bipartition, GraphError, SimpleGraph, edge_key, require_cover
-from .spaces import FiniteSemimetricSpace, is_proximinal, proximity_report
+from .spaces import FiniteSemimetricSpace, proximity_report
 
 
 def adjacency_metric(graph: SimpleGraph) -> FiniteSemimetricSpace:
@@ -54,8 +54,7 @@ def proximinal_graph_defect(graph: SimpleGraph, parts: Bipartition, space: Finit
     require_same_points(graph, parts, space)
     if parts.union != graph.vertices:
         return path_bipartite_defect(graph, parts)
-    proximinal_parts = is_proximinal(space, parts.a) and is_proximinal(space, parts.b)
-    return None if proximinal_parts and graph.edges == build_proximinal_graph(space, parts).edges else ("best-pairs",)
+    return None if graph.edges == build_proximinal_graph(space, parts).edges else ("best-pairs",)
 
 
 def verify_proximinal_graph(graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace) -> bool:

@@ -20,10 +20,10 @@ S_i keeps its guard bit iff d(i, k) >= d, so the strong triangle inequality
 holds at (i, j) iff (S_i | S_j) & G == G, and the triangle inequality iff
 (S_i + P_j) & G == G.
 
-A space also keeps what its bipartitions derive again: the row indices of each
-frozenset of points it validated, the cross minimum of each validated pair of
-frozensets (A, B), the threshold graph per dist(A, B), and the `Fraction` of
-each scaled value a distance question returned, made on its first ask.
+A space also keeps what its bipartitions derive again: the cross minimum of
+each validated pair of frozensets (A, B), the threshold graph per dist(A, B),
+and the `Fraction` of each scaled value a distance question returned, made on
+its first ask.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class FiniteSemimetricSpace:
     @cached_attribute
     def space_class(self) -> SpaceClass:
         return _table_class(self.rows)
-
-    @cached_attribute
-    def _row_indices(self) -> dict[frozenset[str], tuple[int, ...]]:
-        return {}  # per validated frozenset of points: its row indices
 
     @cached_attribute
     def _threshold_graphs(self) -> dict[int | Fraction, SimpleGraph]:
@@ -298,19 +294,13 @@ def classify(space: FiniteSemimetricSpace) -> SpaceClass:
 
 
 def _indices(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> tuple[int, ...]:
-    """Row indices of the distinct points of `subset`, looked up in C and kept per frozenset;
-    only a failed lookup rescans the set, for the SpaceError that names its unknown points."""
-    memo, kept = space._row_indices, type(subset) is frozenset
-    if kept and subset in memo:
-        return memo[subset]
-    s = subset if kept else set(subset)
+    """Row indices of the distinct points of `subset`, looked up in C (a frozenset is not
+    copied); only a failed lookup rescans the set, for the SpaceError that names its unknown points."""
+    s = frozenset(subset)
     try:
-        rows = tuple(map(space.index.__getitem__, s))
+        return tuple(map(space.index.__getitem__, s))
     except KeyError:
         raise SpaceError(f"{what} contains unknown points: {sorted(p for p in s if p not in space)}") from None
-    if kept:
-        memo[subset] = rows
-    return rows
 
 
 def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]):
@@ -422,16 +412,16 @@ def check_theorem_2_1(space: FiniteSemimetricSpace, parts: Bipartition) -> tuple
       1. diam(B) <= dist(A, B);
       2. A0 is proximinal, B0 = B, and every pair in A0 x B0 attains
          dist(A, B).
-    Both are evaluated independently and returned as (stmt1, stmt2).
+    Both are evaluated independently and returned as (stmt1, stmt2).  A0 is
+    nonempty, as dist(A, B) is attained, and every nonempty subset of a finite
+    space is proximinal, so statement 2 does not test it.
     """
     if classify(space) is not SpaceClass.ULTRAMETRIC:
         raise SpaceError("the diameter equivalence is stated for ultrametric spaces only")
     report = proximity_report(space, parts)
     stmt1 = diameter(space, parts.b) <= report.distance
     stmt2 = (
-        bool(report.a0)
-        and is_proximinal(space, report.a0)
-        and report.b0 == parts.b
+        report.b0 == parts.b
         # the listed pairs lie in A0 x B0, so all of it attains dist(A, B) iff all of it is listed
         and len(report.pairs) == len(report.a0) * len(report.b0)
     )

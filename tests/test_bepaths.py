@@ -188,6 +188,15 @@ def test_enumerate_rejects_large_graphs():
         enumerate_be_paths(g, Bipartition.of(labels[:1], labels[1:]))
 
 
+def test_enumerate_accepts_a_graph_at_the_bound():
+    labels = [f"v{i}" for i in range(10)]
+    g = build_graph(labels, [[labels[i], labels[i + 1]] for i in range(9)])
+    paths = {w.path for w in enumerate_be_paths(g, Bipartition.of(labels[:5], labels[5:]))}
+    # each subpath through the crossing edge v4-v5, from either end
+    spans = {tuple(labels[i:j]) for i in range(5) for j in range(6, 11)}
+    assert paths == spans | {path[::-1] for path in spans} and len(paths) == 50
+
+
 def _some_instances():
     yield from _graphs_and_partitions(4)
     yield example_3_7()

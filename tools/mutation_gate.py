@@ -165,6 +165,13 @@ EDITS = (
     Edit("uncovered-read-as-best-pairs", "src/proxigraph/proximinal.py",
          "    if parts.union != graph.vertices:\n        return path_bipartite_defect(graph, parts)\n", "",
          ("tests/test_cli.py",)),
+    Edit("fraction-rows-from-512-bits", "src/proxigraph/spaces.py",
+         "        if scale.bit_length() > 512:\n", "        if scale.bit_length() >= 512:\n",
+         ("tests/test_spaces.py",)),
+    Edit("enumeration-bound-inclusive", "src/proxigraph/bepaths.py",
+         "    if len(graph.vertices) > DEFAULT_ENUMERATION_BOUND:\n",
+         "    if len(graph.vertices) >= DEFAULT_ENUMERATION_BOUND:\n",
+         ("tests/test_bepaths.py",)),
 )
 
 
