@@ -15,7 +15,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, islice, starmap
+from functools import partial
+from itertools import chain, combinations, compress, islice, repeat, starmap
 from operator import add
 from typing import Iterator, Sequence
 
@@ -186,13 +187,13 @@ def _subsets_in_mask_order(items: Sequence) -> Iterator[frozenset]:
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[SimpleGraph]:
-    """All 2**(n(n-1)/2) labeled graphs on vertices v1..vn, in bitmask order over the sorted pairs."""
+    """All 2**(n(n-1)/2) labeled graphs on vertices v1..vn, in bitmask order over the sorted pairs, read lazily;
+    n is checked at the call."""
     if not 1 <= n <= MAX_ENUMERATION_VERTICES:
         raise ValueError(f"vertex count must be in 1..{MAX_ENUMERATION_VERTICES}, got {n}")
     labels = [f"v{i}" for i in range(1, n + 1)]
-    vertex_set = frozenset(labels)
-    for edges in _subsets_in_mask_order([edge_key(u, v) for u, v in combinations(labels, 2)]):
-        yield SimpleGraph(vertex_set, edges)
+    pairs = [edge_key(u, v) for u, v in combinations(labels, 2)]
+    return map(partial(SimpleGraph, frozenset(labels)), _subsets_in_mask_order(pairs))
 
 
 def all_bipartitions(vertices: frozenset[str] | set[str]) -> Iterator[Bipartition]:
@@ -248,15 +249,16 @@ def random_semimetric_space(n: int, seed: int) -> FiniteSemimetricSpace:
 
 
 def _draws_below(rng: random.Random, p: Fraction, words: int = 8192) -> Iterator[list[bool]]:
-    """`rng.randrange(q) < a` for p = a/q, call after call, one list per chunk of about `words` words."""
-    k = p.denominator.bit_length()
-    m, s = -(-k // 32), -k % 32
-    keep, below, low, size = p.denominator << s, p.numerator << s, 32 * m - 32, words // m * m
+    """`rng.randrange(q) < a` for p = a/q with q < 2**32, call after call, one list per chunk of `words` words.
+
+    In CPython `randrange(q)` repeats `getrandbits(k)`, k = q.bit_length(), until a draw is below q, and
+    `getrandbits(k)` is one Mersenne Twister word less its low s = 32 - k bits, below q (a) iff the word
+    is below q << s (a << s).
+    """
+    s = -p.denominator.bit_length() % 32
+    keep, below = p.denominator << s, p.numerator << s
     while True:
-        data = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
-        keys = array("I", data) if m == 1 and sys.byteorder == "little" else [  # a word is its own key
-            d >> low + s << low + s | (d & (1 << low) - 1) << s
-            for d in (int.from_bytes(data[i:i + 4 * m], "little") for i in range(0, 4 * size, 4 * m))]
+        keys = array("I", rng.getrandbits(32 * words).to_bytes(4 * words, "little"))
         yield [key < below for key in keys if key < keep]
 
 
@@ -264,10 +266,8 @@ def random_graph(n: int, edge_probability: RationalLike, seed: int) -> SimpleGra
     """Seeded Erdős–Rényi graph with an exact rational edge probability a/q: the i-th pair of
     `combinations(v1..vn, 2)` is an edge iff the i-th `random.Random(seed).randrange(q)` is below a.
 
-    In CPython `randrange(q)` repeats `getrandbits(k)`, k = q.bit_length(), until a draw is below q, and
-    `getrandbits(k)` takes ceil(k / 32) Mersenne Twister words, least significant first, dropping the low
-    s = -k % 32 bits of the last; `getrandbits(32c)` takes c words whole.  So a draw r is below q iff any
-    key in [r << s, (r + 1) << s) is below q << s, and `_draws_below` reads the words in chunks, to the same graph.
+    For q < 2**32 on a little-endian machine `_draws_below` reads the words in chunks, to the same graph;
+    a wider q calls `randrange` per pair.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"vertex count must be an int of at least 1, got {n!r}")
@@ -277,5 +277,9 @@ def random_graph(n: int, edge_probability: RationalLike, seed: int) -> SimpleGra
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     labels = [f"v{i}" for i in range(1, n + 1)]
-    flags = chain.from_iterable(_draws_below(random.Random(seed), p))
+    rng = random.Random(seed)
+    if p.denominator.bit_length() > 32 or sys.byteorder != "little":
+        flags = map(p.numerator.__gt__, map(rng.randrange, repeat(p.denominator)))
+    else:
+        flags = chain.from_iterable(_draws_below(rng, p))
     return SimpleGraph(frozenset(labels), frozenset(starmap(edge_key, compress(combinations(labels, 2), flags))))

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .bepaths import (
     be_paths_from_a,
@@ -68,6 +68,7 @@ from .spaces import (
 
 Progress = Optional[Callable[[int], None]]
 Problems = Iterable[list[str]]  # per instance: its counterexamples, [] when the routes agree
+Subject = TypeVar("Subject", SimpleGraph, FiniteSemimetricSpace)
 
 
 @dataclass
@@ -120,40 +121,35 @@ def _compare(instance: tuple, names: tuple[str, str], values: tuple[bool, bool])
     return [f"{_describe(*instance)}: {names[0]}={values[0]}, {names[1]}={values[1]}"]
 
 
-def _labeled_graphs(max_n: int) -> Iterator[SimpleGraph]:
-    for n in range(1, max_n + 1):
-        yield from enumerate_labeled_graphs(n)
+def _labeled_graphs(max_n: int, min_n: int = 1) -> Iterator[SimpleGraph]:
+    """Every labeled graph on min_n..max_n vertices; each n is checked before the first graph."""
+    return chain.from_iterable([enumerate_labeled_graphs(n) for n in range(min_n, max_n + 1)])
 
 
-def _graphs_and_partitions(max_n: int) -> Iterator[tuple[SimpleGraph, Bipartition]]:
-    """Every labeled graph with each bipartition of its vertices; one graph, and its memo, alive at a time."""
-    for n in range(2, max_n + 1):
-        graphs = enumerate_labeled_graphs(n)
-        first = next(graphs)
-        partitions = list(all_bipartitions(first.vertices))  # shared by every graph on these n labels
-        for graph in chain([first], graphs):
-            for parts in partitions:
-                yield graph, parts
-
-
-def _spaces_and_partitions(
+def _random_spaces(
     make_space: Callable[[int, int], FiniteSemimetricSpace], count: int, max_points: int, seed: int
-) -> Iterator[tuple[FiniteSemimetricSpace, Bipartition]]:
-    """`count` seeded spaces of 2..max_points points, each with all its bipartitions.
+) -> Iterator[FiniteSemimetricSpace]:
+    """`count` seeded spaces of 2..max_points points.
 
     Each space costs one `randint` and then one `randrange(2**32)` draw;
     `perfbench/workloads.py` replays these draws to predict instance counts.
-    The bipartitions of a point set are built once, for every space drawn on it.
     """
     rng = random.Random(seed)
+    return (make_space(rng.randint(2, max_points), rng.randrange(2**32)) for _ in range(count))
+
+
+def _with_bipartitions(subjects: Iterable[Subject]) -> Iterator[tuple[Subject, Bipartition]]:
+    """Each graph or space with each bipartition of its labels; one subject, and its memos, alive at a time.
+
+    The bipartitions of a label set are listed once, for every subject on it.
+    """
     partitions: dict[frozenset[str], list[Bipartition]] = {}
-    for _ in range(count):
-        space = make_space(rng.randint(2, max_points), rng.randrange(2**32))
-        points = space.point_set()
-        if points not in partitions:
-            partitions[points] = list(all_bipartitions(points))
-        for parts in partitions[points]:
-            yield space, parts
+    for subject in subjects:
+        labels = subject.point_set() if isinstance(subject, FiniteSemimetricSpace) else subject.vertices
+        if labels not in partitions:
+            partitions[labels] = list(all_bipartitions(labels))
+        for parts in partitions[labels]:
+            yield subject, parts
 
 
 def sweep_t3_9(max_n: int = 5, progress: Progress = None) -> SweepResult:
@@ -161,14 +157,14 @@ def sweep_t3_9(max_n: int = 5, progress: Progress = None) -> SweepResult:
     return _run("t3.9", (
         _compare((graph, parts), ("decision", "union-oracle"),
                  (is_path_bipartite(graph, parts), union_of_be_paths(graph, parts) == graph))
-        for graph, parts in _graphs_and_partitions(max_n)
+        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2))
     ), progress)
 
 
 def sweep_t3_4(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Quotient-based B_path vs. brute-force enumeration, plus block saturation."""
     def problems() -> Problems:
-        for graph, parts in _graphs_and_partitions(max_n):
+        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2)):
             fast = bpath_pairs(graph, parts)
             oracle = pairs_from_witnesses(be_paths_from_a(graph, parts), parts)
             if fast != oracle:
@@ -218,7 +214,7 @@ def sweep_t3_6(max_n: int = 5, progress: Progress = None) -> SweepResult:
         _compare((graph, parts), ("quotient-complete", "blocks-induce-connected"),
                  (is_path_complete(graph, parts),
                   len(induced_bpath_pairs(graph, parts)) == len(parts.a) * len(parts.b)))
-        for graph, parts in _graphs_and_partitions(max_n)
+        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2))
     ), progress)
 
 
@@ -227,7 +223,7 @@ def sweep_c2_9(max_n: int = 5, progress: Progress = None) -> SweepResult:
     return _run("c2.9", (
         _compare((graph, parts), ("connected", "path-complete"),
                  (is_connected(graph), is_path_complete(graph, parts)))
-        for graph, parts in _graphs_and_partitions(max_n)
+        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2))
         if min(len(parts.a), len(parts.b)) == 1 and is_path_bipartite(graph, parts)
     ), progress)
 
@@ -275,7 +271,7 @@ def sweep_p3_22(max_n: int = 5, progress: Progress = None) -> SweepResult:
         _compare((graph, parts), ("saturated", "no-isolated"),
                  (check_prop_3_22(graph, parts, witness_proximinal_metric(graph, parts)),
                   not graph.isolated_vertices()))
-        for graph, parts in _graphs_and_partitions(max_n)
+        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2))
         if graph.edges and is_bipartite_with_parts(graph, parts)
     ), progress)
 
@@ -307,7 +303,7 @@ def sweep_p3_9(
     """
     def problems() -> Problems:
         rng = random.Random(seed)
-        for graph, parts in _graphs_and_partitions(max_n):
+        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2)):
             if not graph.edges or graph.isolated_vertices() or not is_bipartite_with_parts(graph, parts):
                 continue
             base = witness_proximinal_metric(graph, parts)
@@ -333,7 +329,7 @@ def sweep_t2_1(
     """Diameter bound vs. best-proximity saturation on random ultrametrics."""
     return _run("t2.1", (
         _compare((space, parts), ("stmt1", "stmt2"), check_theorem_2_1(space, parts))
-        for space, parts in _spaces_and_partitions(random_ultrametric_space, count, max_points, seed)
+        for space, parts in _with_bipartitions(_random_spaces(random_ultrametric_space, count, max_points, seed))
     ), progress)
 
 
@@ -383,7 +379,7 @@ def sweep_t3_10(
 
     def backward() -> Problems:
         nonlocal fired
-        for space, parts in _spaces_and_partitions(random_ultrametric_space, count, max_points, seed):
+        for space, parts in _with_bipartitions(_random_spaces(random_ultrametric_space, count, max_points, seed)):
             graph = build_threshold_graph(space, parts)
             if not (is_bipartite_with_parts(graph, parts) and verify_path_proximinal(graph, parts, space)):
                 yield []
@@ -407,7 +403,7 @@ def sweep_t3_5(
         _compare((space, parts), ("structural", "path-bipartite"),
                  (check_structural_conditions(space, parts),
                   is_path_bipartite(build_threshold_graph(space, parts), parts)))
-        for space, parts in _spaces_and_partitions(random_semimetric_space, count, max_points, seed)
+        for space, parts in _with_bipartitions(_random_spaces(random_semimetric_space, count, max_points, seed))
     ), progress)
 
 

@@ -24,7 +24,7 @@ from proxigraph import (
 )
 from proxigraph.bepaths import be_paths_from_a, pairs_from_witnesses, path_bipartite_defect, path_complete_defect
 from proxigraph.graphs import edge_key
-from proxigraph.theorems import _graphs_and_partitions
+from proxigraph.theorems import _labeled_graphs, _with_bipartitions
 from proxigraph.instances import (
     all_bipartitions,
     enumerate_labeled_graphs,
@@ -198,7 +198,7 @@ def test_enumerate_accepts_a_graph_at_the_bound():
 
 
 def _some_instances():
-    yield from _graphs_and_partitions(4)
+    yield from _with_bipartitions(_labeled_graphs(4, 2))
     yield example_3_7()
     for seed in range(6):
         graph = random_graph(6, "1/2", seed)
@@ -329,7 +329,7 @@ def test_quotient_edges_match_bpath_block_membership():
 
 
 def test_quotient_blocks_are_the_components_of_each_part():
-    for graph, parts in _graphs_and_partitions(5):
+    for graph, parts in _with_bipartitions(_labeled_graphs(5, 2)):
         q = quotient_graph(graph, parts)
         assert list(q.a_components) == connected_components(induced_subgraph(graph, parts.a))
         assert list(q.b_components) == connected_components(induced_subgraph(graph, parts.b))
@@ -441,7 +441,7 @@ def _components_by_traversal(graph):
 
 def test_path_bipartite_defect_names_the_first_component_missing_a_part():
     found = 0
-    for graph, parts in _graphs_and_partitions(5):
+    for graph, parts in _with_bipartitions(_labeled_graphs(5, 2)):
         expected = next(((part, block) for block in _components_by_traversal(graph)
                          for part, members in (("A", parts.a), ("B", parts.b)) if not block & members), None)
         assert path_bipartite_defect(graph, parts) == expected
@@ -452,7 +452,7 @@ def test_path_bipartite_defect_names_the_first_component_missing_a_part():
 
 
 def test_path_complete_defect_matches_the_sorted_walk_over_enumerated_pairs():
-    for graph, parts in _graphs_and_partitions(5):
+    for graph, parts in _with_bipartitions(_labeled_graphs(5, 2)):
         pairs = pairs_from_witnesses(be_paths_from_a(graph, parts), parts)
         missing = [(a, b) for a in sorted(parts.a) for b in sorted(parts.b) if (a, b) not in pairs]
         assert path_complete_defect(graph, parts) == (("unjoined", len(missing), missing[0]) if missing else None)

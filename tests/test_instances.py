@@ -209,10 +209,11 @@ def test_enumerate_labeled_graph_counts():
 
 
 def test_enumerate_labeled_graphs_bounds():
+    # checked at the call, not at the first graph
     with pytest.raises(ValueError, match="vertex count"):
-        list(enumerate_labeled_graphs(0))
+        enumerate_labeled_graphs(0)
     with pytest.raises(ValueError, match="vertex count"):
-        list(enumerate_labeled_graphs(7))
+        enumerate_labeled_graphs(7)
 
 
 def test_all_bipartitions_counts():
@@ -314,7 +315,7 @@ def per_pair_random_graph(n, edge_probability, seed):
 
 
 PROBABILITIES = [0, 1, "1/2", "1/3", "7/9", "3/1600", "1/1024",
-                 Fraction(1, 2**32 - 1), Fraction(2**32 - 1, 2**32), Fraction(1, 2**40 + 3)]
+                 Fraction(1, 2**32 - 1), Fraction(2**32 - 1, 2**32), Fraction(1, 2**40 + 3), Fraction(5, 2**64 + 13)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 40, 130])
@@ -330,12 +331,26 @@ def test_random_graph_is_the_per_pair_loop_on_800_vertices():
         assert random_graph(800, p, seed).edges == per_pair_random_graph(800, p, seed), (seed, p)
 
 
-@pytest.mark.parametrize("p", [Fraction(2**31, 2**32 - 1), Fraction(2**63, 2**64 - 1)])
+@pytest.mark.parametrize("wide_draws", [True, False], ids=["q-from-2**32", "big-endian"])
+def test_random_graph_calls_randrange_for_wide_draws_and_on_a_big_endian_machine(monkeypatch, wide_draws):
+    def no_chunks(*args, **kwargs):
+        raise AssertionError("read the words in chunks")
+
+    monkeypatch.setattr(proxigraph.instances, "_draws_below", no_chunks)
+    if not wide_draws:
+        monkeypatch.setattr(sys, "byteorder", "big")
+    for p in PROBABILITIES:
+        if not wide_draws or Fraction(p).denominator >= 2**32:
+            for seed in range(3):
+                assert random_graph(130, p, seed).edges == per_pair_random_graph(130, p, seed), (seed, p)
+
+
+@pytest.mark.parametrize("p", [Fraction(2**31, 2**32 - 1)])
 @pytest.mark.parametrize("shift", [-1, 0, 1])
 def test_random_graph_with_a_chunk_ending_at_the_last_pair_or_one_either_side(monkeypatch, p, shift):
-    # a draw is rejected only at 2**32 - 1 (2**64 - 1), so a chunk of 8128 + shift draws
+    # a draw is rejected only at 2**32 - 1, so a chunk of 8128 + shift words
     # ends one pair before, at or after the 8128th pair of 128 vertices
-    words = -(-p.denominator.bit_length() // 32) * (128 * 127 // 2 + shift)
+    words = 128 * 127 // 2 + shift
     monkeypatch.setattr(proxigraph.instances, "_draws_below", partial(_draws_below, words=words))
     for seed in range(2):
         assert random_graph(128, p, seed).edges == per_pair_random_graph(128, p, seed)
@@ -375,19 +390,18 @@ def test_word_stream_is_the_layout_of_the_mersenne_twister():
             rng.randrange(q) for q in (1, 3, 1600, 2**32 - 1, 2**40 + 3)]
 
 
-@pytest.mark.parametrize("p", [Fraction(3, 1600), Fraction(7, 9), Fraction(1, 2**32 - 1), Fraction(1, 1),
-                               Fraction(5, 2**40 + 3), Fraction(2**32 - 1, 2**32), Fraction(5, 2**64 + 13)])
+@pytest.mark.parametrize("p", [Fraction(3, 1600), Fraction(7, 9), Fraction(1, 2**32 - 1), Fraction(1, 1)])
 def test_draws_at_the_keep_and_edge_bounds(p):
     """Words at q << s and a << s, the bounds of p = a/q, and one either side, with and without the low
     s bits that `getrandbits` drops, decide each pair as `randrange(q) < a` does, across chunks of
-    1000 words (333 draws of 3 words)."""
+    1000 words."""
     k = p.denominator.bit_length()
-    m, s = -(-k // 32), -k % 32
+    s = 32 - k
     stream = []
     for r in (p.denominator - 1, p.denominator, p.denominator + 1, p.numerator - 1, p.numerator, p.numerator + 1):
         for junk in (0, (1 << s) - 1):
             if 0 <= r < 1 << k:
-                stream += [(r << s | junk) >> 32 * i & 0xFFFFFFFF for i in range(m)]
+                stream.append(r << s | junk)
     flags = chain.from_iterable(_draws_below(WordStream(cycle(stream)), p, words=1000))
     rng = WordStream(cycle(stream))
     assert list(islice(flags, 3000)) == [rng.randrange(p.denominator) < p.numerator for _ in range(3000)]

@@ -24,14 +24,19 @@ from proxigraph import (
     theorems,
 )
 from proxigraph.cli import main
-from proxigraph.instances import all_bipartitions, random_semimetric_space, random_ultrametric_space
+from proxigraph.instances import (
+    all_bipartitions,
+    enumerate_labeled_graphs,
+    random_semimetric_space,
+    random_ultrametric_space,
+)
 from proxigraph.theorems import (
     SWEEPS,
     SweepSpec,
-    _graphs_and_partitions,
     _labeled_graphs,
     _perturbed_within_part,
-    _spaces_and_partitions,
+    _random_spaces,
+    _with_bipartitions,
     sweep_c2_9,
     sweep_c3_10,
     sweep_c3_12,
@@ -120,6 +125,20 @@ def test_progress_callback_fires_every_1000():
     assert all(done % 1000 == 0 for done in calls)
 
 
+@pytest.mark.parametrize("sweep_id", ["t3.9", "t3.4", "t3.6", "c2.9", "c3.10", "t3.16", "c3.12", "p3.22", "p3.9",
+                                      "t3.10"])
+def test_a_bound_past_the_enumeration_raises_before_the_first_instance(sweep_id):
+    calls = []
+
+    def progress(done):
+        calls.append(done)
+        raise AssertionError(f"{done} instances checked before the bound check")
+
+    with pytest.raises(ValueError, match="vertex count"):
+        SWEEPS[sweep_id].run(max_n=7, progress=progress)
+    assert calls == []
+
+
 def test_sweep_result_lines():
     result = sweep_t3_9(max_n=3)
     lines = result.lines()
@@ -166,7 +185,7 @@ def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, 
 
 def test_space_counterexample_line_rebuilds_the_space(monkeypatch):
     bounds = dict(count=10, max_points=5, seed=1)
-    space, parts = next(_spaces_and_partitions(random_semimetric_space, *bounds.values()))
+    space, parts = next(_with_bipartitions(_random_spaces(random_semimetric_space, *bounds.values())))
     assert space.scale > 1  # the line must carry the scale, not only the rows
     monkeypatch.setattr(theorems, "check_structural_conditions", _negated(theorems.check_structural_conditions))
     line = sweep_t3_5(**bounds).counterexamples[0]  # negated, the route fails on the first instance
@@ -183,7 +202,7 @@ def test_space_counterexample_line_rebuilds_the_space(monkeypatch):
 def test_space_family_shares_one_bipartition_list_per_point_set(make_space):
     repeats = 0
     for seed in range(4):
-        family = list(_spaces_and_partitions(make_space, 12, 5, seed))
+        family = list(_with_bipartitions(_random_spaces(make_space, 12, 5, seed)))
         rng = random.Random(seed)
         drawn = [make_space(rng.randint(2, 5), rng.randrange(2**32)) for _ in range(12)]
         assert family == [(space, parts) for space in drawn for parts in all_bipartitions(space.point_set())]
@@ -197,6 +216,13 @@ def test_space_family_shares_one_bipartition_list_per_point_set(make_space):
     assert repeats
 
 
+def test_graph_family_shares_one_bipartition_list_per_vertex_count():
+    family = list(_with_bipartitions(_labeled_graphs(4, 2)))
+    graphs = [graph for n in range(2, 5) for graph in enumerate_labeled_graphs(n)]
+    assert family == [(graph, parts) for graph in graphs for parts in all_bipartitions(graph.vertices)]
+    assert len({id(parts) for _, parts in family}) == 2 + 6 + 14
+
+
 def test_space_family_gives_each_label_set_its_own_bipartitions():
     calls = iter(range(12))
 
@@ -204,7 +230,7 @@ def test_space_family_gives_each_label_set_its_own_bipartitions():
         prefix = "xy"[next(calls) % 2]
         return build_space([f"{prefix}{i}" for i in range(3)], [[int(i != j) for j in range(3)] for i in range(3)])
 
-    family = list(_spaces_and_partitions(relabelled, 6, 4, 0))
+    family = list(_with_bipartitions(_random_spaces(relabelled, 6, 4, 0)))
     assert len(family) == 6 * 6 and {space.points[0][0] for space, _ in family} == {"x", "y"}
     assert all(parts.union == space.point_set() for space, parts in family)
 
@@ -231,13 +257,14 @@ def test_sweep_reports_a_certificate_failing_verification(monkeypatch, sweep_id,
 
 
 def _graph_family(max_n, keep=lambda graph, parts: True):
-    return lambda: [(graph, parts) for graph, parts in _graphs_and_partitions(max_n) if keep(graph, parts)]
+    return lambda: [(graph, parts) for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2))
+                    if keep(graph, parts)]
 
 
 def _p3_9_family():
     """Witness metrics and one same-part perturbation each, as sweep p3.9 builds them."""
     rng, family = random.Random(0), []
-    for graph, parts in _graphs_and_partitions(4):
+    for graph, parts in _with_bipartitions(_labeled_graphs(4, 2)):
         if graph.edges and not graph.isolated_vertices() and proximinal.is_bipartite_with_parts(graph, parts):
             base = proximinal.witness_proximinal_metric(graph, parts)
             perturbed = _perturbed_within_part(base, parts, rng)
@@ -250,7 +277,7 @@ def test_perturbation_copies_the_rows_as_the_fraction_view_did():
     # drawn in the same order, so the sweep checks its 2266 instances at every seed
     for seed in range(3):
         rng, view_rng, checked = random.Random(seed), random.Random(seed), 0
-        for graph, parts in _graphs_and_partitions(5):
+        for graph, parts in _with_bipartitions(_labeled_graphs(5, 2)):
             if not graph.edges or graph.isolated_vertices() or not proximinal.is_bipartite_with_parts(graph, parts):
                 continue
             base = proximinal.witness_proximinal_metric(graph, parts)
@@ -306,14 +333,14 @@ ORACLES = {
     "p3.9": (_p3_9_family, (*PATH_PROXIMINAL_FAST, "spaces.build_threshold_graph", *BEPATHS_FAST),
              lambda space, parts: path_proximinal.check_within_part_separation(space, parts), ()),
     # check_theorem_2_1 evaluates both statements; statement 1 is rebuilt here from its calls
-    "t2.1": (lambda: list(_spaces_and_partitions(random_ultrametric_space, 20, 6, 11)),
+    "t2.1": (lambda: list(_with_bipartitions(_random_spaces(random_ultrametric_space, 20, 6, 11))),
              ("spaces.check_theorem_2_1", "spaces.is_proximinal", "spaces.best_approximations"),
              lambda space, parts: spaces.diameter(space, parts.b) <= spaces.proximity_report(space, parts).distance,
              ("spaces.proximity_report",)),
     "t3.10": (lambda: [(graph,) for graph in _labeled_graphs(5)],
               ("path_proximinal.all_degrees_one", "path_proximinal.witness_ultrametric"),
               lambda graph: theorems._every_degree_one(graph), ()),
-    "t3.5": (lambda: list(_spaces_and_partitions(random_semimetric_space, 20, 6, 2)),
+    "t3.5": (lambda: list(_with_bipartitions(_random_spaces(random_semimetric_space, 20, 6, 2))),
              ("path_proximinal.check_structural_conditions", "bepaths.quotient_graph", "spaces.proximity_report"),
              lambda space, parts: bepaths.is_path_bipartite(spaces.build_threshold_graph(space, parts), parts),
              ("spaces.build_threshold_graph",)),

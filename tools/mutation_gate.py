@@ -99,6 +99,23 @@ EDITS = (
     Edit("bulk-draw-edge-bound-inclusive", "src/proxigraph/instances.py",
          "[key < below for", "[key <= below for",
          ("tests/test_instances.py",)),
+    Edit("wide-draws-read-as-one-word", "src/proxigraph/instances.py",
+         "if p.denominator.bit_length() > 32 or", "if p.denominator.bit_length() > 64 or",
+         ("tests/test_instances.py",)),
+    Edit("enumeration-bound-checked-at-the-first-graph", "src/proxigraph/instances.py",
+         "    if not 1 <= n <= MAX_ENUMERATION_VERTICES:\n"
+         "        raise ValueError(f\"vertex count must be in 1..{MAX_ENUMERATION_VERTICES}, got {n}\")\n"
+         "    labels = [f\"v{i}\" for i in range(1, n + 1)]\n"
+         "    pairs = [edge_key(u, v) for u, v in combinations(labels, 2)]\n"
+         "    return map(partial(SimpleGraph, frozenset(labels)), _subsets_in_mask_order(pairs))\n",
+         "    def graphs() -> Iterator[SimpleGraph]:\n"
+         "        if not 1 <= n <= MAX_ENUMERATION_VERTICES:\n"
+         "            raise ValueError(f\"vertex count must be in 1..{MAX_ENUMERATION_VERTICES}, got {n}\")\n"
+         "        labels = [f\"v{i}\" for i in range(1, n + 1)]\n"
+         "        pairs = [edge_key(u, v) for u, v in combinations(labels, 2)]\n"
+         "        yield from map(partial(SimpleGraph, frozenset(labels)), _subsets_in_mask_order(pairs))\n"
+         "    return graphs()\n",
+         ("tests/test_theorems.py",)),
     Edit("induced-memo-keyed-by-size", "src/proxigraph/graphs.py",
          "    if subset not in memo:\n"
          "        memo[subset] = tuple(connected_components(induced_subgraph(graph, subset)))\n"
@@ -108,12 +125,12 @@ EDITS = (
          "    return memo[len(subset)]\n",
          ("tests/test_graphs.py",)),
     Edit("partition-list-keyed-by-size", "src/proxigraph/theorems.py",
-         "        if points not in partitions:\n"
-         "            partitions[points] = list(all_bipartitions(points))\n"
-         "        for parts in partitions[points]:\n",
-         "        if len(points) not in partitions:\n"
-         "            partitions[len(points)] = list(all_bipartitions(points))\n"
-         "        for parts in partitions[len(points)]:\n",
+         "        if labels not in partitions:\n"
+         "            partitions[labels] = list(all_bipartitions(labels))\n"
+         "        for parts in partitions[labels]:\n",
+         "        if len(labels) not in partitions:\n"
+         "            partitions[len(labels)] = list(all_bipartitions(labels))\n"
+         "        for parts in partitions[len(labels)]:\n",
          ("tests/test_theorems.py",)),
     Edit("fraction-memo-drops-scale", "src/proxigraph/spaces.py",
          "cache(partial(Fraction, denominator=self.scale))", "cache(Fraction)",
