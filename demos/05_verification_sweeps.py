@@ -27,9 +27,9 @@ BOUNDS = {
     "c3.12": dict(max_n=5),
     "p3.22": dict(max_n=4),
     "p3.9": dict(max_n=4, count=2, seed=1),
-    "t2.1": dict(count=100, max_points=7, seed=1),
-    "t3.10": dict(max_n=5, count=100, max_points=8, seed=1),
-    "t3.5": dict(count=100, max_points=6, seed=1),
+    "t2.1": dict(count=100, seed=1),
+    "t3.10": dict(max_n=5, count=100, seed=1),
+    "t3.5": dict(count=100, seed=1),
 }
 
 failures = 0

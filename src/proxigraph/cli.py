@@ -25,7 +25,7 @@ from .bepaths import (
     path_complete_defect,
     quotient_graph,
 )
-from .graphs import GraphError, is_connected, require_cover
+from .graphs import is_connected, require_cover
 from .path_proximinal import (
     build_threshold_graph,
     is_path_proximinal_graph,
@@ -40,7 +40,7 @@ from .proximinal import (
     verify_proximinal_graph,
     witness_proximinal_metric,
 )
-from .spaces import SpaceClass, SpaceError, classify, set_distance
+from .spaces import SpaceClass, classify, set_distance
 from .theorems import SWEEPS
 
 
@@ -382,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, fileio.FormatError, GraphError, SpaceError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator, Union
+from typing import Any, Iterable, Iterator, Union
 
 from .bepaths import QuotientGraph
 from .graphs import Bipartition, GraphError, SimpleGraph, build_graph
@@ -172,25 +172,22 @@ def _dot_quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(graph: SimpleGraph) -> str:
-    """DOT text with vertices in label order."""
-    lines = ["graph G {"]
-    for v in graph.sorted_vertices():
-        lines.append(f"  {_dot_quote(v)};")
-    for u, v in graph.sorted_edges():
-        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)};")
+def _dot(name: str, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> str:
+    """DOT text of an undirected graph: its nodes, then its edges, each as given."""
+    lines = [f"graph {name} {{"]
+    lines.extend(f"  {_dot_quote(v)};" for v in nodes)
+    lines.extend(f"  {_dot_quote(u)} -- {_dot_quote(v)};" for u, v in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def graph_to_dot(graph: SimpleGraph) -> str:
+    """DOT text with vertices in label order."""
+    return _dot("G", graph.sorted_vertices(), graph.sorted_edges())
 
 
 def quotient_to_dot(quotient: QuotientGraph) -> str:
     """DOT text for a component quotient, nodes named by representatives."""
     a_names = [f"A:{rep}" for rep in quotient.a_representatives]
     b_names = [f"B:{rep}" for rep in quotient.b_representatives]
-    lines = ["graph Q {"]
-    for label in a_names + b_names:
-        lines.append(f"  {_dot_quote(label)};")
-    for i, j in sorted(quotient.edges):
-        lines.append(f"  {_dot_quote(a_names[i])} -- {_dot_quote(b_names[j])};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("Q", a_names + b_names, [(a_names[i], b_names[j]) for i, j in sorted(quotient.edges)])

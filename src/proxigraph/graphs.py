@@ -5,9 +5,11 @@ ordering, BFS expansion, canonical representatives) uses lexicographic label
 order so that every derived object is reproducible.
 
 A graph keeps what the bipartitions of an exhaustive sweep ask of it again:
-its blocks, and the blocks of each induced subgraph G[S] per vertex set S
-(`induced_components`).  Both live as long as the graph object, so a sweep
-that holds one graph at a time holds one graph's memo at a time.
+its blocks, which every whole-graph component question reads
+(`connected_components`, `is_connected`), and the blocks of each induced
+subgraph G[S] per vertex set S (`induced_components`).  Both live as long as
+the graph object, so a sweep that holds one graph at a time holds one graph's
+memo at a time.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class SimpleGraph:
 
     @cached_attribute
     def _blocks(self) -> dict[str, frozenset[str]]:
-        """The blocks `component_roots` finds in the graph, for graphs asked about many bipartitions."""
+        """The blocks `component_roots` finds in the graph; every whole-graph component question reads them."""
         return component_roots(self.vertices, self.edges)[0]
 
     @cached_attribute
@@ -208,7 +210,7 @@ def component_roots(
 
 def connected_components(graph: SimpleGraph) -> list[frozenset[str]]:
     """Vertex blocks of the maximal connected subgraphs, ordered by smallest label."""
-    return list(component_roots(graph.vertices, graph.edges)[0].values())
+    return list(graph._blocks.values())
 
 
 def induced_components(graph: SimpleGraph, subset: frozenset[str]) -> tuple[frozenset[str], ...]:

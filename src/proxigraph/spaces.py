@@ -21,9 +21,8 @@ holds at (i, j) iff (S_i | S_j) & G == G, and the triangle inequality iff
 (S_i + P_j) & G == G.
 
 A space also keeps what its bipartitions derive again: the cross minimum of
-each validated pair of frozensets (A, B), the threshold graph per dist(A, B),
-and the `Fraction` of each scaled value a distance question returned, made on
-its first ask.
+each validated pair of frozensets (A, B) and the threshold graph per
+dist(A, B).
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
 from itertools import chain, combinations, repeat
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .graphs import Bipartition, SimpleGraph, cached_attribute, check_label, edge_key, require_cover
 
@@ -106,11 +104,6 @@ class FiniteSemimetricSpace:
         return {}  # per validated (A, B): what `_cross_minimum` returns
 
     @cached_attribute
-    def _fraction(self) -> Callable[[int | Fraction], Fraction]:
-        """Fraction(value, scale), made on the first ask of each value; a repeated ask is a C cache hit."""
-        return cache(partial(Fraction, denominator=self.scale))
-
-    @cached_attribute
     def _point_set(self) -> frozenset[str]:
         return frozenset(self.points)
 
@@ -119,7 +112,7 @@ class FiniteSemimetricSpace:
 
     def d(self, x: str, y: str) -> Fraction:
         try:
-            return self._fraction(self.rows[self.index[x]][self.index[y]])
+            return Fraction(self.rows[self.index[x]][self.index[y]], self.scale)
         except KeyError as exc:
             raise SpaceError(f"unknown point {exc.args[0]!r}") from None
 
@@ -325,7 +318,7 @@ def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[s
 
 def set_distance(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]) -> Fraction:
     """Minimum distance over all cross pairs of two nonempty point sets."""
-    return space._fraction(_cross_minimum(space, a, b)[0])
+    return Fraction(_cross_minimum(space, a, b)[0], space.scale)
 
 
 def best_approximations(space: FiniteSemimetricSpace, x: str, candidates: Iterable[str]) -> frozenset[str]:
@@ -356,7 +349,7 @@ def diameter(space: FiniteSemimetricSpace, subset: Iterable[str]) -> Fraction:
     """Maximum pairwise distance within a set; 0 for empty or singleton sets."""
     s = _indices(space, subset, "subset")
     rows = space.rows
-    return space._fraction(max((rows[i][j] for i, j in combinations(s, 2)), default=0))
+    return Fraction(max((rows[i][j] for i, j in combinations(s, 2)), default=0), space.scale)
 
 
 @dataclass(frozen=True)
@@ -380,7 +373,7 @@ def proximity_report(space: FiniteSemimetricSpace, parts: Bipartition) -> Proxim
     pairs = frozenset((space.points[i], space.points[j]) for i in ia for j in ib if rows[i][j] == m)
     a0 = frozenset(x for x, _ in pairs)
     b0 = frozenset(y for _, y in pairs)
-    return ProximityReport(space._fraction(m), a0, b0, pairs)
+    return ProximityReport(Fraction(m, space.scale), a0, b0, pairs)
 
 
 def build_threshold_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> SimpleGraph:

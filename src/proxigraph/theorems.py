@@ -323,13 +323,11 @@ def sweep_p3_9(
     return _run("p3.9", problems(), progress)
 
 
-def sweep_t2_1(
-    count: int = 1000, max_points: int = 8, seed: int = 0, progress: Progress = None
-) -> SweepResult:
+def sweep_t2_1(count: int = 1000, seed: int = 0, progress: Progress = None) -> SweepResult:
     """Diameter bound vs. best-proximity saturation on random ultrametrics."""
     return _run("t2.1", (
         _compare((space, parts), ("stmt1", "stmt2"), check_theorem_2_1(space, parts))
-        for space, parts in _with_bipartitions(_random_spaces(random_ultrametric_space, count, max_points, seed))
+        for space, parts in _with_bipartitions(_random_spaces(random_ultrametric_space, count, 8, seed))
     ), progress)
 
 
@@ -346,7 +344,6 @@ def _every_degree_one(graph: SimpleGraph) -> bool:
 def sweep_t3_10(
     max_n: int = 6,
     count: int = 500,
-    max_points: int = 8,
     seed: int = 0,
     progress: Progress = None,
 ) -> SweepResult:
@@ -379,7 +376,7 @@ def sweep_t3_10(
 
     def backward() -> Problems:
         nonlocal fired
-        for space, parts in _with_bipartitions(_random_spaces(random_ultrametric_space, count, max_points, seed)):
+        for space, parts in _with_bipartitions(_random_spaces(random_ultrametric_space, count, 8, seed)):
             graph = build_threshold_graph(space, parts)
             if not (is_bipartite_with_parts(graph, parts) and verify_path_proximinal(graph, parts, space)):
                 yield []
@@ -395,15 +392,13 @@ def sweep_t3_10(
     return result
 
 
-def sweep_t3_5(
-    count: int = 300, max_points: int = 7, seed: int = 0, progress: Progress = None
-) -> SweepResult:
+def sweep_t3_5(count: int = 300, seed: int = 0, progress: Progress = None) -> SweepResult:
     """Core reachability vs. path-bipartiteness of the threshold graph."""
     return _run("t3.5", (
         _compare((space, parts), ("structural", "path-bipartite"),
                  (check_structural_conditions(space, parts),
                   is_path_bipartite(build_threshold_graph(space, parts), parts)))
-        for space, parts in _with_bipartitions(_random_spaces(random_semimetric_space, count, max_points, seed))
+        for space, parts in _with_bipartitions(_random_spaces(random_semimetric_space, count, 7, seed))
     ), progress)
 
 

@@ -137,7 +137,7 @@ def test_criterion_7_certificate_sweep():
 def test_criterion_8_ultrametric_diameter_sweep():
     with criterion(8, "diameter bound iff proximity saturation on 1000 random "
                       "ultrametric spaces, all bipartitions", 120.0):
-        result = sweep_t2_1(count=1000, max_points=8, seed=0)
+        result = sweep_t2_1(count=1000, seed=0)
         assert result.ok
         assert result.checked >= 1000
 
@@ -145,7 +145,7 @@ def test_criterion_8_ultrametric_diameter_sweep():
 def test_criterion_9_degree_one_sweep():
     with criterion(9, "ultrametric witness iff all degrees one (<= 6 exhaustive); "
                       "500 random ultrametric instances give 2-vertex components", 300.0):
-        result = sweep_t3_10(max_n=6, count=500, max_points=8, seed=0)
+        result = sweep_t3_10(max_n=6, count=500, seed=0)
         assert result.ok
         fired = next(note for note in result.notes if "fired" in note)
         assert not fired.startswith("backward direction fired on 0 ")

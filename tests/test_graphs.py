@@ -1,5 +1,6 @@
 """Graph core: construction, induced subgraphs, components, paths, unions."""
 
+import operator
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from proxigraph import (
     prune_isolated,
     validate_path,
 )
+from proxigraph import graphs as graphs_module
 from proxigraph.graphs import check_label, induced_components
 from proxigraph.instances import (
     all_bipartitions,
@@ -27,6 +29,7 @@ from proxigraph.instances import (
     hamming_graph,
     random_graph,
 )
+from proxigraph.path_proximinal import check_corollary_3_12
 
 
 def p4():
@@ -181,10 +184,23 @@ def test_components_match_reachability_on_small_graphs():
 def test_memoised_components_equal_connected_components():
     for n in range(1, 6):
         for graph in enumerate_labeled_graphs(n):
-            blocks = connected_components(graph)
-            assert list(graph._blocks.values()) == blocks
+            blocks = connected_components(graph)  # the memo's own frozensets
+            assert len(blocks) == len(graph._blocks) and all(map(operator.is_, blocks, graph._blocks.values()))
             assert list(graph._blocks) == [min(block) for block in blocks]
             assert graph._blocks is graph._blocks
+
+
+def test_every_whole_graph_component_question_reads_the_block_memo(monkeypatch):
+    family = [graph for n in range(1, 6) for graph in enumerate_labeled_graphs(n)]
+    expected = [(is_connected(graph), check_corollary_3_12(graph)) for graph in family]
+    family = [graph for n in range(1, 6) for graph in enumerate_labeled_graphs(n)]  # fresh objects, no memo yet
+    assert all(graph._blocks for graph in family)  # each graph's blocks are read, and kept, before the patch
+
+    def unreachable(vertices, edges):
+        raise AssertionError("a component question recomputed the blocks")
+
+    monkeypatch.setattr(graphs_module, "component_roots", unreachable)
+    assert [(is_connected(graph), check_corollary_3_12(graph)) for graph in family] == expected
 
 
 def test_induced_components_equal_the_components_of_every_induced_subgraph():

@@ -91,19 +91,19 @@ def test_p3_9_small():
 
 
 def test_t2_1_small():
-    result = sweep_t2_1(count=40, max_points=6, seed=11)
+    result = sweep_t2_1(count=40, seed=11)
     assert result.ok
     assert result.checked > 40
 
 
 def test_t3_10_small():
-    result = sweep_t3_10(max_n=4, count=60, max_points=6, seed=3)
+    result = sweep_t3_10(max_n=4, count=60, seed=3)
     assert result.ok
     assert any("fired" in note for note in result.notes)
 
 
 def test_t3_5_small():
-    assert sweep_t3_5(count=40, max_points=6, seed=2).ok
+    assert sweep_t3_5(count=40, seed=2).ok
 
 
 def test_registry_covers_all_sweeps():
@@ -121,7 +121,7 @@ def test_progress_callback_fires_every_1000():
     assert result.checked == 948
     assert calls == []  # below the reporting threshold
     calls = []
-    sweep_t2_1(count=30, max_points=8, seed=0, progress=calls.append)
+    sweep_t2_1(count=30, seed=0, progress=calls.append)
     assert all(done % 1000 == 0 for done in calls)
 
 
@@ -148,9 +148,9 @@ def test_sweep_result_lines():
 
 def test_spec_reads_description_and_bounds_through_a_wrapper():
     spec = SweepSpec(functools.wraps(sweep_t2_1)(lambda **kwargs: sweep_t2_1(**kwargs)))
-    assert spec.parameters == {"count", "max_points", "seed"}
+    assert spec.parameters == {"count", "seed"}
     assert spec.description == "Diameter bound vs. best-proximity saturation on random ultrametrics"
-    assert SWEEPS["t3.10"].parameters == {"max_n", "count", "max_points", "seed"}
+    assert SWEEPS["t3.10"].parameters == {"max_n", "count", "seed"}
 
 
 def _negated(route):
@@ -167,9 +167,9 @@ def _one_pair_short(route):
     ("t3.6", dict(max_n=3), "is_path_complete", _negated, ("quotient-complete=", "blocks-induce-connected=")),
     ("c3.10", dict(max_n=4), "find_path_bipartite_partition", lambda route: lambda graph: None,
      ("partition-found=", "equals-pruned=")),
-    ("t3.5", dict(count=10, max_points=5, seed=2), "check_structural_conditions", _negated,
+    ("t3.5", dict(count=10, seed=2), "check_structural_conditions", _negated,
      ("structural=", "path-bipartite=")),
-    ("t3.10", dict(max_n=3, count=2, max_points=3, seed=1), "witness_ultrametric",
+    ("t3.10", dict(max_n=3, count=2, seed=1), "witness_ultrametric",
      lambda route: lambda graph: None, ("witness=", "degrees-one=")),
 ], ids=["t3.9", "t3.4", "t3.6", "c3.10", "t3.5", "t3.10"])
 def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, wrong, names):
@@ -184,8 +184,8 @@ def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, 
 
 
 def test_space_counterexample_line_rebuilds_the_space(monkeypatch):
-    bounds = dict(count=10, max_points=5, seed=1)
-    space, parts = next(_with_bipartitions(_random_spaces(random_semimetric_space, *bounds.values())))
+    bounds = dict(count=10, seed=1)
+    space, parts = next(_with_bipartitions(_random_spaces(random_semimetric_space, 10, 7, 1)))  # t3.5's first instance
     assert space.scale > 1  # the line must carry the scale, not only the rows
     monkeypatch.setattr(theorems, "check_structural_conditions", _negated(theorems.check_structural_conditions))
     line = sweep_t3_5(**bounds).counterexamples[0]  # negated, the route fails on the first instance
@@ -243,7 +243,7 @@ def _all_ones_table(graph):
 
 @pytest.mark.parametrize("sweep_id, bounds, message", [
     ("t3.16", dict(max_n=4), "produced certificate fails verification"),
-    ("t3.10", dict(max_n=4, count=5, max_points=5, seed=1), "witness certificate fails verification"),
+    ("t3.10", dict(max_n=4, count=5, seed=1), "witness certificate fails verification"),
 ], ids=["t3.16", "t3.10"])
 def test_sweep_reports_a_certificate_failing_verification(monkeypatch, sweep_id, bounds, message):
     run = SWEEPS[sweep_id].run

@@ -132,9 +132,16 @@ EDITS = (
          "            partitions[len(labels)] = list(all_bipartitions(labels))\n"
          "        for parts in partitions[len(labels)]:\n",
          ("tests/test_theorems.py",)),
-    Edit("fraction-memo-drops-scale", "src/proxigraph/spaces.py",
-         "cache(partial(Fraction, denominator=self.scale))", "cache(Fraction)",
+    Edit("report-distance-drops-scale", "src/proxigraph/spaces.py",
+         "Fraction(m, space.scale)", "Fraction(m)",
          ("tests/test_spaces.py",)),
+    Edit("components-read-block-roots", "src/proxigraph/graphs.py",
+         "list(graph._blocks.values())", "list(graph._blocks)",
+         ("tests/test_graphs.py",)),
+    Edit("t3.5-space-bound-off-by-one", "src/proxigraph/theorems.py",
+         "_random_spaces(random_semimetric_space, count, 7, seed)",
+         "_random_spaces(random_semimetric_space, count, 6, seed)",
+         ("tests/test_cli.py",)),
     Edit("quotient-crossing-edge-unoriented", "src/proxigraph/bepaths.py",
          "(number[root[u]], number[root[v]]) if u in in_a else (number[root[v]], number[root[u]])",
          "(number[root[u]], number[root[v]])",
