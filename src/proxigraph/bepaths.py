@@ -11,7 +11,9 @@ crossing edge joins them, so B_path costs O(V + E + |B_path|).  It is
 checked against the induced-connectivity criterion, kept in `theorems` for
 sweep t3.6, and against brute force for sweeps t3.4 and t3.9: a lazy
 depth-first search that sees each be-path once, from its end in A, read
-only until the pair set or the union of paths is settled.
+only until the pair set or the union of paths is settled.  Those sweeps
+mirror the answer for (A, B) to (B, A), whose be-paths are the same
+reversed; the search keeps nothing and reads no component or quotient.
 """
 
 from __future__ import annotations

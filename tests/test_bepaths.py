@@ -228,6 +228,17 @@ def test_early_stopped_union_and_pairs_equal_their_full_list_values():
         assert pairs_from_witnesses(be_paths_from_a(graph, parts), parts) == full_pairs
 
 
+def test_the_oracle_on_the_complement_order_is_its_answer_mirrored():
+    # sweeps t3.4 and t3.9 enumerate one order of each complement pair and mirror its answer to the other
+    for graph, parts in _some_instances():
+        flipped = Bipartition(parts.b, parts.a)
+        pairs = pairs_from_witnesses(be_paths_from_a(graph, parts), parts)
+        assert pairs_from_witnesses(be_paths_from_a(graph, flipped), flipped) == {(b, a) for a, b in pairs}
+        assert union_of_be_paths(graph, flipped) == union_of_be_paths(graph, parts)
+        paths = {w.path for w in enumerate_be_paths(graph, parts)}
+        assert {w.path for w in enumerate_be_paths(graph, flipped)} == paths
+
+
 def test_pairs_from_witnesses_stops_once_every_pair_is_found():
     g, parts = k2()
     witnesses = iter(enumerate_be_paths(g, parts))

@@ -161,9 +161,20 @@ def _one_pair_short(route):
     return lambda *args: frozenset(sorted(route(*args))[1:])
 
 
+def _mirrored_only(wrong):
+    """`wrong` only where the largest label lies in A: the order whose be-path oracle answer
+    sweeps t3.4 and t3.9 mirror from its complement instead of enumerating it."""
+    def make(route):
+        bad = wrong(route)
+        return lambda graph, parts: (bad if max(parts.union) in parts.a else route)(graph, parts)
+    return make
+
+
 @pytest.mark.parametrize("sweep_id, bounds, route, wrong, names", [
     ("t3.9", dict(max_n=3), "is_path_bipartite", _negated, ("decision=", "union-oracle=")),
+    ("t3.9", dict(max_n=3), "is_path_bipartite", _mirrored_only(_negated), ("decision=", "union-oracle=")),
     ("t3.4", dict(max_n=3), "bpath_pairs", _one_pair_short, ("component-set", "enumerated")),
+    ("t3.4", dict(max_n=3), "bpath_pairs", _mirrored_only(_one_pair_short), ("component-set", "enumerated")),
     ("t3.6", dict(max_n=3), "is_path_complete", _negated, ("quotient-complete=", "blocks-induce-connected=")),
     ("c3.10", dict(max_n=4), "find_path_bipartite_partition", lambda route: lambda graph: None,
      ("partition-found=", "equals-pruned=")),
@@ -171,7 +182,7 @@ def _one_pair_short(route):
      ("structural=", "path-bipartite=")),
     ("t3.10", dict(max_n=3, count=2, seed=1), "witness_ultrametric",
      lambda route: lambda graph: None, ("witness=", "degrees-one=")),
-], ids=["t3.9", "t3.4", "t3.6", "c3.10", "t3.5", "t3.10"])
+], ids=["t3.9", "t3.9-mirrored", "t3.4", "t3.4-mirrored", "t3.6", "c3.10", "t3.5", "t3.10"])
 def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, wrong, names):
     run = SWEEPS[sweep_id].run
     clean = run(**bounds)
@@ -181,6 +192,25 @@ def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, 
     assert not result.ok
     assert result.checked == clean.checked
     assert all(name in result.counterexamples[0] for name in names)
+
+
+def test_fast_routes_run_on_every_instance_and_the_be_path_oracle_once_per_complement_pair(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(theorems, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(theorems, name, count)
+
+    for name in ("is_path_bipartite", "union_of_be_paths", "bpath_pairs", "be_paths_from_a"):
+        counted(name)
+    assert sweep_t3_9(max_n=4).checked == 948
+    assert sweep_t3_4(max_n=4).checked == 948
+    # 948 ordered instances are 474 unordered bipartitions
+    assert calls == {"is_path_bipartite": 948, "union_of_be_paths": 474, "bpath_pairs": 948, "be_paths_from_a": 474}
 
 
 def test_space_counterexample_line_rebuilds_the_space(monkeypatch):

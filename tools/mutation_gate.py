@@ -196,6 +196,26 @@ EDITS = (
          "    if len(graph.vertices) > DEFAULT_ENUMERATION_BOUND:\n",
          "    if len(graph.vertices) >= DEFAULT_ENUMERATION_BOUND:\n",
          ("tests/test_bepaths.py",)),
+    Edit("t3.9-decision-mirrored-with-the-oracle", "src/proxigraph/theorems.py",
+         "        _compare((graph, parts), (\"decision\", \"union-oracle\"),"
+         " (is_path_bipartite(graph, parts), union == graph))\n"
+         "        for graph, parts, union in _with_be_path_oracle(_labeled_graphs(max_n, 2),"
+         " union_of_be_paths, lambda u: u)\n",
+         "        _compare((graph, parts), (\"decision\", \"union-oracle\"), (decided, union == graph))\n"
+         "        for graph, parts, (decided, union) in _with_be_path_oracle(\n"
+         "            _labeled_graphs(max_n, 2),"
+         " lambda g, p: (is_path_bipartite(g, p), union_of_be_paths(g, p)), lambda u: u)\n",
+         ("tests/test_theorems.py",)),
+    Edit("t3.4-fast-route-mirrored-with-the-oracle", "src/proxigraph/theorems.py",
+         "        for graph, parts, oracle in _with_be_path_oracle(\n"
+         "                _labeled_graphs(max_n, 2), lambda g, p: pairs_from_witnesses(be_paths_from_a(g, p), p),\n"
+         "                lambda pairs: frozenset((b, a) for a, b in pairs)):\n"
+         "            fast = bpath_pairs(graph, parts)\n",
+         "        for graph, parts, (fast, oracle) in _with_be_path_oracle(\n"
+         "                _labeled_graphs(max_n, 2),\n"
+         "                lambda g, p: (bpath_pairs(g, p), pairs_from_witnesses(be_paths_from_a(g, p), p)),\n"
+         "                lambda answers: tuple(frozenset((b, a) for a, b in pairs) for pairs in answers)):\n",
+         ("tests/test_theorems.py",)),
 )
 
 
