@@ -11,15 +11,17 @@ crossing edge joins them, so B_path costs O(V + E + |B_path|).  It is
 checked against the induced-connectivity criterion, kept in `theorems` for
 sweep t3.6, and against brute force for sweeps t3.4 and t3.9: a lazy
 depth-first search that sees each be-path once, from its end in A, read
-only until the pair set or the union of paths is settled.  Those sweeps
-mirror the answer for (A, B) to (B, A), whose be-paths are the same
+only until the pair set or the union of paths is settled.  It walks one live
+path: the union reads its edges there, `be_paths_from_a` copies it to a tuple,
+and only `enumerate_be_paths` and `be_path_witness` build witnesses.  Those
+sweeps mirror the answer for (A, B) to (B, A), whose be-paths are the same
 reversed; the search keeps nothing and reads no component or quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
     Bipartition,
@@ -140,10 +142,12 @@ def be_path_witness(
 
 def _be_path_search(
     graph: SimpleGraph, parts: Bipartition, starts: list[str]
-) -> Iterator[BePathWitness]:
+) -> Iterator[tuple[list[str], int]]:
     """Lazy depth-first core: every be-path from each start in turn, neighbors in label order.
 
-    Prunes a branch that would cross twice; checks bound and cover at the call.
+    Yields the live path and its crossing index; the list changes when the search
+    resumes, so a consumer that keeps a path copies it.  Prunes a branch that would
+    cross twice; checks bound and cover at the call.
     """
     if len(graph.vertices) > DEFAULT_ENUMERATION_BOUND:
         raise GraphError(
@@ -152,20 +156,21 @@ def _be_path_search(
     require_cover(graph.vertices, parts)
     adjacency, in_a = graph.adjacency, parts.a
 
-    def search() -> Iterator[BePathWitness]:
+    def search() -> Iterator[tuple[list[str], int]]:
         for start in starts:
-            path, stack = [start], [(iter(adjacency[start]), -1)]  # per prefix: untried, crossing index
+            # per prefix: untried neighbours, crossing index, whether its end is in A
+            path, stack = [start], [(iter(adjacency[start]), -1, start in in_a)]
             while stack:
-                untried, at = stack[-1]
+                untried, at, end_in_a = stack[-1]
                 for nxt in untried:
-                    crossed = (path[-1] in in_a) != (nxt in in_a)
+                    crossed = (nxt in in_a) != end_in_a
                     if nxt in path or (crossed and at >= 0):
                         continue
                     at = len(path) - 1 if crossed else at
                     path.append(nxt)
-                    stack.append((iter(adjacency[nxt]), at))
+                    stack.append((iter(adjacency[nxt]), at, end_in_a != crossed))
                     if at >= 0:
-                        yield BePathWitness(tuple(path), at)
+                        yield path, at
                     break
                 else:
                     del stack[-1], path[-1]
@@ -175,29 +180,29 @@ def _be_path_search(
 
 def enumerate_be_paths(graph: SimpleGraph, parts: Bipartition) -> list[BePathWitness]:
     """Brute-force oracle: every be-path of (A, B), once from each end."""
-    return list(_be_path_search(graph, parts, sorted(graph.vertices)))
+    return [BePathWitness(tuple(path), at) for path, at in _be_path_search(graph, parts, sorted(graph.vertices))]
 
 
-def be_paths_from_a(graph: SimpleGraph, parts: Bipartition) -> Iterator[BePathWitness]:
-    """Every be-path exactly once, lazily, read from its end in A; its other end is in B."""
-    return _be_path_search(graph, parts, sorted(parts.a))
+def be_paths_from_a(graph: SimpleGraph, parts: Bipartition) -> Iterator[tuple[str, ...]]:
+    """Every be-path exactly once, lazily, as a tuple read from its end in A; its other end is in B."""
+    return (tuple(path) for path, _ in _be_path_search(graph, parts, sorted(parts.a)))
 
 
 def union_of_be_paths(graph: SimpleGraph, parts: Bipartition) -> SimpleGraph:
     """Union of all be-paths, read until every edge is covered; equals G iff path-bipartite."""
     edges: set[tuple[str, str]] = set()
-    for w in be_paths_from_a(graph, parts):
-        edges.update(map(edge_key, w.path, w.path[1:]))
+    for path, _ in _be_path_search(graph, parts, sorted(parts.a)):
+        edges.update(map(edge_key, path, path[1:]))
         if len(edges) == len(graph.edges):
             break
     return SimpleGraph(frozenset(v for e in edges for v in e), frozenset(edges))
 
 
-def pairs_from_witnesses(witnesses: Iterable[BePathWitness], parts: Bipartition) -> frozenset[tuple[str, str]]:
-    """Deduplicated (a, b) ∈ A × B endpoint pairs of be-paths, read until all are found."""
+def pairs_from_witnesses(paths: Iterable[Sequence[str]], parts: Bipartition) -> frozenset[tuple[str, str]]:
+    """Deduplicated (a, b) ∈ A × B end pairs of be-paths, given as vertex sequences, read until all are found."""
     pairs: set[tuple[str, str]] = set()
-    for w in witnesses:
-        u, v = w.path[0], w.path[-1]
+    for path in paths:
+        u, v = path[0], path[-1]
         pairs.add((u, v) if u in parts.a else (v, u))
         if len(pairs) == len(parts.a) * len(parts.b):
             break

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class cached_attribute:
@@ -157,16 +157,19 @@ def build_graph(vertices: Sequence[str], edges: Iterable[Sequence[str]]) -> Simp
     return SimpleGraph(frozenset(seen), frozenset(edge_set))
 
 
+def _induced_edges(graph: SimpleGraph, s: frozenset[str]) -> Iterator[tuple[str, str]]:
+    """The edges of G[S], checked: S is nonempty and inside the vertex set, else GraphError at the call."""
+    if not s:
+        raise GraphError("induced subgraph needs a nonempty vertex subset")
+    if not s <= graph.vertices:
+        raise GraphError(f"subset is not contained in the vertex set: {sorted(s - graph.vertices)}")
+    return (e for e in graph.edges if e[0] in s and e[1] in s)
+
+
 def induced_subgraph(graph: SimpleGraph, subset: Iterable[str]) -> SimpleGraph:
     """Subgraph on `subset` keeping every edge with both endpoints inside."""
     s = frozenset(subset)
-    if not s:
-        raise GraphError("induced subgraph needs a nonempty vertex subset")
-    missing = s - graph.vertices
-    if missing:
-        raise GraphError(f"subset is not contained in the vertex set: {sorted(missing)}")
-    kept = frozenset(e for e in graph.edges if e[0] in s and e[1] in s)
-    return SimpleGraph(s, kept)
+    return SimpleGraph(s, frozenset(_induced_edges(graph, s)))
 
 
 def induced_bipartite_subgraph(graph: SimpleGraph, parts: Bipartition) -> SimpleGraph:
@@ -216,12 +219,13 @@ def connected_components(graph: SimpleGraph) -> list[frozenset[str]]:
 def induced_components(graph: SimpleGraph, subset: frozenset[str]) -> tuple[frozenset[str], ...]:
     """The blocks of `connected_components(induced_subgraph(graph, subset))`, kept per vertex set.
 
+    Split by `component_roots` over the edges of G[S], with no subgraph built.
     The memo lives on the host graph: a set that recurs across the bipartitions
     of one graph (a part, or a block pair of the t3.6 oracle) is split once.
     """
     memo = graph._induced
     if subset not in memo:
-        memo[subset] = tuple(connected_components(induced_subgraph(graph, subset)))
+        memo[subset] = tuple(component_roots(subset, _induced_edges(graph, subset))[0].values())
     return memo[subset]
 
 

@@ -1,6 +1,7 @@
 """Be-paths, B_path, path-completeness, quotient, canonical partitions."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -171,7 +172,7 @@ def test_enumerate_p4():
     graph, parts = example_3_7()
     witnesses = enumerate_be_paths(graph, parts)
     assert len(witnesses) == 6
-    pairs = pairs_from_witnesses(witnesses, parts)
+    pairs = pairs_from_witnesses([w.path for w in witnesses], parts)
     assert pairs == {("a1", "b1"), ("a2", "b1"), ("a2", "b2")}
     assert ("a1", "b2") not in pairs
 
@@ -197,6 +198,25 @@ def test_enumerate_accepts_a_graph_at_the_bound():
     assert paths == spans | {path[::-1] for path in spans} and len(paths) == 50
 
 
+def test_the_search_finds_exactly_the_be_paths_of_the_definition():
+    # the search hands out one live list; both streams are collected before they are read,
+    # so one that passed the live list on instead of a copy would read the same emptied list
+    for graph, parts in _with_bipartitions(_labeled_graphs(4, 2)):
+        witnesses = enumerate_be_paths(graph, parts)
+        from_a = [tuple(path) for path in list(be_paths_from_a(graph, parts))]
+        defined = {}
+        for size in range(2, len(graph.vertices) + 1):
+            for seq in permutations(graph.sorted_vertices(), size):
+                if all(map(graph.has_edge, seq, seq[1:])):
+                    witness = is_be_path(graph, seq, parts)
+                    if witness is not None:
+                        defined[seq] = witness.crossing_index
+        assert len(witnesses) == len(defined)
+        assert {w.path: w.crossing_index for w in witnesses} == defined
+        assert len(from_a) == len(set(from_a))
+        assert set(from_a) == {seq for seq in defined if seq[0] in parts.a}
+
+
 def _some_instances():
     yield from _with_bipartitions(_labeled_graphs(4, 2))
     yield example_3_7()
@@ -208,7 +228,7 @@ def _some_instances():
 
 def test_a_stream_sees_each_path_once_from_its_a_end():
     for graph, parts in _some_instances():
-        stream = [w.path for w in be_paths_from_a(graph, parts)]
+        stream = list(be_paths_from_a(graph, parts))
         assert len(set(stream)) == len(stream)
         assert all(path[0] in parts.a for path in stream)
         both_ways = set(stream) | {path[::-1] for path in stream}
@@ -224,7 +244,7 @@ def test_early_stopped_union_and_pairs_equal_their_full_list_values():
     for graph, parts in _some_instances():
         witnesses = enumerate_be_paths(graph, parts)
         assert union_of_be_paths(graph, parts) == _full_union(witnesses)
-        full_pairs = pairs_from_witnesses(witnesses, parts)
+        full_pairs = pairs_from_witnesses([w.path for w in witnesses], parts)
         assert pairs_from_witnesses(be_paths_from_a(graph, parts), parts) == full_pairs
 
 
@@ -241,9 +261,9 @@ def test_the_oracle_on_the_complement_order_is_its_answer_mirrored():
 
 def test_pairs_from_witnesses_stops_once_every_pair_is_found():
     g, parts = k2()
-    witnesses = iter(enumerate_be_paths(g, parts))
-    assert pairs_from_witnesses(witnesses, parts) == {("a", "b")}
-    assert [w.path for w in witnesses] == [("b", "a")]
+    paths = iter([w.path for w in enumerate_be_paths(g, parts)])
+    assert pairs_from_witnesses(paths, parts) == {("a", "b")}
+    assert list(paths) == [("b", "a")]
 
 
 def test_a_stream_checks_its_bounds_before_the_first_path():

@@ -53,7 +53,7 @@ def test_bpath_pairs_match_induced_connectivity(case):
 @given(graphs_with_parts(max_n=9, max_edges=14))
 def test_bpath_pairs_match_enumeration(case):
     graph, parts = case
-    assert bpath_pairs(graph, parts) == pairs_from_witnesses(enumerate_be_paths(graph, parts), parts)
+    assert bpath_pairs(graph, parts) == pairs_from_witnesses([w.path for w in enumerate_be_paths(graph, parts)], parts)
 
 
 @PROPERTY_SETTINGS

@@ -9,6 +9,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +388,16 @@ def _rebind_everywhere(monkeypatch, route, replace) -> set[str]:
             monkeypatch.setattr(module, name, replacement)
             patched.add(module_name)
     return patched
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_still_bound():
+    # read by ast, so the tracer is neither imported nor run; a renamed or removed routine fails here
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                  and any(isinstance(target, ast.Name) and target.id == "TRACED" for target in node.targets))
+    missing = [f"{module}.{name}" for module, names in traced.items() for name in names
+               if not callable(getattr(importlib.import_module(f"proxigraph.{module}"), name, None))]
+    assert traced and not missing
 
 
 def test_oracle_table_covers_every_sweep():

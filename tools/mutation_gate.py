@@ -1,11 +1,11 @@
 """Mutation gate: each committed source edit must make its named tests fail.
 
-For each edit the script copies `src/` and `tests/` to a temporary directory,
-replaces the edit's old text (which must occur exactly once) with its new
-text, and runs the named test files there.  The gate fails when a mutant
-survives, when its old text is missing or repeated (a stale mutant), or when
-the unmutated copy does not pass the named tests to begin with.  Standard
-library only:
+For each edit the script copies `src/`, `tests/` and `perfbench/` to a
+temporary directory, replaces the edit's old text (which must occur exactly
+once) with its new text, and runs the named test files or test ids there.
+The gate fails when a mutant survives, when its old text is missing or
+repeated (a stale mutant), or when the unmutated copy does not pass the
+named tests to begin with.  Standard library only:
 
     python tools/mutation_gate.py            # every edit
     python tools/mutation_gate.py NAME ...   # the named edits
@@ -32,6 +32,8 @@ class Edit(NamedTuple):
     new: str
     tests: tuple[str, ...]
 
+
+SEARCH_VS_DEFINITION = "tests/test_bepaths.py::test_the_search_finds_exactly_the_be_paths_of_the_definition"
 
 EDITS = (
     Edit("threshold-strict", "src/proxigraph/spaces.py",
@@ -118,10 +120,10 @@ EDITS = (
          ("tests/test_theorems.py",)),
     Edit("induced-memo-keyed-by-size", "src/proxigraph/graphs.py",
          "    if subset not in memo:\n"
-         "        memo[subset] = tuple(connected_components(induced_subgraph(graph, subset)))\n"
+         "        memo[subset] = tuple(component_roots(subset, _induced_edges(graph, subset))[0].values())\n"
          "    return memo[subset]\n",
          "    if len(subset) not in memo:\n"
-         "        memo[len(subset)] = tuple(connected_components(induced_subgraph(graph, subset)))\n"
+         "        memo[len(subset)] = tuple(component_roots(subset, _induced_edges(graph, subset))[0].values())\n"
          "    return memo[len(subset)]\n",
          ("tests/test_graphs.py",)),
     Edit("partition-list-keyed-by-size", "src/proxigraph/theorems.py",
@@ -192,6 +194,12 @@ EDITS = (
     Edit("fraction-rows-from-512-bits", "src/proxigraph/spaces.py",
          "        if scale.bit_length() > 512:\n", "        if scale.bit_length() >= 512:\n",
          ("tests/test_spaces.py",)),
+    Edit("be-path-crosses-twice", "src/proxigraph/bepaths.py",
+         "if nxt in path or (crossed and at >= 0):", "if nxt in path:",
+         (SEARCH_VS_DEFINITION,)),
+    Edit("a-stream-hands-out-the-live-path", "src/proxigraph/bepaths.py",
+         "(tuple(path) for path, _ in", "(path for path, _ in",
+         (SEARCH_VS_DEFINITION,)),
     Edit("enumeration-bound-inclusive", "src/proxigraph/bepaths.py",
          "    if len(graph.vertices) > DEFAULT_ENUMERATION_BOUND:\n",
          "    if len(graph.vertices) >= DEFAULT_ENUMERATION_BOUND:\n",
@@ -229,7 +237,7 @@ def _run_tests(tree: Path, tests: tuple[str, ...]) -> subprocess.CompletedProces
 
 def _copy_tree(tmp: Path) -> Path:
     tree = tmp / "tree"
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "perfbench"):  # tests read the tracer's name table from perfbench
         shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
     return tree
