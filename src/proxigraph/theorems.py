@@ -6,10 +6,10 @@ characterization) over a family of small instances, and reports the first
 counterexample if any.  Sweep ids follow the short names used by the
 command-line `verify` subcommand.
 
-A sweep is a generator yielding, per instance, the problems found on it
-(empty when the two routes agree); one driver counts the instances and
-collects the counterexamples.  Sweeps t3.4 and t3.9 run the be-path oracle
-once per unordered bipartition, their fast routes once per instance.
+Each sweep is declared once, on its `SWEEPS` entry: its instance family,
+its fast route and oracle, and the functions on its fast side.  One driver,
+`_run`, runs every entry, and the tests read the same entries.  Sweeps t3.4
+and t3.9 run the be-path oracle once per unordered bipartition.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ from .spaces import (
 
 Progress = Optional[Callable[[int], None]]
 Problems = Iterable[list[str]]  # per instance: its counterexamples, [] when the routes agree
+Check = Callable[[tuple, tuple[str, str], tuple], list[str]]  # (instance, names, answers) -> its problems
+Sweep = Callable[..., "SweepResult"]
 Subject = TypeVar("Subject", SimpleGraph, FiniteSemimetricSpace)
-T = TypeVar("T")
 
 
 @dataclass
@@ -93,10 +94,60 @@ class SweepResult:
         return out
 
 
-def _run(sweep: str, problems: Problems, progress: Progress) -> SweepResult:
-    """Count each instance `problems` yields, keep its counterexamples, report every 1000."""
+@dataclass(frozen=True)
+class SweepSpec:
+    """One sweep, declared once: `verify` calls `run`, `_run` runs the rest, and the tests read it."""
+
+    run: Sweep  # sweep_<id>: the bounds as keywords, and `progress`
+    family: Callable[..., Iterable[tuple]]  # bounds -> instance tuples
+    fast: Callable[..., object]  # the fast route's answer on one instance
+    oracle: Optional[Callable[..., object]]  # the independent answer; None when `fast` answers both
+    names: tuple[str, str]  # the fast and oracle answers' names in a counterexample line
+    routes: tuple[str, ...]  # module.name of every function on the fast side
+    check: Optional[Check] = None  # replaces `_compare` on one instance's answers
+    mirror: Optional[Callable] = None  # (B, A)'s oracle answer from (A, B)'s: once per complement pair
+
+    @property
+    def description(self) -> str:
+        """The first line of the sweep's docstring."""
+        return self.run.__doc__.splitlines()[0].rstrip(".")
+
+    @property
+    def parameters(self) -> frozenset[str]:
+        """The bounds the sweep takes: every parameter of `run` but `progress`."""
+        return frozenset(inspect.signature(self.run).parameters) - {"progress"}
+
+
+# Filled by `_declared` below.  Each fast route and oracle reads its functions as module globals
+# when called, so a function rebound in this module (a test stub, the benchmark's tracer) runs.
+SWEEPS: dict[str, SweepSpec] = {}
+
+
+def _declared(sweep: str, *spec, **optional) -> Callable[[Sweep], Sweep]:
+    """Enter the decorated sweep_<id> function in `SWEEPS` under `sweep`, with the rest of its `SweepSpec`."""
+    def enter(run: Sweep) -> Sweep:
+        SWEEPS[sweep] = SweepSpec(run, *spec, **optional)
+        return run
+    return enter
+
+
+def _run(sweep: str, progress: Progress, then: Problems = (), **bounds: int) -> SweepResult:
+    """Run `SWEEPS[sweep]` on its family at `bounds`, then count each problem list of `then` as an instance.
+
+    Each route runs once per instance; an oracle that mirrors runs once per complement pair.
+    """
+    spec = SWEEPS[sweep]
+    fast, oracle, names, check = spec.fast, spec.oracle, spec.names, spec.check or _compare
+    family = spec.family(**bounds)
+    if spec.mirror is not None:
+        compared = (check(instance, names, (fast(*instance), answer))
+                    for instance, answer in _once_per_complement_pair(family, oracle, spec.mirror))
+    elif oracle is None:  # the fast route answers both sides
+        compared = (check(instance, names, fast(*instance)) for instance in family)
+    else:
+        compared = (check(instance, names, (fast(*instance), oracle(*instance))) for instance in family)
     result = SweepResult(sweep)
-    for found in problems:
+    for found in chain(compared, then):
         result.checked += 1
         result.counterexamples.extend(found)
         if progress is not None and result.checked % 1000 == 0:
@@ -104,9 +155,7 @@ def _run(sweep: str, problems: Problems, progress: Progress) -> SweepResult:
     return result
 
 
-def _describe(
-    subject: SimpleGraph | FiniteSemimetricSpace, parts: Optional[Bipartition] = None
-) -> str:
+def _describe(subject: SimpleGraph | FiniteSemimetricSpace, parts: Optional[Bipartition] = None) -> str:
     if isinstance(subject, FiniteSemimetricSpace):  # d(i, j) = rows[i][j] / scale, enough for `build_space`
         txt = f"points={subject.points} scale={subject.scale} rows={subject.rows}"
     else:
@@ -154,59 +203,83 @@ def _with_bipartitions(subjects: Iterable[Subject]) -> Iterator[tuple[Subject, B
             yield subject, parts
 
 
-def _with_be_path_oracle(
-    graphs: Iterable[SimpleGraph], oracle: Callable[[SimpleGraph, Bipartition], T], mirror: Callable[[T], T]
-) -> Iterator[tuple[SimpleGraph, Bipartition, T]]:
-    """Each graph with each bipartition and the be-path oracle's answer, run once per complement pair.
+def _graph_pairs(max_n: int) -> Iterator[tuple[SimpleGraph, Bipartition]]:
+    """Every labeled graph on 2..max_n vertices with each bipartition of its vertices."""
+    return _with_bipartitions(_labeled_graphs(max_n, 2))
+
+
+def _graphs(max_n: int) -> Iterator[tuple[SimpleGraph]]:
+    """Every labeled graph on 1..max_n vertices, as a one-item instance."""
+    return zip(_labeled_graphs(max_n))
+
+
+def _once_per_complement_pair(family: Iterable[tuple], oracle: Callable, mirror: Callable) -> Iterator[tuple]:
+    """Each (graph, parts) instance with the be-path oracle's answer, run once per complement pair.
 
     A be-path of (B, A) is one of (A, B) read from the other end, so the order met second gets
     `mirror` of the first one's answer, kept by its A until then: at most 2ⁿ⁻¹ − 1 answers, one graph's.
     """
     current, mirrored = None, {}
-    for graph, parts in _with_bipartitions(graphs):
+    for instance in family:
+        graph, parts = instance
         if graph is not current:
             current, mirrored = graph, {}
         if parts.a in mirrored:
-            yield graph, parts, mirrored.pop(parts.a)
+            yield instance, mirrored.pop(parts.a)
         else:
             answer = oracle(graph, parts)
             mirrored[parts.b] = mirror(answer)
-            yield graph, parts, answer
+            yield instance, answer
 
 
+def _certified(*tests: tuple[str, Callable[..., bool]]) -> Check:
+    """A check: both sides agree that a certificate exists, and the one returned passes each (problem, test)."""
+    def check(instance: tuple, names: tuple[str, str], answers: tuple) -> list[str]:
+        certificate, expected = answers
+        if (certificate is None) == expected:  # the two sides disagree
+            return _compare(instance, names, (certificate is not None, expected))
+        for problem, test in tests if certificate is not None else ():
+            if not test(certificate):
+                return [f"{_describe(*instance)}: {problem}"]
+        return []
+    return check
+
+
+_BEPATHS_FAST = tuple(f"bepaths.{name}" for name in (
+    "bpath_pairs", "quotient_graph", "is_quotient_complete_bipartite", "is_path_complete",
+    "path_complete_defect", "is_path_bipartite", "path_bipartite_defect"))
+_PATH_PROXIMINAL_FAST = ("path_proximinal.verify_path_proximinal", "path_proximinal.path_proximinal_defect")
+_DEGREES_FAST = ("path_proximinal.all_degrees_one", "path_proximinal.witness_ultrametric")
+
+
+@_declared("t3.9", _graph_pairs, lambda graph, parts: is_path_bipartite(graph, parts),
+           lambda graph, parts: union_of_be_paths(graph, parts) == graph, ("decision", "union-oracle"),
+           _BEPATHS_FAST, mirror=lambda same: same)
 def sweep_t3_9(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Path-bipartite decision vs. equality with the union of all be-paths."""
-    return _run("t3.9", (
-        _compare((graph, parts), ("decision", "union-oracle"), (is_path_bipartite(graph, parts), union == graph))
-        for graph, parts, union in _with_be_path_oracle(_labeled_graphs(max_n, 2), union_of_be_paths, lambda u: u)
-    ), progress)
+    return _run("t3.9", progress, max_n=max_n)
 
 
+def _check_t3_4(instance: tuple, names: tuple[str, str], answers: tuple) -> list[str]:
+    """The two B_path sets agree, and membership is all-or-nothing on component block pairs (statement 3)."""
+    (graph, parts), (fast, oracle) = instance, answers
+    if fast != oracle:
+        return [f"{_describe(graph, parts)}: {names[0]} {sorted(fast)} != {names[1]} {sorted(oracle)}"]
+    a_comps, b_comps = induced_components(graph, parts.a), induced_components(graph, parts.b)
+    return [f"{_describe(graph, parts)}: block pair {sorted(a_block)} x {sorted(b_block)}"
+            f" only partially joinable ({inside} pairs)"
+            for a_block in a_comps for b_block in b_comps
+            for inside in [sum(1 for a in a_block for b in b_block if (a, b) in oracle)]
+            if inside not in (0, len(a_block) * len(b_block))]
+
+
+@_declared("t3.4", _graph_pairs, lambda graph, parts: bpath_pairs(graph, parts),
+           lambda graph, parts: pairs_from_witnesses(be_paths_from_a(graph, parts), parts),
+           ("component-set", "enumerated"), _BEPATHS_FAST, _check_t3_4,
+           mirror=lambda pairs: frozenset((b, a) for a, b in pairs))
 def sweep_t3_4(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Quotient-based B_path vs. brute-force enumeration, plus block saturation."""
-    def problems() -> Problems:
-        for graph, parts, oracle in _with_be_path_oracle(
-                _labeled_graphs(max_n, 2), lambda g, p: pairs_from_witnesses(be_paths_from_a(g, p), p),
-                lambda pairs: frozenset((b, a) for a, b in pairs)):
-            fast = bpath_pairs(graph, parts)
-            if fast != oracle:
-                yield [f"{_describe(graph, parts)}: component-set {sorted(fast)} != enumerated {sorted(oracle)}"]
-                continue
-            # Statement 3: membership is all-or-nothing on component block pairs.
-            a_comps = induced_components(graph, parts.a)
-            b_comps = induced_components(graph, parts.b)
-            found = []
-            for a_block in a_comps:
-                for b_block in b_comps:
-                    inside = sum(1 for a in a_block for b in b_block if (a, b) in oracle)
-                    if inside not in (0, len(a_block) * len(b_block)):
-                        found.append(
-                            f"{_describe(graph, parts)}: block pair {sorted(a_block)} x {sorted(b_block)}"
-                            f" only partially joinable ({inside} pairs)"
-                        )
-            yield found
-
-    return _run("t3.4", problems(), progress)
+    return _run("t3.4", progress, max_n=max_n)
 
 
 def induced_bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tuple[str, str]]:
@@ -220,87 +293,75 @@ def induced_bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tup
     """
     a_comps = induced_components(graph, parts.a)
     b_comps = induced_components(graph, parts.b)
-    return frozenset(
-        (a, b)
-        for a_block in a_comps
-        for b_block in b_comps
-        if len(induced_components(graph, a_block | b_block)) == 1
-        for a in a_block
-        for b in b_block
-    )
+    return frozenset((a, b) for a_block in a_comps for b_block in b_comps
+                     if len(induced_components(graph, a_block | b_block)) == 1 for a in a_block for b in b_block)
 
 
+@_declared("t3.6", _graph_pairs, lambda graph, parts: is_path_complete(graph, parts),
+           lambda graph, parts: len(induced_bpath_pairs(graph, parts)) == len(parts.a) * len(parts.b),
+           ("quotient-complete", "blocks-induce-connected"), _BEPATHS_FAST)
 def sweep_t3_6(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Quotient completeness vs. induced connectivity of every block pair."""
-    return _run("t3.6", (
-        _compare((graph, parts), ("quotient-complete", "blocks-induce-connected"),
-                 (is_path_complete(graph, parts),
-                  len(induced_bpath_pairs(graph, parts)) == len(parts.a) * len(parts.b)))
-        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2))
-    ), progress)
+    return _run("t3.6", progress, max_n=max_n)
 
 
+@_declared("c2.9", lambda max_n: ((graph, parts) for graph, parts in _graph_pairs(max_n)
+                                  if min(len(parts.a), len(parts.b)) == 1 and is_path_bipartite(graph, parts)),
+           lambda graph, parts: is_path_complete(graph, parts), lambda graph, parts: is_connected(graph),
+           ("path-complete", "connected"), _BEPATHS_FAST)
 def sweep_c2_9(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """With a singleton part, connectivity and path-completeness coincide."""
-    return _run("c2.9", (
-        _compare((graph, parts), ("connected", "path-complete"),
-                 (is_connected(graph), is_path_complete(graph, parts)))
-        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2))
-        if min(len(parts.a), len(parts.b)) == 1 and is_path_bipartite(graph, parts)
-    ), progress)
+    return _run("c2.9", progress, max_n=max_n)
 
 
+def _check_c3_10(instance: tuple, names: tuple[str, str], answers: tuple) -> list[str]:
+    """Both sides agree that a partition exists, and the one returned is path-bipartite."""
+    parts, unpruned = answers
+    if (parts is None) == unpruned:  # the two sides disagree
+        return _compare(instance, names, (parts is not None, unpruned))
+    if parts is None or is_path_bipartite(*instance, parts):
+        return []
+    return [f"{_describe(*instance, parts)}: returned partition is not path-bipartite"]
+
+
+@_declared("c3.10", _graphs, lambda graph: find_path_bipartite_partition(graph),
+           lambda graph: bool(graph.edges) and prune_isolated(graph) == graph, ("partition-found", "equals-pruned"),
+           (*_BEPATHS_FAST, "bepaths.find_path_bipartite_partition"), _check_c3_10)
 def sweep_c3_10(max_n: int = 6, progress: Progress = None) -> SweepResult:
     """A path-bipartite partition exists exactly when no vertex is isolated."""
-    def problems() -> Problems:
-        for graph in _labeled_graphs(max_n):
-            parts = find_path_bipartite_partition(graph)
-            unpruned = bool(graph.edges) and prune_isolated(graph) == graph
-            found = _compare((graph,), ("partition-found", "equals-pruned"), (parts is not None, unpruned))
-            if not found and parts is not None and not is_path_bipartite(graph, parts):
-                found = [f"{_describe(graph, parts)}: returned partition is not path-bipartite"]
-            yield found
-
-    return _run("c3.10", problems(), progress)
+    return _run("c3.10", progress, max_n=max_n)
 
 
+@_declared("t3.16", _graphs, lambda graph: is_path_proximinal_graph(graph),
+           lambda graph: not graph.isolated_vertices(), ("certificate", "no-isolated-vertices"),
+           ("path_proximinal.is_path_proximinal_graph", "bepaths.find_path_bipartite_partition",
+            *_PATH_PROXIMINAL_FAST),
+           _certified(("produced certificate fails verification", lambda certificate: certificate.verify())))
 def sweep_t3_16(max_n: int = 6, progress: Progress = None) -> SweepResult:
     """Certificates exist exactly for graphs without isolated vertices."""
-    def problems() -> Problems:
-        for graph in _labeled_graphs(max_n):
-            certificate = is_path_proximinal_graph(graph)
-            found = _compare((graph,), ("certificate", "no-isolated-vertices"),
-                             (certificate is not None, not graph.isolated_vertices()))
-            if not found and certificate is not None and not certificate.verify():
-                found = [f"{_describe(graph)}: produced certificate fails verification"]
-            yield found
-
-    return _run("t3.16", problems(), progress)
+    return _run("t3.16", progress, max_n=max_n)
 
 
+@_declared("c3.12", _graphs, lambda graph: all_degrees_one(graph), lambda graph: check_corollary_3_12(graph),
+           ("degrees-one", "components-of-2"), _DEGREES_FAST)
 def sweep_c3_12(max_n: int = 6, progress: Progress = None) -> SweepResult:
     """All components of size two iff every degree equals one."""
-    return _run("c3.12", (
-        _compare((graph,), ("components-of-2", "degrees-one"),
-                 (check_corollary_3_12(graph), all_degrees_one(graph)))
-        for graph in _labeled_graphs(max_n)
-    ), progress)
+    return _run("c3.12", progress, max_n=max_n)
 
 
+@_declared("p3.22", lambda max_n: ((graph, parts) for graph, parts in _graph_pairs(max_n)
+                                   if graph.edges and is_bipartite_with_parts(graph, parts)),
+           lambda graph, parts: check_prop_3_22(graph, parts, witness_proximinal_metric(graph, parts)),
+           lambda graph, parts: not graph.isolated_vertices(), ("saturated", "no-isolated"),
+           ("path_proximinal.check_prop_3_22", "proximinal.verify_proximinal_graph",
+            "proximinal.proximinal_graph_defect", "spaces.proximity_report"))
 def sweep_p3_22(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Saturation of the best-proximity core iff no isolated vertices."""
-    return _run("p3.22", (
-        _compare((graph, parts), ("saturated", "no-isolated"),
-                 (check_prop_3_22(graph, parts, witness_proximinal_metric(graph, parts)),
-                  not graph.isolated_vertices()))
-        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2))
-        if graph.edges and is_bipartite_with_parts(graph, parts)
-    ), progress)
+    return _run("p3.22", progress, max_n=max_n)
 
 
-def _perturbed_within_part(
-    space: FiniteSemimetricSpace, parts: Bipartition, rng: random.Random
-) -> Optional[FiniteSemimetricSpace]:
+def _perturbed_within_part(space: FiniteSemimetricSpace, parts: Bipartition,
+                           rng: random.Random) -> Optional[FiniteSemimetricSpace]:
     """Copy of the space with one random same-part distance rewritten; the rows are copied at scale 1."""
     in_a = [p in parts.a for p in space.points]
     same_part_pairs = [(i, j) for i, j in combinations(range(space.size), 2) if in_a[i] == in_a[j]]
@@ -314,43 +375,41 @@ def _perturbed_within_part(
     return build_space(space.points, table)
 
 
-def sweep_p3_9(
-    max_n: int = 5, count: int = 3, seed: int = 0, progress: Progress = None
-) -> SweepResult:
-    """Path-proximinality iff strict within-part separation, for G = G'.
-
-    Runs on the witness-metric family plus `count` random same-part
-    perturbations per instance (cross distances stay untouched, so the
-    proximinal-graph property is preserved).
-    """
-    def problems() -> Problems:
-        rng = random.Random(seed)
-        for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2)):
-            if not graph.edges or graph.isolated_vertices() or not is_bipartite_with_parts(graph, parts):
-                continue
-            base = witness_proximinal_metric(graph, parts)
-            spaces = [base]
-            for _ in range(count):
-                perturbed = _perturbed_within_part(base, parts, rng)
-                if perturbed is not None:
-                    spaces.append(perturbed)
-            for space in spaces:
-                if not verify_proximinal_graph(graph, parts, space):
-                    yield [f"{_describe(graph, parts)}: perturbation broke the proximinal certificate"]
-                    continue
-                yield _compare((graph, parts), ("path-proximinal", "separation"),
-                               (verify_path_proximinal(graph, parts, space),
-                                check_within_part_separation(space, parts)))
-
-    return _run("p3.9", problems(), progress)
+def _p3_9_family(max_n: int, count: int, seed: int) -> Iterator[tuple]:
+    """(graph, parts, space): the witness metric of each proximinal graph without isolated vertices, then `count`
+    random same-part perturbations of it; cross distances stay untouched, so G stays the proximinal graph."""
+    rng = random.Random(seed)
+    for graph, parts in _graph_pairs(max_n):
+        if not graph.edges or graph.isolated_vertices() or not is_bipartite_with_parts(graph, parts):
+            continue
+        base = witness_proximinal_metric(graph, parts)
+        perturbed = [_perturbed_within_part(base, parts, rng) for _ in range(count)]  # drawn before any is checked
+        for space in [base, *perturbed]:
+            if space is not None:
+                yield graph, parts, space
 
 
+def _check_p3_9(instance: tuple, names: tuple[str, str], answers: tuple) -> list[str]:
+    """The space still makes its graph proximinal, and both sides agree; lines name the graph and parts."""
+    if not verify_proximinal_graph(*instance):
+        return [f"{_describe(*instance[:2])}: perturbation broke the proximinal certificate"]
+    return _compare(instance[:2], names, answers)
+
+
+@_declared("p3.9", _p3_9_family, lambda graph, parts, space: verify_path_proximinal(graph, parts, space),
+           lambda graph, parts, space: check_within_part_separation(space, parts), ("path-proximinal", "separation"),
+           (*_PATH_PROXIMINAL_FAST, "spaces.build_threshold_graph", *_BEPATHS_FAST), _check_p3_9)
+def sweep_p3_9(max_n: int = 5, count: int = 3, seed: int = 0, progress: Progress = None) -> SweepResult:
+    """Path-proximinality iff strict within-part separation, for G = G'."""
+    return _run("p3.9", progress, max_n=max_n, count=count, seed=seed)
+
+
+@_declared("t2.1", lambda count, seed: _with_bipartitions(_random_spaces(random_ultrametric_space, count, 8, seed)),
+           lambda space, parts: check_theorem_2_1(space, parts), None, ("stmt1", "stmt2"),
+           ("spaces.check_theorem_2_1",))
 def sweep_t2_1(count: int = 1000, seed: int = 0, progress: Progress = None) -> SweepResult:
     """Diameter bound vs. best-proximity saturation on random ultrametrics."""
-    return _run("t2.1", (
-        _compare((space, parts), ("stmt1", "stmt2"), check_theorem_2_1(space, parts))
-        for space, parts in _with_bipartitions(_random_spaces(random_ultrametric_space, count, 8, seed))
-    ), progress)
+    return _run("t2.1", progress, count=count, seed=seed)
 
 
 def _every_degree_one(graph: SimpleGraph) -> bool:
@@ -363,37 +422,23 @@ def _every_degree_one(graph: SimpleGraph) -> bool:
     return bool(neighbour) and neighbour.keys() == graph.vertices
 
 
-def sweep_t3_10(
-    max_n: int = 6,
-    count: int = 500,
-    seed: int = 0,
-    progress: Progress = None,
-) -> SweepResult:
+@_declared("t3.10", _graphs, lambda graph: witness_ultrametric(graph), _every_degree_one,
+           ("witness", "degrees-one"), _DEGREES_FAST, _certified(
+               ("witness space fails the ultrametric scan",
+                lambda certificate: classify(certificate.space) is SpaceClass.ULTRAMETRIC),
+               ("witness certificate fails verification", lambda certificate: certificate.verify()),
+               ("witness parts are not a bipartition of the graph",
+                lambda certificate: is_bipartite_with_parts(certificate.graph, certificate.parts))))
+def sweep_t3_10(max_n: int = 6, count: int = 500, seed: int = 0, progress: Progress = None) -> SweepResult:
     """Degree-one graphs vs. ultrametric path-proximinal certificates.
 
     Forward: over all labeled graphs, the ultrametric witness succeeds
     exactly on the graphs where every degree is one, and `classify` finds
-    its space ultrametric.  Backward: over seeded random
-    ultrametric spaces and all bipartitions, whenever the threshold graph
-    is bipartite with the parts and verifies path-proximinal, all its
-    components have exactly two vertices.
+    its space ultrametric.  Backward, an implication counted after the
+    compare: over seeded random ultrametric spaces and all bipartitions,
+    whenever the threshold graph is bipartite with the parts and verifies
+    path-proximinal, all its components have exactly two vertices.
     """
-    def forward() -> Problems:
-        for graph in _labeled_graphs(max_n):
-            certificate = witness_ultrametric(graph)
-            found = _compare((graph,), ("witness", "degrees-one"),
-                             (certificate is not None, _every_degree_one(graph)))
-            if found or certificate is None:
-                yield found
-            elif classify(certificate.space) is not SpaceClass.ULTRAMETRIC:
-                yield [f"{_describe(graph)}: witness space fails the ultrametric scan"]
-            elif not certificate.verify():
-                yield [f"{_describe(graph)}: witness certificate fails verification"]
-            elif not is_bipartite_with_parts(certificate.graph, certificate.parts):
-                yield [f"{_describe(graph)}: witness parts are not a bipartition of the graph"]
-            else:
-                yield []
-
     fired = 0
 
     def backward() -> Problems:
@@ -404,52 +449,19 @@ def sweep_t3_10(
                 yield []
                 continue
             fired += 1
-            yield [] if check_corollary_3_12(graph) else [
-                f"{_describe(space, parts)}:"
-                f" ultrametric path-proximinal threshold graph with a component != 2 vertices"
-            ]
+            yield [] if check_corollary_3_12(graph) else [f"{_describe(space, parts)}: ultrametric path-proximinal"
+                                                          f" threshold graph with a component != 2 vertices"]
 
-    result = _run("t3.10", chain(forward(), backward()), progress)
+    result = _run("t3.10", progress, backward(), max_n=max_n)
     result.notes.append(f"backward direction fired on {fired} (space, partition) instances")
     return result
 
 
+@_declared("t3.5", lambda count, seed: _with_bipartitions(_random_spaces(random_semimetric_space, count, 7, seed)),
+           lambda space, parts: check_structural_conditions(space, parts),
+           lambda space, parts: is_path_bipartite(build_threshold_graph(space, parts), parts),
+           ("structural", "path-bipartite"),
+           ("path_proximinal.check_structural_conditions", "bepaths.quotient_graph", "spaces.proximity_report"))
 def sweep_t3_5(count: int = 300, seed: int = 0, progress: Progress = None) -> SweepResult:
     """Core reachability vs. path-bipartiteness of the threshold graph."""
-    return _run("t3.5", (
-        _compare((space, parts), ("structural", "path-bipartite"),
-                 (check_structural_conditions(space, parts),
-                  is_path_bipartite(build_threshold_graph(space, parts), parts)))
-        for space, parts in _with_bipartitions(_random_spaces(random_semimetric_space, count, 7, seed))
-    ), progress)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    run: Callable[..., SweepResult]
-
-    @property
-    def description(self) -> str:
-        """The first line of the sweep's docstring."""
-        return self.run.__doc__.splitlines()[0].rstrip(".")
-
-    @property
-    def parameters(self) -> frozenset[str]:
-        """The bounds the sweep takes: every parameter of `run` but `progress`."""
-        return frozenset(inspect.signature(self.run).parameters) - {"progress"}
-
-
-SWEEPS: dict[str, SweepSpec] = {
-    "t3.9": SweepSpec(sweep_t3_9),
-    "t3.4": SweepSpec(sweep_t3_4),
-    "t3.6": SweepSpec(sweep_t3_6),
-    "c2.9": SweepSpec(sweep_c2_9),
-    "c3.10": SweepSpec(sweep_c3_10),
-    "t3.16": SweepSpec(sweep_t3_16),
-    "c3.12": SweepSpec(sweep_c3_12),
-    "p3.22": SweepSpec(sweep_p3_22),
-    "p3.9": SweepSpec(sweep_p3_9),
-    "t2.1": SweepSpec(sweep_t2_1),
-    "t3.10": SweepSpec(sweep_t3_10),
-    "t3.5": SweepSpec(sweep_t3_5),
-}
+    return _run("t3.5", progress, count=count, seed=seed)

@@ -15,8 +15,7 @@ from math import comb, prod
 
 import pytest
 
-from proxigraph import theorems
-from proxigraph.theorems import _labeled_graphs, _with_bipartitions
+from proxigraph.theorems import SWEEPS
 
 
 def connected_counts(top: int) -> list[int]:
@@ -49,33 +48,21 @@ def test_the_recurrences_give_the_known_sequences():
     assert EVERY_DEGREE_ONE[1:] == [0 if n % 2 else prod(range(n - 1, 0, -2)) for n in range(1, 8)]
 
 
-def _true_counts(route, family) -> dict[int, int]:
-    """Per vertex count n of the family: on how many of its instances `route` answers true."""
-    counts = Counter()
-    for instance in family:
-        counts[len(instance[0].vertices)] += bool(route(*instance))
-    return dict(counts)
-
-
-def _graphs(max_n):
-    return lambda: ((graph,) for graph in _labeled_graphs(max_n))
-
-
-# Per sweep: its fast route, its family on min_n..max_n vertices, and the formula counting the route's trues
-FAMILIES = {
-    "t3.9": (lambda graph, parts: theorems.is_path_bipartite(graph, parts),
-             lambda: _with_bipartitions(_labeled_graphs(5, 2)), range(2, 6), PATH_BIPARTITE),
-    "t3.16": (lambda graph: theorems.is_path_proximinal_graph(graph) is not None,
-              _graphs(6), range(1, 7), NO_ISOLATED_VERTEX),
-    "c3.10": (lambda graph: theorems.find_path_bipartite_partition(graph) is not None,
-              _graphs(6), range(1, 7), NO_ISOLATED_VERTEX),
-    "c3.12": (lambda graph: theorems.check_corollary_3_12(graph), _graphs(6), range(1, 7), EVERY_DEGREE_ONE),
-    "t3.10": (lambda graph: theorems.witness_ultrametric(graph) is not None,
-              _graphs(6), range(1, 7), EVERY_DEGREE_ONE),
+# Per sweep: the formula counting the trues of its fast route, and the vertex counts its family runs over
+FORMULAS = {
+    "t3.9": (PATH_BIPARTITE, range(2, 6)),
+    "t3.16": (NO_ISOLATED_VERTEX, range(1, 7)),
+    "c3.10": (NO_ISOLATED_VERTEX, range(1, 7)),
+    "c3.12": (EVERY_DEGREE_ONE, range(1, 7)),
+    "t3.10": (EVERY_DEGREE_ONE, range(1, 7)),
 }
 
 
-@pytest.mark.parametrize("sweep_id", sorted(FAMILIES))
+@pytest.mark.parametrize("sweep_id", sorted(FORMULAS))
 def test_fast_route_true_counts_match_their_formula(sweep_id):
-    route, family, sizes, formula = FAMILIES[sweep_id]
-    assert _true_counts(route, family()) == {n: formula[n] for n in sizes}
+    """The declared fast route over the declared family: a certificate or partition returned counts as true."""
+    spec, (formula, sizes) = SWEEPS[sweep_id], FORMULAS[sweep_id]
+    counts = Counter()
+    for instance in spec.family(max_n=sizes[-1]):
+        counts[len(instance[0].vertices)] += spec.fast(*instance) not in (None, False)
+    assert dict(counts) == {n: formula[n] for n in sizes}

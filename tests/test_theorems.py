@@ -1,6 +1,7 @@
 """Sweep smoke runs at small bounds; the full bounds run in the acceptance suite."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import operator
@@ -33,9 +34,6 @@ from proxigraph.instances import (
 )
 from proxigraph.theorems import (
     SWEEPS,
-    SweepSpec,
-    _labeled_graphs,
-    _perturbed_within_part,
     _random_spaces,
     _with_bipartitions,
     sweep_c2_9,
@@ -126,8 +124,7 @@ def test_progress_callback_fires_every_1000():
     assert all(done % 1000 == 0 for done in calls)
 
 
-@pytest.mark.parametrize("sweep_id", ["t3.9", "t3.4", "t3.6", "c2.9", "c3.10", "t3.16", "c3.12", "p3.22", "p3.9",
-                                      "t3.10"])
+@pytest.mark.parametrize("sweep_id", [sweep_id for sweep_id, spec in SWEEPS.items() if "max_n" in spec.parameters])
 def test_a_bound_past_the_enumeration_raises_before_the_first_instance(sweep_id):
     calls = []
 
@@ -147,11 +144,29 @@ def test_sweep_result_lines():
     assert any("counterexamples: 0" in line for line in lines)
 
 
-def test_spec_reads_description_and_bounds_through_a_wrapper():
-    spec = SweepSpec(functools.wraps(sweep_t2_1)(lambda **kwargs: sweep_t2_1(**kwargs)))
+def test_spec_reads_description_and_bounds_through_a_wrapper(monkeypatch, capsys):
+    # wrapped as the benchmark's tracer wraps each sweep: dataclasses.replace(spec, run=wrapped),
+    # the span named after run.__name__; `verify` must run the wrapper once and print what it prints unwrapped
+    calls = []
+
+    def wrapped(run):
+        @functools.wraps(run)
+        def call(*args, **kwargs):
+            calls.append(run.__name__)
+            return run(*args, **kwargs)
+        return call
+
+    spec = dataclasses.replace(SWEEPS["t2.1"], run=wrapped(sweep_t2_1))
+    assert spec.run.__name__ == "sweep_t2_1"
     assert spec.parameters == {"count", "seed"}
     assert spec.description == "Diameter bound vs. best-proximity saturation on random ultrametrics"
     assert SWEEPS["t3.10"].parameters == {"max_n", "count", "seed"}
+    assert main(["verify", "t3.9", "--max-n", "3"]) == 0
+    unwrapped = capsys.readouterr().out
+    monkeypatch.setitem(SWEEPS, "t3.9", dataclasses.replace(SWEEPS["t3.9"], run=wrapped(sweep_t3_9)))
+    assert main(["verify", "t3.9", "--max-n", "3"]) == 0
+    assert calls == ["sweep_t3_9"]
+    assert capsys.readouterr().out == unwrapped == "true\nsweep t3.9: checked 52 instances\ncounterexamples: 0\n"
 
 
 def _negated(route):
@@ -171,28 +186,25 @@ def _mirrored_only(wrong):
     return make
 
 
-@pytest.mark.parametrize("sweep_id, bounds, route, wrong, names", [
-    ("t3.9", dict(max_n=3), "is_path_bipartite", _negated, ("decision=", "union-oracle=")),
-    ("t3.9", dict(max_n=3), "is_path_bipartite", _mirrored_only(_negated), ("decision=", "union-oracle=")),
-    ("t3.4", dict(max_n=3), "bpath_pairs", _one_pair_short, ("component-set", "enumerated")),
-    ("t3.4", dict(max_n=3), "bpath_pairs", _mirrored_only(_one_pair_short), ("component-set", "enumerated")),
-    ("t3.6", dict(max_n=3), "is_path_complete", _negated, ("quotient-complete=", "blocks-induce-connected=")),
-    ("c3.10", dict(max_n=4), "find_path_bipartite_partition", lambda route: lambda graph: None,
-     ("partition-found=", "equals-pruned=")),
-    ("t3.5", dict(count=10, seed=2), "check_structural_conditions", _negated,
-     ("structural=", "path-bipartite=")),
-    ("t3.10", dict(max_n=3, count=2, seed=1), "witness_ultrametric",
-     lambda route: lambda graph: None, ("witness=", "degrees-one=")),
+@pytest.mark.parametrize("sweep_id, bounds, route, wrong", [
+    ("t3.9", dict(max_n=3), "is_path_bipartite", _negated),
+    ("t3.9", dict(max_n=3), "is_path_bipartite", _mirrored_only(_negated)),
+    ("t3.4", dict(max_n=3), "bpath_pairs", _one_pair_short),
+    ("t3.4", dict(max_n=3), "bpath_pairs", _mirrored_only(_one_pair_short)),
+    ("t3.6", dict(max_n=3), "is_path_complete", _negated),
+    ("c3.10", dict(max_n=4), "find_path_bipartite_partition", lambda route: lambda graph: None),
+    ("t3.5", dict(count=10, seed=2), "check_structural_conditions", _negated),
+    ("t3.10", dict(max_n=3, count=2, seed=1), "witness_ultrametric", lambda route: lambda graph: None),
 ], ids=["t3.9", "t3.9-mirrored", "t3.4", "t3.4-mirrored", "t3.6", "c3.10", "t3.5", "t3.10"])
-def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, wrong, names):
-    run = SWEEPS[sweep_id].run
-    clean = run(**bounds)
+def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, wrong):
+    spec = SWEEPS[sweep_id]
+    clean = spec.run(**bounds)
     monkeypatch.setattr(theorems, route, wrong(getattr(theorems, route)))
-    result = run(**bounds)
+    result = spec.run(**bounds)
     assert clean.ok
     assert not result.ok
     assert result.checked == clean.checked
-    assert all(name in result.counterexamples[0] for name in names)
+    assert all(name in result.counterexamples[0] for name in spec.names)
 
 
 def test_fast_routes_run_on_every_instance_and_the_be_path_oracle_once_per_complement_pair(monkeypatch):
@@ -215,18 +227,17 @@ def test_fast_routes_run_on_every_instance_and_the_be_path_oracle_once_per_compl
 
 
 def test_space_counterexample_line_rebuilds_the_space(monkeypatch):
-    bounds = dict(count=10, seed=1)
-    space, parts = next(_with_bipartitions(_random_spaces(random_semimetric_space, 10, 7, 1)))  # t3.5's first instance
+    spec, bounds = SWEEPS["t3.5"], dict(count=10, seed=1)
+    space, parts = next(iter(spec.family(**bounds)))
     assert space.scale > 1  # the line must carry the scale, not only the rows
     monkeypatch.setattr(theorems, "check_structural_conditions", _negated(theorems.check_structural_conditions))
-    line = sweep_t3_5(**bounds).counterexamples[0]  # negated, the route fails on the first instance
+    line = spec.run(**bounds).counterexamples[0]  # negated, the route fails on the first instance
     found = re.fullmatch(r"points=(.*) scale=(\d+) rows=(.*) A=(.*) B=(.*): structural=.*", line)
     points, scale, rows, a, b = map(ast.literal_eval, found.groups())
     rebuilt = build_space(points, [[Fraction(v, scale) for v in row] for row in rows])
     assert rebuilt == space and Bipartition.of(a, b) == parts
-    answers = (theorems.check_structural_conditions(rebuilt, parts),
-               bepaths.is_path_bipartite(spaces.build_threshold_graph(rebuilt, parts), parts))
-    assert theorems._compare((rebuilt, parts), ("structural", "path-bipartite"), answers) == [line]
+    answers = (spec.fast(rebuilt, parts), spec.oracle(rebuilt, parts))
+    assert theorems._compare((rebuilt, parts), spec.names, answers) == [line]
 
 
 @pytest.mark.parametrize("make_space", [random_ultrametric_space, random_semimetric_space])
@@ -248,7 +259,7 @@ def test_space_family_shares_one_bipartition_list_per_point_set(make_space):
 
 
 def test_graph_family_shares_one_bipartition_list_per_vertex_count():
-    family = list(_with_bipartitions(_labeled_graphs(4, 2)))
+    family = list(SWEEPS["t3.9"].family(max_n=4))
     graphs = [graph for n in range(2, 5) for graph in enumerate_labeled_graphs(n)]
     assert family == [(graph, parts) for graph in graphs for parts in all_bipartitions(graph.vertices)]
     assert len({id(parts) for _, parts in family}) == 2 + 6 + 14
@@ -287,95 +298,56 @@ def test_sweep_reports_a_certificate_failing_verification(monkeypatch, sweep_id,
     assert result.counterexamples[0].endswith(message)
 
 
-def _graph_family(max_n, keep=lambda graph, parts: True):
-    return lambda: [(graph, parts) for graph, parts in _with_bipartitions(_labeled_graphs(max_n, 2))
-                    if keep(graph, parts)]
-
-
-def _p3_9_family():
-    """Witness metrics and one same-part perturbation each, as sweep p3.9 builds them."""
-    rng, family = random.Random(0), []
-    for graph, parts in _with_bipartitions(_labeled_graphs(4, 2)):
-        if graph.edges and not graph.isolated_vertices() and proximinal.is_bipartite_with_parts(graph, parts):
-            base = proximinal.witness_proximinal_metric(graph, parts)
-            perturbed = _perturbed_within_part(base, parts, rng)
-            family += [(space, parts) for space in (base, perturbed) if space is not None]
-    return family
-
-
 def test_perturbation_copies_the_rows_as_the_fraction_view_did():
     # p3.9 copied `space.table` before its one rewritten entry; its rows at scale 1 are the same copy,
     # drawn in the same order, so the sweep checks its 2266 instances at every seed
     for seed in range(3):
-        rng, view_rng, checked = random.Random(seed), random.Random(seed), 0
-        for graph, parts in _with_bipartitions(_labeled_graphs(5, 2)):
-            if not graph.edges or graph.isolated_vertices() or not proximinal.is_bipartite_with_parts(graph, parts):
-                continue
-            base = proximinal.witness_proximinal_metric(graph, parts)
+        view_rng, checked, current = random.Random(seed), 0, None
+        for graph, parts, space in SWEEPS["p3.9"].family(max_n=5, count=3, seed=seed):
             checked += 1
-            for _ in range(3):
-                perturbed = _perturbed_within_part(base, parts, rng)
-                checked += perturbed is not None
+            if (graph, parts) != current:  # the witness metric comes first, then its perturbations
+                current, base = (graph, parts), space
+                assert base == proximinal.witness_proximinal_metric(graph, parts)
                 pairs = [(i, j) for i in range(base.size) for j in range(i + 1, base.size)
                          if (base.points[i] in parts.a) == (base.points[j] in parts.a)]
-                if not pairs:
-                    assert perturbed is None
-                    continue
-                i, j = view_rng.choice(pairs)
-                table = [list(row) for row in base.table]
-                table[i][j] = table[j][i] = view_rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
-                                                             Fraction(3)])
-                assert perturbed == build_space(base.points, table)
+                continue
+            i, j = view_rng.choice(pairs)  # no pairs, no perturbation: an empty choice raises
+            table = [list(row) for row in base.table]
+            table[i][j] = table[j][i] = view_rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+                                                         Fraction(3)])
+            assert space == build_space(base.points, table)
         assert checked == 2266
 
 
-BEPATHS_FAST = tuple(f"bepaths.{name}" for name in (
+# The fast-side names each sweep's declaration must keep: it may add names but drop none of these.
+BEPATHS_FLOOR = {f"bepaths.{name}" for name in (
     "bpath_pairs", "quotient_graph", "is_quotient_complete_bipartite", "is_path_complete",
     "path_complete_defect", "is_path_bipartite", "path_bipartite_defect",
-))
-PATH_PROXIMINAL_FAST = ("path_proximinal.verify_path_proximinal", "path_proximinal.path_proximinal_defect")
-
-# Per sweep: its family (argument tuples, built before anything is stubbed), the
-# fast-route functions as module.name, its oracle, and the routines both sides
-# legitimately share.  Oracles reach proxigraph through module attributes, so a
-# stub or a counter bound in the module is the function they call.
-ORACLES = {
-    "t3.9": (_graph_family(4), BEPATHS_FAST, lambda graph, parts: bepaths.union_of_be_paths(graph, parts), ()),
-    "t3.4": (_graph_family(4), BEPATHS_FAST,
-             lambda graph, parts: bepaths.pairs_from_witnesses(bepaths.be_paths_from_a(graph, parts), parts), ()),
-    "t3.6": (_graph_family(4), BEPATHS_FAST, lambda graph, parts: theorems.induced_bpath_pairs(graph, parts), ()),
-    "c2.9": (_graph_family(4, lambda graph, parts: min(len(parts.a), len(parts.b)) == 1
-                           and bepaths.is_path_bipartite(graph, parts)),
-             BEPATHS_FAST, lambda graph, parts: graphs.is_connected(graph), ()),
-    "c3.10": (lambda: [(graph,) for graph in _labeled_graphs(4)],
-              (*BEPATHS_FAST, "bepaths.find_path_bipartite_partition"),
-              lambda graph: bool(graph.edges) and graphs.prune_isolated(graph) == graph, ()),
-    "t3.16": (lambda: [(graph,) for graph in _labeled_graphs(4)],
-              ("path_proximinal.is_path_proximinal_graph", "bepaths.find_path_bipartite_partition",
-               *PATH_PROXIMINAL_FAST),
-              lambda graph: not graph.isolated_vertices(), ()),
-    "c3.12": (lambda: [(graph,) for graph in _labeled_graphs(5)],
-              ("path_proximinal.all_degrees_one", "path_proximinal.witness_ultrametric"),
-              lambda graph: path_proximinal.check_corollary_3_12(graph), ()),
-    "p3.22": (_graph_family(4, lambda graph, parts: graph.edges and proximinal.is_bipartite_with_parts(graph, parts)),
-              ("path_proximinal.check_prop_3_22", "proximinal.verify_proximinal_graph",
-               "proximinal.proximinal_graph_defect", "spaces.proximity_report"),
-              lambda graph, parts: not graph.isolated_vertices(), ()),
-    "p3.9": (_p3_9_family, (*PATH_PROXIMINAL_FAST, "spaces.build_threshold_graph", *BEPATHS_FAST),
-             lambda space, parts: path_proximinal.check_within_part_separation(space, parts), ()),
-    # check_theorem_2_1 evaluates both statements; statement 1 is rebuilt here from its calls
-    "t2.1": (lambda: list(_with_bipartitions(_random_spaces(random_ultrametric_space, 20, 6, 11))),
-             ("spaces.check_theorem_2_1", "spaces.is_proximinal", "spaces.best_approximations"),
-             lambda space, parts: spaces.diameter(space, parts.b) <= spaces.proximity_report(space, parts).distance,
-             ("spaces.proximity_report",)),
-    "t3.10": (lambda: [(graph,) for graph in _labeled_graphs(5)],
-              ("path_proximinal.all_degrees_one", "path_proximinal.witness_ultrametric"),
-              lambda graph: theorems._every_degree_one(graph), ()),
-    "t3.5": (lambda: list(_with_bipartitions(_random_spaces(random_semimetric_space, 20, 6, 2))),
-             ("path_proximinal.check_structural_conditions", "bepaths.quotient_graph", "spaces.proximity_report"),
-             lambda space, parts: bepaths.is_path_bipartite(spaces.build_threshold_graph(space, parts), parts),
-             ("spaces.build_threshold_graph",)),
+)}
+PATH_PROXIMINAL_FLOOR = {"path_proximinal.verify_path_proximinal", "path_proximinal.path_proximinal_defect"}
+DEGREES_FLOOR = {"path_proximinal.all_degrees_one", "path_proximinal.witness_ultrametric"}
+ROUTE_FLOOR = {
+    "t3.9": BEPATHS_FLOOR, "t3.4": BEPATHS_FLOOR, "t3.6": BEPATHS_FLOOR, "c2.9": BEPATHS_FLOOR,
+    "c3.10": BEPATHS_FLOOR | {"bepaths.find_path_bipartite_partition"},
+    "t3.16": PATH_PROXIMINAL_FLOOR | {"path_proximinal.is_path_proximinal_graph",
+                                      "bepaths.find_path_bipartite_partition"},
+    "c3.12": DEGREES_FLOOR, "t3.10": DEGREES_FLOOR,
+    "p3.22": {"path_proximinal.check_prop_3_22", "proximinal.verify_proximinal_graph",
+              "proximinal.proximinal_graph_defect", "spaces.proximity_report"},
+    "p3.9": PATH_PROXIMINAL_FLOOR | BEPATHS_FLOOR | {"spaces.build_threshold_graph"},
+    "t2.1": {"spaces.check_theorem_2_1"},
+    "t3.5": {"path_proximinal.check_structural_conditions", "bepaths.quotient_graph", "spaces.proximity_report"},
 }
+# Routines an oracle legitimately shares with its fast side: never stubbed, and the oracle must call them
+SHARED = {"t2.1": ("spaces.proximity_report",), "t3.5": ("spaces.build_threshold_graph",)}
+# Each sweep's smallest family for the independence check; the graph sweeps not named run at max_n=4
+SMALL_BOUNDS = {"c3.12": dict(max_n=5), "t3.10": dict(max_n=5), "p3.9": dict(max_n=4, count=1, seed=0),
+                "t2.1": dict(count=20, seed=11), "t3.5": dict(count=20, seed=2)}
+
+
+def _t2_1_statement_1(space, parts):
+    """t2.1's oracle side, rebuilt: `check_theorem_2_1` answers both statements in one call."""
+    return spaces.diameter(space, parts.b) <= spaces.proximity_report(space, parts).distance
 
 
 def _rebind_everywhere(monkeypatch, route, replace) -> set[str]:
@@ -401,16 +373,21 @@ def test_every_name_the_benchmark_tracer_wraps_is_still_bound():
 
 
 def test_oracle_table_covers_every_sweep():
-    assert set(ORACLES) == set(SWEEPS)
-    for _, fast, _, shared in ORACLES.values():
-        assert not set(fast) & set(shared)
+    """Every SWEEPS entry declares at least its floor of fast-side names, and none its oracle shares."""
+    assert set(ROUTE_FLOOR) == set(SWEEPS)
+    for sweep_id, spec in SWEEPS.items():
+        assert set(spec.routes) >= ROUTE_FLOOR[sweep_id], sweep_id
+        assert not set(spec.routes) & set(SHARED.get(sweep_id, ()))
+        assert (spec.oracle is None) == (sweep_id == "t2.1")  # the one sweep whose fast call answers both sides
 
 
-@pytest.mark.parametrize("sweep_id", sorted(ORACLES))
+@pytest.mark.parametrize("sweep_id", sorted(SWEEPS))
 def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
-    """Every sweep's oracle gives the same answers while its fast routes raise wherever they are bound."""
-    family, fast, oracle, shared = ORACLES[sweep_id]
-    instances = family()
+    """Every sweep's oracle gives the same answers on its family while each declared fast route raises
+    wherever it is bound, and the sweep's fast side raises under the same stubs."""
+    spec = SWEEPS[sweep_id]
+    instances = list(spec.family(**SMALL_BOUNDS.get(sweep_id, dict(max_n=4))))
+    oracle = spec.oracle or _t2_1_statement_1
     expected = [oracle(*instance) for instance in instances]
     # the family tells the answers apart, but in c2.9 a singleton part that every
     # component meets leaves one component, so both sides read true on all of it
@@ -419,10 +396,10 @@ def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
 
     def stub(route):
         def raises(*args, **kwargs):
-            raise AssertionError(f"the {sweep_id} oracle called the fast route {route}")
+            raise AssertionError(f"the stubbed fast route {route} was called")
         return lambda original: raises
 
-    for route in fast:
+    for route in spec.routes:
         assert f"proxigraph.{route.split('.')[0]}" in _rebind_everywhere(monkeypatch, route, stub(route))
     calls = Counter()
 
@@ -434,10 +411,12 @@ def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
             return counting
         return count
 
-    for route in shared:
+    for route in SHARED.get(sweep_id, ()):
         _rebind_everywhere(monkeypatch, route, counted(route))
     assert [oracle(*instance) for instance in instances] == expected
-    assert all(calls[route] for route in shared), f"a declared shared routine is not called: {dict(calls)}"
+    assert all(calls[route] for route in SHARED.get(sweep_id, ())), f"a shared routine is not called: {dict(calls)}"
+    with pytest.raises(AssertionError, match="the stubbed fast route"):
+        spec.fast(*instances[0])
 
 
 class _UnreadableMemo(dict):
@@ -450,8 +429,8 @@ class _UnreadableMemo(dict):
 def test_fast_routes_never_read_the_induced_components_memo(monkeypatch):
     """The t3.4 and t3.6 fast routes answer alike while `induced_components` raises wherever it is
     bound and each graph's memo raises on a read: the oracles' memo never feeds the fast routes."""
-    family = ORACLES["t3.6"][0]()
-    assert family == ORACLES["t3.4"][0]()
+    family = list(SWEEPS["t3.6"].family(max_n=4))
+    assert family == list(SWEEPS["t3.4"].family(max_n=4))
     routes = (bepaths.quotient_graph, bepaths.bpath_pairs, bepaths.is_path_complete)
     expected = [[route(graph, parts) for route in routes] for graph, parts in family]
 

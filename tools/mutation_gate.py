@@ -205,25 +205,33 @@ EDITS = (
          "    if len(graph.vertices) >= DEFAULT_ENUMERATION_BOUND:\n",
          ("tests/test_bepaths.py",)),
     Edit("t3.9-decision-mirrored-with-the-oracle", "src/proxigraph/theorems.py",
-         "        _compare((graph, parts), (\"decision\", \"union-oracle\"),"
-         " (is_path_bipartite(graph, parts), union == graph))\n"
-         "        for graph, parts, union in _with_be_path_oracle(_labeled_graphs(max_n, 2),"
-         " union_of_be_paths, lambda u: u)\n",
-         "        _compare((graph, parts), (\"decision\", \"union-oracle\"), (decided, union == graph))\n"
-         "        for graph, parts, (decided, union) in _with_be_path_oracle(\n"
-         "            _labeled_graphs(max_n, 2),"
-         " lambda g, p: (is_path_bipartite(g, p), union_of_be_paths(g, p)), lambda u: u)\n",
+         "@_declared(\"t3.9\", _graph_pairs, lambda graph, parts: is_path_bipartite(graph, parts),\n"
+         "           lambda graph, parts: union_of_be_paths(graph, parts) == graph, (\"decision\", \"union-oracle\"),\n"
+         "           _BEPATHS_FAST, mirror=lambda same: same)\n",
+         "@_declared(\"t3.9\", _graph_pairs, lambda graph, parts: None,\n"
+         "           lambda graph, parts: (is_path_bipartite(graph, parts), union_of_be_paths(graph, parts) == graph),\n"
+         "           (\"decision\", \"union-oracle\"), _BEPATHS_FAST,\n"
+         "           lambda instance, names, answers: _compare(instance, names, answers[1]), mirror=lambda same: same)\n",
          ("tests/test_theorems.py",)),
     Edit("t3.4-fast-route-mirrored-with-the-oracle", "src/proxigraph/theorems.py",
-         "        for graph, parts, oracle in _with_be_path_oracle(\n"
-         "                _labeled_graphs(max_n, 2), lambda g, p: pairs_from_witnesses(be_paths_from_a(g, p), p),\n"
-         "                lambda pairs: frozenset((b, a) for a, b in pairs)):\n"
-         "            fast = bpath_pairs(graph, parts)\n",
-         "        for graph, parts, (fast, oracle) in _with_be_path_oracle(\n"
-         "                _labeled_graphs(max_n, 2),\n"
-         "                lambda g, p: (bpath_pairs(g, p), pairs_from_witnesses(be_paths_from_a(g, p), p)),\n"
-         "                lambda answers: tuple(frozenset((b, a) for a, b in pairs) for pairs in answers)):\n",
+         "@_declared(\"t3.4\", _graph_pairs, lambda graph, parts: bpath_pairs(graph, parts),\n"
+         "           lambda graph, parts: pairs_from_witnesses(be_paths_from_a(graph, parts), parts),\n"
+         "           (\"component-set\", \"enumerated\"), _BEPATHS_FAST, _check_t3_4,\n"
+         "           mirror=lambda pairs: frozenset((b, a) for a, b in pairs))\n",
+         "@_declared(\"t3.4\", _graph_pairs, lambda graph, parts: None,\n"
+         "           lambda graph, parts: (bpath_pairs(graph, parts),\n"
+         "                                 pairs_from_witnesses(be_paths_from_a(graph, parts), parts)),\n"
+         "           (\"component-set\", \"enumerated\"), _BEPATHS_FAST,\n"
+         "           lambda instance, names, answers: _check_t3_4(instance, names, answers[1]),\n"
+         "           mirror=lambda answers: tuple(frozenset((b, a) for a, b in pairs) for pairs in answers))\n",
          ("tests/test_theorems.py",)),
+    Edit("declaration-drops-a-route", "src/proxigraph/theorems.py",
+         "(*_BEPATHS_FAST, \"bepaths.find_path_bipartite_partition\"), _check_c3_10)",
+         "_BEPATHS_FAST, _check_c3_10)",
+         ("tests/test_theorems.py::test_oracle_table_covers_every_sweep",)),
+    Edit("run-skips-the-check", "src/proxigraph/theorems.py",
+         "spec.names, spec.check or _compare\n", "spec.names, _compare\n",
+         ("tests/test_theorems.py::test_sweep_reports_a_certificate_failing_verification",)),
 )
 
 
