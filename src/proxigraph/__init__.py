@@ -52,7 +52,6 @@ from .path_proximinal import (
     PathProximinalCertificate,
     all_degrees_one,
     build_threshold_graph,
-    check_corollary_3_11,
     check_corollary_3_12,
     check_prop_3_22,
     check_structural_conditions,

@@ -6,7 +6,8 @@ and the graph is path-bipartite of (A, B).  `spaces` builds that threshold
 graph from its integer table, and this module re-exports it.  The module also
 covers the structural reachability conditions, the characterization through
 isolated vertices, the overlap with proximinal graphs, and the degree-one
-theory of ultrametric realizations.
+witness of ultrametric realizations with Corollary 3.12.  Corollary 3.11's
+four statements are checked where its certificates are built, in sweep t3.10.
 """
 
 from __future__ import annotations
@@ -15,31 +16,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .bepaths import (
-    find_path_bipartite_partition,
-    is_path_bipartite,
-    is_path_complete,
-    path_bipartite_defect,
-    quotient_graph,
-)
-from .graphs import (
-    Bipartition,
-    GraphError,
-    SimpleGraph,
-    connected_components,
-    induced_bipartite_subgraph,
-    is_connected,
-    require_cover,
-)
-from .proximinal import adjacency_metric, is_bipartite_with_parts, require_same_points, verify_proximinal_graph
-from .spaces import (
-    FiniteSemimetricSpace,
-    SpaceClass,
-    build_threshold_graph,
-    classify,
-    proximity_report,
-    set_distance,
-)
+from .bepaths import find_path_bipartite_partition, is_path_bipartite, path_bipartite_defect, quotient_graph
+from .graphs import Bipartition, GraphError, SimpleGraph, connected_components, require_cover
+from .proximinal import adjacency_metric, require_same_points, verify_proximinal_graph
+from .spaces import FiniteSemimetricSpace, build_threshold_graph, proximity_report, set_distance
 
 
 def path_proximinal_defect(graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace) -> Optional[tuple]:
@@ -154,28 +134,3 @@ def witness_ultrametric(graph: SimpleGraph) -> Optional[PathProximinalCertificat
 def check_corollary_3_12(graph: SimpleGraph) -> bool:
     """True iff every connected component has exactly two vertices."""
     return bool(graph.vertices) and all(len(block) == 2 for block in connected_components(graph))
-
-
-def check_corollary_3_11(
-    graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace
-) -> tuple[bool, bool, bool, bool]:
-    """Evaluate the four equivalent statements for ultrametric certificates.
-
-    Preconditions: the space is ultrametric, (graph, parts, space) verifies
-    path-proximinal, and the graph is bipartite with parts (A, B).  Returns
-    (connected, complete, cross-complete, path-complete), each evaluated
-    independently.
-    """
-    if classify(space) is not SpaceClass.ULTRAMETRIC:
-        raise GraphError("precondition violated: space is not ultrametric")
-    if not verify_path_proximinal(graph, parts, space):
-        raise GraphError("precondition violated: not a path-proximinal certificate")
-    if not is_bipartite_with_parts(graph, parts):
-        raise GraphError("precondition violated: graph is not bipartite with the given parts")
-    n = len(graph.vertices)
-    connected = is_connected(graph)
-    complete = len(graph.edges) == n * (n - 1) // 2
-    cross = induced_bipartite_subgraph(graph, parts)
-    cross_complete = len(cross.edges) == len(parts.a) * len(parts.b)
-    path_complete = is_path_complete(graph, parts)
-    return connected, complete, cross_complete, path_complete

@@ -155,14 +155,17 @@ def _run(sweep: str, progress: Progress, then: Problems = (), **bounds: int) -> 
     return result
 
 
-def _describe(subject: SimpleGraph | FiniteSemimetricSpace, parts: Optional[Bipartition] = None) -> str:
-    if isinstance(subject, FiniteSemimetricSpace):  # d(i, j) = rows[i][j] / scale, enough for `build_space`
-        txt = f"points={subject.points} scale={subject.scale} rows={subject.rows}"
-    else:
-        txt = f"G(V={subject.sorted_vertices()}, E={subject.sorted_edges()})"
-    if parts is not None:
-        txt += f" A={sorted(parts.a)} B={sorted(parts.b)}"
-    return txt
+def _describe(*instance: SimpleGraph | Bipartition | FiniteSemimetricSpace) -> str:
+    """The instance's items in order, each enough to rebuild it; a space is d(i, j) = rows[i][j] / scale."""
+    words = []
+    for item in instance:
+        if isinstance(item, FiniteSemimetricSpace):
+            words.append(f"points={item.points} scale={item.scale} rows={item.rows}")
+        elif isinstance(item, Bipartition):
+            words.append(f"A={sorted(item.a)} B={sorted(item.b)}")
+        else:
+            words.append(f"G(V={item.sorted_vertices()}, E={item.sorted_edges()})")
+    return " ".join(words)
 
 
 def _compare(instance: tuple, names: tuple[str, str], values: tuple[bool, bool]) -> list[str]:
@@ -201,6 +204,11 @@ def _with_bipartitions(subjects: Iterable[Subject]) -> Iterator[tuple[Subject, B
             partitions[labels] = list(all_bipartitions(labels))
         for parts in partitions[labels]:
             yield subject, parts
+
+
+def _ultrametric_pairs(count: int, seed: int) -> Iterator[tuple[FiniteSemimetricSpace, Bipartition]]:
+    """`count` seeded ultrametrics of 2..8 points, each with each bipartition: t2.1's and t3.10's backward family."""
+    return _with_bipartitions(_random_spaces(random_ultrametric_space, count, 8, seed))
 
 
 def _graph_pairs(max_n: int) -> Iterator[tuple[SimpleGraph, Bipartition]]:
@@ -390,10 +398,10 @@ def _p3_9_family(max_n: int, count: int, seed: int) -> Iterator[tuple]:
 
 
 def _check_p3_9(instance: tuple, names: tuple[str, str], answers: tuple) -> list[str]:
-    """The space still makes its graph proximinal, and both sides agree; lines name the graph and parts."""
+    """The space still makes its graph proximinal, and both sides agree."""
     if not verify_proximinal_graph(*instance):
-        return [f"{_describe(*instance[:2])}: perturbation broke the proximinal certificate"]
-    return _compare(instance[:2], names, answers)
+        return [f"{_describe(*instance)}: perturbation broke the proximinal certificate"]
+    return _compare(instance, names, answers)
 
 
 @_declared("p3.9", _p3_9_family, lambda graph, parts, space: verify_path_proximinal(graph, parts, space),
@@ -404,9 +412,8 @@ def sweep_p3_9(max_n: int = 5, count: int = 3, seed: int = 0, progress: Progress
     return _run("p3.9", progress, max_n=max_n, count=count, seed=seed)
 
 
-@_declared("t2.1", lambda count, seed: _with_bipartitions(_random_spaces(random_ultrametric_space, count, 8, seed)),
-           lambda space, parts: check_theorem_2_1(space, parts), None, ("stmt1", "stmt2"),
-           ("spaces.check_theorem_2_1",))
+@_declared("t2.1", _ultrametric_pairs, lambda space, parts: check_theorem_2_1(space, parts), None,
+           ("stmt1", "stmt2"), ("spaces.check_theorem_2_1",))
 def sweep_t2_1(count: int = 1000, seed: int = 0, progress: Progress = None) -> SweepResult:
     """Diameter bound vs. best-proximity saturation on random ultrametrics."""
     return _run("t2.1", progress, count=count, seed=seed)
@@ -422,35 +429,51 @@ def _every_degree_one(graph: SimpleGraph) -> bool:
     return bool(neighbour) and neighbour.keys() == graph.vertices
 
 
+def _corollary_3_11_agrees(graph: SimpleGraph, parts: Bipartition) -> bool:
+    """Corollary 3.11 on an ultrametric path-proximinal graph, bipartite with its parts: connected, complete,
+    cross-complete and path-complete are one statement.  Every edge crosses, so |E| counts the cross edges."""
+    n = len(graph.vertices)
+    return len({is_connected(graph), len(graph.edges) == n * (n - 1) // 2,
+                len(graph.edges) == len(parts.a) * len(parts.b), is_path_complete(graph, parts)}) == 1
+
+
 @_declared("t3.10", _graphs, lambda graph: witness_ultrametric(graph), _every_degree_one,
            ("witness", "degrees-one"), _DEGREES_FAST, _certified(
                ("witness space fails the ultrametric scan",
                 lambda certificate: classify(certificate.space) is SpaceClass.ULTRAMETRIC),
                ("witness certificate fails verification", lambda certificate: certificate.verify()),
                ("witness parts are not a bipartition of the graph",
-                lambda certificate: is_bipartite_with_parts(certificate.graph, certificate.parts))))
+                lambda certificate: is_bipartite_with_parts(certificate.graph, certificate.parts)),
+               ("witness disagrees on the statements of Corollary 3.11",
+                lambda certificate: _corollary_3_11_agrees(certificate.graph, certificate.parts))))
 def sweep_t3_10(max_n: int = 6, count: int = 500, seed: int = 0, progress: Progress = None) -> SweepResult:
     """Degree-one graphs vs. ultrametric path-proximinal certificates.
 
     Forward: over all labeled graphs, the ultrametric witness succeeds
-    exactly on the graphs where every degree is one, and `classify` finds
-    its space ultrametric.  Backward, an implication counted after the
-    compare: over seeded random ultrametric spaces and all bipartitions,
-    whenever the threshold graph is bipartite with the parts and verifies
-    path-proximinal, all its components have exactly two vertices.
+    exactly on the graphs where every degree is one; `classify` finds its
+    space ultrametric, its certificate verifies path-proximinal, its graph
+    is bipartite with its parts, and then Corollary 3.11's four statements
+    (connected, complete, cross-complete, path-complete) agree.  Backward,
+    an implication counted after the compare: over seeded random
+    ultrametric spaces and all bipartitions, whenever the threshold graph
+    is bipartite with the parts and verifies path-proximinal, all its
+    components have exactly two vertices (Corollary 3.12) and Corollary
+    3.11's four statements agree.
     """
     fired = 0
 
     def backward() -> Problems:
         nonlocal fired
-        for space, parts in _with_bipartitions(_random_spaces(random_ultrametric_space, count, 8, seed)):
+        for space, parts in _ultrametric_pairs(count, seed):
             graph = build_threshold_graph(space, parts)
             if not (is_bipartite_with_parts(graph, parts) and verify_path_proximinal(graph, parts, space)):
                 yield []
                 continue
             fired += 1
-            yield [] if check_corollary_3_12(graph) else [f"{_describe(space, parts)}: ultrametric path-proximinal"
-                                                          f" threshold graph with a component != 2 vertices"]
+            yield [f"{_describe(space, parts)}: ultrametric path-proximinal threshold graph {problem}"
+                   for problem, holds in (("with a component != 2 vertices", check_corollary_3_12(graph)),
+                                          ("disagrees on the statements of Corollary 3.11",
+                                           _corollary_3_11_agrees(graph, parts))) if not holds]
 
     result = _run("t3.10", progress, backward(), max_n=max_n)
     result.notes.append(f"backward direction fired on {fired} (space, partition) instances")

@@ -60,6 +60,13 @@ def test_is_be_path_rejects_double_crossing():
     assert is_be_path(graph, ("a1", "b1", "a2"), parts) is None
 
 
+def test_is_be_path_rejects_a_path_leaving_the_parts():
+    graph = build_graph(["a", "b", "c"], [["a", "b"], ["b", "c"]])
+    parts = Bipartition.of(["a"], ["b"])
+    assert is_be_path(graph, ("a", "b"), parts) is not None
+    assert is_be_path(graph, ("a", "b", "c"), parts) is None
+
+
 def test_is_be_path_rejects_vertex_repeats_as_non_path():
     graph, parts = example_3_1()
     walk = ("x4", "x7", "x13", "x16", "x14", "x6", "x13", "x16", "x15")

@@ -233,6 +233,13 @@ def test_witness_metric_non_path_bipartite_exits_1(tmp_path, capsys):
     assert "not-path-bipartite" in out
 
 
+@pytest.mark.parametrize("kind", ["metric", "proximinal-metric"])
+def test_witness_without_a_partition_file_exits_2(kind, bundle, tmp_path, capsys):
+    assert main(["witness", kind, bundle["g37"], "-o", str(tmp_path / "w")]) == 2
+    assert capsys.readouterr() == ("", f"error: witness {kind} requires a partition file\n")
+    assert not list(tmp_path.glob("w.*"))
+
+
 def test_witness_ultrametric_writes_partition(tmp_path, capsys):
     graph = build_graph(["a", "b", "c", "d"], [["a", "b"], ["c", "d"]])
     gpath = tmp_path / "m.json"

@@ -51,6 +51,12 @@ def test_build_rejects_loop():
         build_graph(["a"], [["a", "a"]])
 
 
+@pytest.mark.parametrize("edge", [["a", "b", "c"], ["a"]], ids=["three-endpoints", "one-endpoint"])
+def test_build_rejects_an_edge_without_two_endpoints(edge):
+    with pytest.raises(GraphError, match="must have exactly 2 endpoints"):
+        build_graph(["a", "b", "c"], [edge])
+
+
 def test_build_rejects_duplicate_vertex():
     with pytest.raises(GraphError, match="duplicate vertex 'a'"):
         build_graph(["a", "a"], [])

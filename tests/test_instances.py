@@ -271,6 +271,11 @@ def test_random_ultrametric_space_bounds():
         random_ultrametric_space(17, 0)
 
 
+def test_random_semimetric_space_needs_two_points():
+    with pytest.raises(ValueError, match="point count must be at least 2, got 1"):
+        random_semimetric_space(1, 0)
+
+
 def test_random_graph_extremes():
     assert random_graph(5, 0, 1).edges == frozenset()
     assert len(random_graph(5, 1, 1).edges) == 10

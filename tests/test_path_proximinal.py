@@ -13,7 +13,6 @@ from proxigraph import (
     build_graph,
     build_space,
     build_threshold_graph,
-    check_corollary_3_11,
     check_corollary_3_12,
     check_prop_3_22,
     check_structural_conditions,
@@ -35,7 +34,6 @@ from proxigraph.instances import (
     example_3_7,
     example_3_12_truncation,
     example_3_16,
-    random_ultrametric_space,
 )
 
 
@@ -232,53 +230,6 @@ def test_corollary_3_12():
     assert check_corollary_3_12(matching_2k2())
     assert not check_corollary_3_12(example_3_7()[0])
     assert not check_corollary_3_12(build_graph(["a", "b", "c"], [["a", "b"]]))
-
-
-def test_corollary_3_11_k2_all_true():
-    certificate = witness_ultrametric(build_graph(["a", "b"], [["a", "b"]]))
-    assert check_corollary_3_11(certificate.graph, certificate.parts, certificate.space) == (
-        True, True, True, True,
-    )
-
-
-def test_corollary_3_11_2k2_all_false():
-    certificate = witness_ultrametric(matching_2k2())
-    assert check_corollary_3_11(certificate.graph, certificate.parts, certificate.space) == (
-        False, False, False, False,
-    )
-
-
-def test_corollary_3_11_statements_pairwise_equal_on_matchings():
-    for k in range(1, 4):
-        labels = [f"m{i}" for i in range(2 * k)]
-        edges = [[labels[2 * i], labels[2 * i + 1]] for i in range(k)]
-        certificate = witness_ultrametric(build_graph(labels, edges))
-        flags = check_corollary_3_11(certificate.graph, certificate.parts, certificate.space)
-        assert len(set(flags)) == 1
-
-
-def test_corollary_3_11_statements_on_random_ultrametric_instances():
-    # only even point counts can fire: such instances are perfect matchings
-    fired = 0
-    for seed in range(30):
-        space = random_ultrametric_space(2 + 2 * (seed % 3), seed)
-        for parts in all_bipartitions(space.point_set()):
-            graph = build_threshold_graph(space, parts)
-            if not all((u in parts.a) != (v in parts.a) for u, v in graph.edges):
-                continue
-            if not verify_path_proximinal(graph, parts, space):
-                continue
-            flags = check_corollary_3_11(graph, parts, space)
-            assert len(set(flags)) == 1
-            fired += 1
-    assert fired > 0
-
-
-def test_corollary_3_11_precondition_errors():
-    graph, parts = example_3_7()
-    space = witness_metric_for_path_bipartite(graph, parts)
-    with pytest.raises(GraphError, match="not ultrametric"):
-        check_corollary_3_11(graph, parts, space)
 
 
 def test_verified_instances_have_positive_separation():

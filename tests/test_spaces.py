@@ -872,6 +872,19 @@ def test_set_distance_errors():
         set_distance(s, {"zz"}, {"x"})
 
 
+@pytest.mark.parametrize("query, message", [
+    (lambda s: s.d("x", "zz"), "unknown point 'zz'"),
+    (lambda s: s.d("zz", "x"), "unknown point 'zz'"),
+    (lambda s: best_approximations(s, "x", []), "best approximation needs a nonempty candidate set"),
+    (lambda s: best_approximations(s, "zz", ["x"]), "unknown point 'zz'"),
+], ids=["d-second", "d-first", "no-candidates", "unknown-x"])
+def test_point_queries_reject_an_unknown_point_or_no_candidates(query, message):
+    s = build_space(["x", "y"], [[0, 3], [3, 0]])
+    with pytest.raises(SpaceError) as caught:
+        query(s)
+    assert str(caught.value) == message
+
+
 def test_best_approximations_self_is_unique_minimum():
     s = build_space(["x", "y", "z"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert best_approximations(s, "x", {"x", "y", "z"}) == {"x"}

@@ -144,6 +144,15 @@ def test_sweep_result_lines():
     assert any("counterexamples: 0" in line for line in lines)
 
 
+def test_verify_prints_false_first_and_then_the_first_counterexample(monkeypatch, capsys):
+    monkeypatch.setattr(theorems, "is_path_bipartite", _negated(theorems.is_path_bipartite))
+    result = sweep_t3_9(max_n=3)
+    assert main(["verify", "t3.9", "--max-n", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["false", *result.lines()]
+    assert out[-1] == f"first counterexample: {result.counterexamples[0]}"
+
+
 def test_spec_reads_description_and_bounds_through_a_wrapper(monkeypatch, capsys):
     # wrapped as the benchmark's tracer wraps each sweep: dataclasses.replace(spec, run=wrapped),
     # the span named after run.__name__; `verify` must run the wrapper once and print what it prints unwrapped
@@ -277,25 +286,85 @@ def test_space_family_gives_each_label_set_its_own_bipartitions():
     assert all(parts.union == space.point_set() for space, parts in family)
 
 
-def _all_ones_table(graph):
+def _all_ones_table(labels):
     """A wrong witness table: every distinct pair at distance 1, edge or not."""
-    pts = tuple(graph.sorted_vertices())
+    pts = tuple(sorted(labels))
     return FiniteSemimetricSpace(pts, 1, tuple(tuple(int(p != q) for q in pts) for p in pts))
 
 
-@pytest.mark.parametrize("sweep_id, bounds, message", [
-    ("t3.16", dict(max_n=4), "produced certificate fails verification"),
-    ("t3.10", dict(max_n=4, count=5, seed=1), "witness certificate fails verification"),
-], ids=["t3.16", "t3.10"])
-def test_sweep_reports_a_certificate_failing_verification(monkeypatch, sweep_id, bounds, message):
+def _all_ones_witness(original):
+    return lambda graph: _all_ones_table(graph.vertices)
+
+
+def _all_ones_perturbation(original):
+    """Each perturbation drawn as before, then every distance set to 1: cross distances move too."""
+    def perturbed(space, parts, rng):
+        drawn = original(space, parts, rng)
+        return None if drawn is None else _all_ones_table(space.points)
+    return perturbed
+
+
+def _first_component_in_a(original):
+    """The partition found, but with the whole first component of a disconnected graph moved into A."""
+    def find(graph):
+        parts, blocks = original(graph), graphs.connected_components(graph)
+        return parts if parts is None or len(blocks) == 1 else Bipartition(parts.a | blocks[0], parts.b - blocks[0])
+    return find
+
+
+def _constant(answer):
+    return lambda original: lambda graph, parts: answer
+
+
+@pytest.mark.parametrize("sweep_id, bounds, module, name, wrong, message", [
+    ("t3.16", dict(max_n=4), path_proximinal, "adjacency_metric", _all_ones_witness,
+     "produced certificate fails verification"),
+    ("t3.10", dict(max_n=4, count=5, seed=1), path_proximinal, "adjacency_metric", _all_ones_witness,
+     "witness certificate fails verification"),
+    # 2K2's certificate: disconnected, incomplete and cross-incomplete, but path-complete by the wrong route
+    ("t3.10", dict(max_n=4, count=5, seed=1), theorems, "is_path_complete", _constant(True),
+     "witness disagrees on the statements of Corollary 3.11"),
+    # no graph on one vertex has a certificate, so only the backward instances (K2 threshold graphs) are checked
+    ("t3.10", dict(max_n=1, count=40, seed=7), theorems, "is_path_complete", _constant(False),
+     "threshold graph disagrees on the statements of Corollary 3.11"),
+    ("c3.10", dict(max_n=4), theorems, "find_path_bipartite_partition", _first_component_in_a,
+     "returned partition is not path-bipartite"),
+    ("p3.9", dict(max_n=4, count=1, seed=0), theorems, "_perturbed_within_part", _all_ones_perturbation,
+     "perturbation broke the proximinal certificate"),
+], ids=["t3.16", "t3.10", "t3.10-corollary-3.11", "t3.10-backward-corollary-3.11", "c3.10", "p3.9"])
+def test_sweep_reports_a_certificate_failing_verification(monkeypatch, sweep_id, bounds, module, name, wrong,
+                                                         message):
     run = SWEEPS[sweep_id].run
     clean = run(**bounds)
-    monkeypatch.setattr(path_proximinal, "adjacency_metric", _all_ones_table)
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     result = run(**bounds)
     assert clean.ok
     assert not result.ok
     assert result.checked == clean.checked
     assert result.counterexamples[0].endswith(message)
+
+
+def _p3_9_instance(line):
+    """The (graph, parts, space) a p3.9 counterexample line names, rebuilt from the line alone."""
+    found = re.fullmatch(r"G\(V=(.*), E=(.*)\) A=(.*) B=(.*) points=(.*) scale=(\d+) rows=(.*): .*", line)
+    vertices, edges, a, b, points, scale, rows = map(ast.literal_eval, found.groups())
+    return (graphs.build_graph(vertices, edges), Bipartition.of(a, b),
+            build_space(points, [[Fraction(v, scale) for v in row] for row in rows]))
+
+
+@pytest.mark.parametrize("name, wrong, pick", [
+    ("verify_path_proximinal", _negated, lambda space: space.scale > 1),  # a perturbation to 1/2 or 3/2
+    ("_perturbed_within_part", _all_ones_perturbation, lambda space: True),
+], ids=["route-negated", "perturbation-broken"])
+def test_p3_9_counterexample_line_rebuilds_the_graph_parts_and_perturbed_space(monkeypatch, name, wrong, pick):
+    spec, bounds = SWEEPS["p3.9"], dict(max_n=4, count=2, seed=7)
+    monkeypatch.setattr(theorems, name, wrong(getattr(theorems, name)))
+    family = list(spec.family(**bounds))
+    line, instance = next((line, instance) for line in spec.run(**bounds).counterexamples
+                          for instance in [_p3_9_instance(line)] if pick(instance[2]))
+    assert instance in family and instance[2] != proximinal.witness_proximinal_metric(*instance[:2])
+    answers = (spec.fast(*instance), spec.oracle(*instance))
+    assert theorems._check_p3_9(instance, spec.names, answers) == [line]
 
 
 def test_perturbation_copies_the_rows_as_the_fraction_view_did():

@@ -34,6 +34,8 @@ class Edit(NamedTuple):
 
 
 SEARCH_VS_DEFINITION = "tests/test_bepaths.py::test_the_search_finds_exactly_the_be_paths_of_the_definition"
+CERTIFICATE_CHECKS = "tests/test_theorems.py::test_sweep_reports_a_certificate_failing_verification"
+P3_9_LINE = "tests/test_theorems.py::test_p3_9_counterexample_line_rebuilds_the_graph_parts_and_perturbed_space"
 
 EDITS = (
     Edit("threshold-strict", "src/proxigraph/spaces.py",
@@ -231,7 +233,21 @@ EDITS = (
          ("tests/test_theorems.py::test_oracle_table_covers_every_sweep",)),
     Edit("run-skips-the-check", "src/proxigraph/theorems.py",
          "spec.names, spec.check or _compare\n", "spec.names, _compare\n",
-         ("tests/test_theorems.py::test_sweep_reports_a_certificate_failing_verification",)),
+         (CERTIFICATE_CHECKS,)),
+    Edit("t3.10-certificates-skip-corollary-3.11", "src/proxigraph/theorems.py",
+         ",\n               (\"witness disagrees on the statements of Corollary 3.11\",\n"
+         "                lambda certificate: _corollary_3_11_agrees(certificate.graph, certificate.parts))", "",
+         (f"{CERTIFICATE_CHECKS}[t3.10-corollary-3.11]",)),
+    Edit("t3.10-backward-skips-corollary-3.11", "src/proxigraph/theorems.py",
+         "                                           _corollary_3_11_agrees(graph, parts))) if not holds]",
+         "                                           True)) if not holds]",
+         (f"{CERTIFICATE_CHECKS}[t3.10-backward-corollary-3.11]",)),
+    Edit("p3.9-line-drops-the-space", "src/proxigraph/theorems.py",
+         "    return _compare(instance, names, answers)\n", "    return _compare(instance[:2], names, answers)\n",
+         (P3_9_LINE,)),
+    Edit("p3.9-broken-line-drops-the-space", "src/proxigraph/theorems.py",
+         "{_describe(*instance)}: perturbation broke", "{_describe(*instance[:2])}: perturbation broke",
+         (P3_9_LINE,)),
 )
 
 
