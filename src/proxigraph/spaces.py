@@ -20,9 +20,9 @@ S_i keeps its guard bit iff d(i, k) >= d, so the strong triangle inequality
 holds at (i, j) iff (S_i | S_j) & G == G, and the triangle inequality iff
 (S_i + P_j) & G == G.
 
-A space also keeps what its bipartitions derive again: the cross minimum of
-each validated pair of frozensets (A, B) and the threshold graph per
-dist(A, B).
+A space also keeps what its bipartitions derive again: the cross minimum and
+the proximity report of each validated pair of frozensets, one scan for both
+orders of a pair, and the threshold graph per dist(A, B).
 """
 
 from __future__ import annotations
@@ -101,7 +101,11 @@ class FiniteSemimetricSpace:
 
     @cached_attribute
     def _cross_minima(self) -> dict[tuple[frozenset[str], frozenset[str]], tuple]:
-        return {}  # per validated (A, B): what `_cross_minimum` returns
+        return {}  # per validated (A, B), both orientations: what `_cross_minimum` returns
+
+    @cached_attribute
+    def _reports(self) -> dict[tuple[frozenset[str], frozenset[str]], ProximityReport]:
+        return {}  # per validated (A, B), both orientations: what `proximity_report` returns
 
     @cached_attribute
     def _point_set(self) -> frozenset[str]:
@@ -299,8 +303,8 @@ def _indices(space: FiniteSemimetricSpace, subset: Iterable[str], what: str) -> 
 def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]):
     """(m, ia, ib): the least scaled row entry over A x B, with the row indices of A and B.
 
-    Kept per pair of frozensets once both have passed the checks, so an unknown
-    point or an empty set still raises however often its pair is asked.
+    Kept for (A, B) and, with ia and ib swapped, for (B, A) once both frozensets have
+    passed the checks, so an unknown point or an empty set still raises however often asked.
     """
     memo, kept = space._cross_minima, type(a) is frozenset and type(b) is frozenset
     if kept and (a, b) in memo:
@@ -312,6 +316,7 @@ def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[s
     rows = space.rows
     found = min([rows[i][j] for i in ia for j in ib]), ia, ib
     if kept:
+        memo[b, a] = found[0], ib, ia
         memo[a, b] = found
     return found
 
@@ -345,11 +350,16 @@ def is_proximinal(space: FiniteSemimetricSpace, subset: Iterable[str]) -> bool:
     return True
 
 
-def diameter(space: FiniteSemimetricSpace, subset: Iterable[str]) -> Fraction:
-    """Maximum pairwise distance within a set; 0 for empty or singleton sets."""
+def _scaled_diameter(space: FiniteSemimetricSpace, subset: Iterable[str]):
+    """The largest row entry within a set, on the scale of the rows; 0 for empty or singleton sets."""
     s = _indices(space, subset, "subset")
     rows = space.rows
-    return Fraction(max((rows[i][j] for i, j in combinations(s, 2)), default=0), space.scale)
+    return max((rows[i][j] for i, j in combinations(s, 2)), default=0)
+
+
+def diameter(space: FiniteSemimetricSpace, subset: Iterable[str]) -> Fraction:
+    """Maximum pairwise distance within a set; 0 for empty or singleton sets."""
+    return Fraction(_scaled_diameter(space, subset), space.scale)
 
 
 @dataclass(frozen=True)
@@ -367,13 +377,22 @@ class ProximityReport:
 
 
 def proximity_report(space: FiniteSemimetricSpace, parts: Bipartition) -> ProximityReport:
-    """Distance between the parts, plus all pairs realizing it."""
-    m, ia, ib = _cross_minimum(space, parts.a, parts.b)
+    """Distance between the parts, plus all pairs realizing it; kept like `_cross_minimum`,
+    (B, A) by the same list, with A0 and B0 swapped and every pair reversed."""
+    a, b = parts.a, parts.b
+    reports, kept = space._reports, type(a) is frozenset and type(b) is frozenset
+    if kept and (a, b) in reports:
+        return reports[a, b]
+    m, ia, ib = _cross_minimum(space, a, b)
     rows = space.rows
     pairs = frozenset((space.points[i], space.points[j]) for i in ia for j in ib if rows[i][j] == m)
     a0 = frozenset(x for x, _ in pairs)
     b0 = frozenset(y for _, y in pairs)
-    return ProximityReport(Fraction(m, space.scale), a0, b0, pairs)
+    report = ProximityReport(Fraction(m, space.scale), a0, b0, pairs)
+    if kept:
+        reports[b, a] = ProximityReport(report.distance, b0, a0, frozenset((y, x) for x, y in pairs))
+        reports[a, b] = report
+    return report
 
 
 def build_threshold_graph(space: FiniteSemimetricSpace, parts: Bipartition) -> SimpleGraph:
@@ -412,7 +431,7 @@ def check_theorem_2_1(space: FiniteSemimetricSpace, parts: Bipartition) -> tuple
     if classify(space) is not SpaceClass.ULTRAMETRIC:
         raise SpaceError("the diameter equivalence is stated for ultrametric spaces only")
     report = proximity_report(space, parts)
-    stmt1 = diameter(space, parts.b) <= report.distance
+    stmt1 = _scaled_diameter(space, parts.b) <= _cross_minimum(space, parts.a, parts.b)[0]  # on the row scale
     stmt2 = (
         report.b0 == parts.b
         # the listed pairs lie in A0 x B0, so all of it attains dist(A, B) iff all of it is listed

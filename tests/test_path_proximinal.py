@@ -35,6 +35,7 @@ from proxigraph.instances import (
     example_3_12_truncation,
     example_3_16,
 )
+from proxigraph.path_proximinal import path_proximinal_defect
 
 
 def matching_2k2():
@@ -90,6 +91,16 @@ def test_verify_path_proximinal_round_trip_k2():
     parts = Bipartition.of(["a"], ["b"])
     space = witness_metric_for_path_bipartite(g, parts)
     assert verify_path_proximinal(g, parts, space)
+
+
+def test_a_path_bipartite_graph_off_the_threshold_graph_is_not_path_proximinal():
+    # 2K2 is path-bipartite of these parts, but K_{2,2}'s witness metric puts every cross pair at dist(A, B)
+    parts = Bipartition.of(["a", "c"], ["b", "d"])
+    k22 = build_graph(["a", "b", "c", "d"], [["a", "b"], ["a", "d"], ["c", "b"], ["c", "d"]])
+    space = witness_metric_for_path_bipartite(k22, parts)
+    assert is_path_bipartite(matching_2k2(), parts)
+    assert path_proximinal_defect(matching_2k2(), parts, space) == ("threshold",)
+    assert not verify_path_proximinal(matching_2k2(), parts, space)
 
 
 def test_verify_rejects_vertex_mismatch():

@@ -1,8 +1,9 @@
 """Semimetric spaces: validation, classification, distances, proximity."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import lcm
 
 import pytest
@@ -817,26 +818,91 @@ def test_a_warm_memo_still_rejects_bad_partitions_and_unknown_points():
         set_distance(space, frozenset(pts[:2]), frozenset(pts[2:]))
 
 
-def test_cross_minima_are_kept_per_validated_pair_and_unknown_points_still_raise():
+def test_cross_minima_are_kept_per_validated_pair_and_unknown_points_still_raise(monkeypatch):
     generated = random_semimetric_space(6, 4)
     space, d = built_from(generated.points, generated.table)
+    looked_up = Counter()
+    indices = spaces._indices
+
+    def counted(space, subset, what):
+        looked_up[what] += 1
+        return indices(space, subset, what)
+
+    monkeypatch.setattr(spaces, "_indices", counted)
+    unordered = set()
     for parts in all_bipartitions(space.point_set()):
         found = spaces._cross_minimum(space, parts.a, parts.b)
+        unordered.add(frozenset([parts.a, parts.b]))
+        assert looked_up["second set"] == len(unordered)  # one scan per unordered pair
         assert found is space._cross_minima[parts.a, parts.b]
         assert found is spaces._cross_minimum(space, parts.a, parts.b)
+        assert space._cross_minima[parts.b, parts.a] == (found[0], found[2], found[1])
         assert found[0] == min(space.rows[space.index[x]][space.index[y]] for x in parts.a for y in parts.b)
         assert set_distance(space, parts.a, parts.b) == scan_set_distance(d, parts.a, parts.b)
-    assert len(space._cross_minima) == 2 ** 6 - 2
+    assert len(unordered) == 2 ** 5 - 1 and len(space._cross_minima) == 2 ** 6 - 2
     pts = sorted(space.points)
     a, b = frozenset(pts[:2]), frozenset(pts[2:])
-    for bad_a, bad_b, message in ((a, b | {"zz"}, r"second set contains unknown points: \['zz'\]"),
-                                  (a | {"zz"}, b, r"first set contains unknown points: \['zz'\]"),
-                                  (a, frozenset(), "two nonempty sets")):
-        with pytest.raises(SpaceError, match=message):
-            set_distance(space, bad_a, bad_b)
-        assert (bad_a, bad_b) not in space._cross_minima
+    for bad_a, bad_b, first, second in (
+            (a, b | {"zz"}, "second", "first"), (a | {"zz"}, b, "first", "second"), (a, frozenset(), None, None)):
+        for x, y, which in ((bad_a, bad_b, first), (bad_b, bad_a, second)):
+            message = rf"{which} set contains unknown points: \['zz'\]" if which else "two nonempty sets"
+            for _ in range(2):
+                with pytest.raises(SpaceError, match=message):
+                    set_distance(space, x, y)
+            assert (x, y) not in space._cross_minima
     assert set_distance(space, set(a), list(b)) == set_distance(space, a, b)
     assert len(space._cross_minima) == 2 ** 6 - 2  # only pairs of frozensets are kept
+
+
+def fresh_copy(space):
+    """The same points and rows in a new space, with none of the original's memos."""
+    return spaces.FiniteSemimetricSpace(space.points, space.scale, space.rows)
+
+
+PAIR_QUERIES = {
+    "set_distance": lambda space, parts: set_distance(space, parts.a, parts.b),
+    "proximity_report": proximity_report,
+    "build_threshold_graph": build_threshold_graph,
+}
+
+
+def shared_scan_spaces():
+    yield from memo_spaces()
+    near, far = Fraction(1, MERSENNE_Q), Fraction(1, MERSENNE_P)  # an ultrametric past the 512-bit scale
+    yield built_from(["a", "b", "c", "e"], [[0, near, far, far], [near, 0, far, far],
+                                            [far, far, 0, far], [far, far, far, 0]])
+
+
+def test_both_orders_of_a_pair_answer_as_a_fresh_space_asked_once():
+    """(A, B) then (B, A), and (B, A) then (A, B), by every pair of queries: the second ask reads what the
+    first one kept and answers as a fresh space does; statement 1 of Theorem 2.1 matches a Fraction scan."""
+    fraction_rows = ultrametric = ties = statement_1_ties = 0
+    for space, d in shared_scan_spaces():
+        fraction_rows += type(space.rows[0][1]) is Fraction
+        is_ultrametric = classify(space) is SpaceClass.ULTRAMETRIC
+        ultrametric += is_ultrametric
+        first_point = min(space.points)
+        for parts in all_bipartitions(space.point_set()):
+            if first_point not in parts.a:
+                continue  # (B, A) is asked below as the second order of (A, B)
+            flipped = Bipartition(parts.b, parts.a)
+            once = {(name, p): query(fresh_copy(space), p) for name, query in PAIR_QUERIES.items()
+                    for p in (parts, flipped)}
+            ties += len(once["proximity_report", parts].pairs) > 1
+            for first, second in ((parts, flipped), (flipped, parts)):
+                for name_1, name_2 in product(PAIR_QUERIES, repeat=2):
+                    shared = fresh_copy(space)
+                    assert PAIR_QUERIES[name_1](shared, first) == once[name_1, first]
+                    assert PAIR_QUERIES[name_2](shared, second) == once[name_2, second], (name_1, name_2)
+                if is_ultrametric:
+                    shared = fresh_copy(space)
+                    for p in (first, second):
+                        diam = max((d[x, y] for x, y in combinations(p.b, 2)), default=0)
+                        dist = scan_set_distance(d, p.a, p.b)
+                        statement_1_ties += diam == dist
+                        assert check_theorem_2_1(shared, p)[0] == (diam <= dist)
+    assert fraction_rows == 2 and ultrametric > 20
+    assert ties and statement_1_ties  # reports list several pairs, and diam(B) = dist(A, B) tells <= from <
 
 
 def test_set_distance_hypercube_partition():

@@ -36,6 +36,7 @@ class Edit(NamedTuple):
 SEARCH_VS_DEFINITION = "tests/test_bepaths.py::test_the_search_finds_exactly_the_be_paths_of_the_definition"
 CERTIFICATE_CHECKS = "tests/test_theorems.py::test_sweep_reports_a_certificate_failing_verification"
 P3_9_LINE = "tests/test_theorems.py::test_p3_9_counterexample_line_rebuilds_the_graph_parts_and_perturbed_space"
+BOTH_ORDERS = "tests/test_spaces.py::test_both_orders_of_a_pair_answer_as_a_fresh_space_asked_once"
 
 EDITS = (
     Edit("threshold-strict", "src/proxigraph/spaces.py",
@@ -136,6 +137,18 @@ EDITS = (
          "            partitions[len(labels)] = list(all_bipartitions(labels))\n"
          "        for parts in partitions[len(labels)]:\n",
          ("tests/test_theorems.py",)),
+    Edit("reverse-cross-minimum-unswapped", "src/proxigraph/spaces.py",
+         "        memo[b, a] = found[0], ib, ia\n", "        memo[b, a] = found\n",
+         (BOTH_ORDERS,)),
+    Edit("reverse-report-parts-unswapped", "src/proxigraph/spaces.py",
+         "ProximityReport(report.distance, b0, a0,", "ProximityReport(report.distance, a0, b0,",
+         (BOTH_ORDERS,)),
+    Edit("reverse-report-pairs-unreversed", "src/proxigraph/spaces.py",
+         "frozenset((y, x) for x, y in pairs))", "pairs)",
+         (BOTH_ORDERS,)),
+    Edit("statement-1-strict", "src/proxigraph/spaces.py",
+         "_scaled_diameter(space, parts.b) <= _cross_minimum(", "_scaled_diameter(space, parts.b) < _cross_minimum(",
+         (BOTH_ORDERS,)),
     Edit("report-distance-drops-scale", "src/proxigraph/spaces.py",
          "Fraction(m, space.scale)", "Fraction(m)",
          ("tests/test_spaces.py",)),
@@ -185,7 +198,7 @@ EDITS = (
     Edit("threshold-never-compared", "src/proxigraph/path_proximinal.py",
          "    if parts.union == graph.vertices and graph != build_threshold_graph(space, parts):\n",
          "    if False:\n",
-         ("tests/test_cli.py", "tests/test_path_proximinal.py")),
+         ("tests/test_path_proximinal.py",)),
     Edit("proximinal-defect-counts-edges", "src/proxigraph/proximinal.py",
          "graph.edges == build_proximinal_graph(space, parts).edges",
          "len(graph.edges) == len(build_proximinal_graph(space, parts).edges)",
