@@ -7,7 +7,8 @@ the vertices and every connected component meets both parts.
 
 `bpath_pairs` reads the joinable cross pairs off the component quotient:
 a block of G[A] and a block of G[B] are joinable exactly when some
-crossing edge joins them, so B_path costs O(V + E + |B_path|).  It is
+crossing edge joins them, so B_path costs O(V + E + |B_path|); the graph
+keeps the quotient for both orders of the parts once either is asked.  It is
 checked against the induced-connectivity criterion, kept in `theorems` for
 sweep t3.6, and against brute force for sweeps t3.4 and t3.9: a lazy
 depth-first search that sees each be-path once, from its end in A, read
@@ -256,7 +257,12 @@ def quotient_graph(graph: SimpleGraph, parts: Bipartition) -> QuotientGraph:
     One union-find pass over the within-part edges yields the blocks of both
     parts and each vertex's root; each crossing edge, read from its end in A,
     joins the numbers its part gives the roots of its ends.  O(V + E).
+    Kept on the graph once the parts pass `require_cover`, and for (B, A)
+    transposed (block lists and edge ends swapped): one pass per unordered pair.
     """
+    found = graph._quotients.get((parts.a, parts.b))
+    if found is not None:
+        return found
     require_cover(graph.vertices, parts)
     in_a = parts.a
     within = (e for e in graph.edges if (e[0] in in_a) == (e[1] in in_a))
@@ -268,7 +274,10 @@ def quotient_graph(graph: SimpleGraph, parts: Bipartition) -> QuotientGraph:
         side.append(block)
     edges = frozenset((number[root[u]], number[root[v]]) if u in in_a else (number[root[v]], number[root[u]])
                       for u, v in graph.edges if (u in in_a) != (v in in_a))
-    return QuotientGraph(tuple(comps[0]), tuple(comps[1]), edges)
+    graph._quotients[parts.b, parts.a] = QuotientGraph(tuple(comps[1]), tuple(comps[0]),
+                                                       frozenset((j, i) for i, j in edges))
+    found = graph._quotients[parts.a, parts.b] = QuotientGraph(tuple(comps[0]), tuple(comps[1]), edges)
+    return found
 
 
 def is_quotient_complete_bipartite(quotient: QuotientGraph) -> bool:

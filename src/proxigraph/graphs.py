@@ -6,10 +6,11 @@ order so that every derived object is reproducible.
 
 A graph keeps what the bipartitions of an exhaustive sweep ask of it again:
 its blocks, which every whole-graph component question reads
-(`connected_components`, `is_connected`), and the blocks of each induced
-subgraph G[S] per vertex set S (`induced_components`).  Both live as long as
-the graph object, so a sweep that holds one graph at a time holds one graph's
-memo at a time.
+(`connected_components`, `is_connected`), the blocks of each induced
+subgraph G[S] per vertex set S (`induced_components`, read by the oracles),
+and the quotient per pair of parts (`bepaths.quotient_graph`, read by the
+fast routes).  All live as long as the graph object, so a sweep that holds
+one graph at a time holds one graph's memo at a time.
 """
 
 from __future__ import annotations
@@ -82,6 +83,10 @@ class SimpleGraph:
     @cached_attribute
     def _induced(self) -> dict[frozenset[str], tuple[frozenset[str], ...]]:
         return {}  # per vertex set S: the blocks of G[S], filled by `induced_components`
+
+    @cached_attribute
+    def _quotients(self) -> dict[tuple[frozenset[str], frozenset[str]], object]:
+        return {}  # per validated (A, B), both orders: the `QuotientGraph` that `bepaths.quotient_graph` returns
 
     def has_edge(self, u: str, v: str) -> bool:
         return edge_key(u, v) in self.edges

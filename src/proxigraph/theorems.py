@@ -8,8 +8,9 @@ command-line `verify` subcommand.
 
 Each sweep is declared once, on its `SWEEPS` entry: its instance family,
 its fast route and oracle, and the functions on its fast side.  One driver,
-`_run`, runs every entry, and the tests read the same entries.  Sweeps t3.4
-and t3.9 run the be-path oracle once per unordered bipartition.
+`_run`, runs every entry, and the tests read the same entries.  Sweeps t3.4,
+t3.6 and t3.9 run their oracle once per unordered bipartition and mirror its
+answer; the fast route still runs on every ordered instance.
 """
 
 from __future__ import annotations
@@ -222,10 +223,11 @@ def _graphs(max_n: int) -> Iterator[tuple[SimpleGraph]]:
 
 
 def _once_per_complement_pair(family: Iterable[tuple], oracle: Callable, mirror: Callable) -> Iterator[tuple]:
-    """Each (graph, parts) instance with the be-path oracle's answer, run once per complement pair.
+    """Each (graph, parts) instance with the oracle's answer, run once per complement pair.
 
-    A be-path of (B, A) is one of (A, B) read from the other end, so the order met second gets
-    `mirror` of the first one's answer, kept by its A until then: at most 2ⁿ⁻¹ − 1 answers, one graph's.
+    A be-path of (B, A) is one of (A, B) read from the other end, and G[A1 ∪ B1] is one graph either way,
+    so the order met second gets `mirror` of the first one's answer, kept by its A until then: at most
+    2ⁿ⁻¹ − 1 answers, one graph's.
     """
     current, mirrored = None, {}
     for instance in family:
@@ -268,23 +270,28 @@ def sweep_t3_9(max_n: int = 5, progress: Progress = None) -> SweepResult:
     return _run("t3.9", progress, max_n=max_n)
 
 
+def _t3_4_oracle(graph: SimpleGraph, parts: Bipartition) -> tuple:
+    """The enumerated B_path, and each (A-block, B-block, joined count) that it only partly covers (statement 3),
+    with each block as a sorted list, so that the entries sort in block order on either side."""
+    pairs = pairs_from_witnesses(be_paths_from_a(graph, parts), parts)
+    return pairs, [(sorted(a_block), sorted(b_block), inside)
+                   for a_block in induced_components(graph, parts.a) for b_block in induced_components(graph, parts.b)
+                   for inside in [sum(1 for a in a_block for b in b_block if (a, b) in pairs)]
+                   if inside not in (0, len(a_block) * len(b_block))]
+
+
 def _check_t3_4(instance: tuple, names: tuple[str, str], answers: tuple) -> list[str]:
     """The two B_path sets agree, and membership is all-or-nothing on component block pairs (statement 3)."""
-    (graph, parts), (fast, oracle) = instance, answers
+    (graph, parts), (fast, (oracle, partial)) = instance, answers
     if fast != oracle:
         return [f"{_describe(graph, parts)}: {names[0]} {sorted(fast)} != {names[1]} {sorted(oracle)}"]
-    a_comps, b_comps = induced_components(graph, parts.a), induced_components(graph, parts.b)
-    return [f"{_describe(graph, parts)}: block pair {sorted(a_block)} x {sorted(b_block)}"
-            f" only partially joinable ({inside} pairs)"
-            for a_block in a_comps for b_block in b_comps
-            for inside in [sum(1 for a in a_block for b in b_block if (a, b) in oracle)]
-            if inside not in (0, len(a_block) * len(b_block))]
+    return [f"{_describe(graph, parts)}: block pair {a_block} x {b_block} only partially joinable ({inside} pairs)"
+            for a_block, b_block, inside in partial]
 
 
-@_declared("t3.4", _graph_pairs, lambda graph, parts: bpath_pairs(graph, parts),
-           lambda graph, parts: pairs_from_witnesses(be_paths_from_a(graph, parts), parts),
+@_declared("t3.4", _graph_pairs, lambda graph, parts: bpath_pairs(graph, parts), _t3_4_oracle,
            ("component-set", "enumerated"), _BEPATHS_FAST, _check_t3_4,
-           mirror=lambda pairs: frozenset((b, a) for a, b in pairs))
+           mirror=lambda found: (frozenset((b, a) for a, b in found[0]), sorted((b, a, n) for a, b, n in found[1])))
 def sweep_t3_4(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Quotient-based B_path vs. brute-force enumeration, plus block saturation."""
     return _run("t3.4", progress, max_n=max_n)
@@ -307,7 +314,7 @@ def induced_bpath_pairs(graph: SimpleGraph, parts: Bipartition) -> frozenset[tup
 
 @_declared("t3.6", _graph_pairs, lambda graph, parts: is_path_complete(graph, parts),
            lambda graph, parts: len(induced_bpath_pairs(graph, parts)) == len(parts.a) * len(parts.b),
-           ("quotient-complete", "blocks-induce-connected"), _BEPATHS_FAST)
+           ("quotient-complete", "blocks-induce-connected"), _BEPATHS_FAST, mirror=lambda same: same)
 def sweep_t3_6(max_n: int = 5, progress: Progress = None) -> SweepResult:
     """Quotient completeness vs. induced connectivity of every block pair."""
     return _run("t3.6", progress, max_n=max_n)

@@ -1,7 +1,8 @@
 """Be-paths, B_path, path-completeness, quotient, canonical partitions."""
 
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import chain, permutations
 
 import pytest
 
@@ -383,19 +384,64 @@ def quotient_by_definition(graph, parts):
     return tuple(a_comps), tuple(b_comps), edges
 
 
-@pytest.mark.parametrize("n", [50, 200, 800])
-def test_quotient_matches_its_definition_on_large_random_graphs(n):
+def _large_random_instances(n):
+    """Two seeded sparse graphs on n vertices, each with odd/even parts and then random ones."""
     for seed in range(2):
         graph = random_graph(n, f"3/{2 * n}", seed)
         labels = sorted(graph.vertices, key=lambda v: int(v[1:]))
         drawn = frozenset(random.Random(seed).sample(labels, n // 2))
-        crossing_from_b = 0
-        for a in (frozenset(labels[::2]), drawn):  # odd/even parts, then random ones
-            parts = Bipartition(a, graph.vertices - a)
-            q = quotient_graph(graph, parts)
-            assert (q.a_components, q.b_components, q.edges) == quotient_by_definition(graph, parts)
-            crossing_from_b += sum(u in parts.b and v in parts.a for u, v in graph.edges)
-        assert crossing_from_b  # some crossing edge is stored with its end in B first
+        for a in (frozenset(labels[::2]), drawn):
+            yield graph, Bipartition(a, graph.vertices - a)
+
+
+@pytest.mark.parametrize("n", [50, 200, 800])
+def test_quotient_matches_its_definition_on_large_random_graphs(n):
+    crossing_from_b = Counter()
+    for graph, parts in _large_random_instances(n):
+        q = quotient_graph(graph, parts)
+        assert (q.a_components, q.b_components, q.edges) == quotient_by_definition(graph, parts)
+        crossing_from_b[graph] += sum(u in parts.b and v in parts.a for u, v in graph.edges)
+    assert len(crossing_from_b) == 2 and all(crossing_from_b.values())  # some stored with its end in B first
+
+
+# Every route that reads the quotient, asked about one order of the parts
+QUOTIENT_ROUTES = (quotient_graph, bpath_pairs, is_path_complete, path_complete_defect,
+                   lambda graph, parts: be_path_witness(graph, parts, min(parts.a), max(parts.b)))
+
+
+def _asked(graph, *orders):
+    """Each route's answer about each order of the parts in turn, all asked of one graph object."""
+    return [[route(graph, parts) for route in QUOTIENT_ROUTES] for parts in orders]
+
+
+def _refused_in_both_orders(graph):
+    """A partition that leaves a vertex out, and one that names an unknown vertex, raise in both orders on
+    every ask, and the graph keeps no quotient."""
+    low, *rest, high = sorted(graph.vertices)
+    for parts in (Bipartition.of([low], rest), Bipartition.of([low], [*rest, high, "zz"])):
+        for order in (parts, Bipartition(parts.b, parts.a)) * 2:
+            for route in QUOTIENT_ROUTES:
+                with pytest.raises(GraphError, match="parts must cover"):
+                    route(graph, order)
+    return not graph._quotients
+
+
+def test_both_orders_of_a_pair_answer_as_a_fresh_graph_asked_once():
+    # the first ask keeps the quotient for both orders; the second order must read it as a fresh graph would
+    small = (pair for pair in _with_bipartitions(_labeled_graphs(5, 2)) if "v1" in pair[1].a)
+    large = (pair for n in (50, 200, 800) for pair in _large_random_instances(n))
+    checked = 0
+    for graph, parts in chain(small, large):
+        flipped = Bipartition(parts.b, parts.a)
+        alone = {order: _asked(SimpleGraph(graph.vertices, graph.edges), order)[0] for order in (parts, flipped)}
+        for first, second in ((parts, flipped), (flipped, parts)):
+            shared = SimpleGraph(graph.vertices, graph.edges)
+            assert _asked(shared, first, second) == [alone[first], alone[second]]
+            assert shared._quotients.keys() == {(parts.a, parts.b), (parts.b, parts.a)}
+        checked += 1
+    assert checked == 2 + 24 + 448 + 15360 + 12  # one order of each unordered bipartition at n = 2..5, then 12
+    refusing = chain(_labeled_graphs(4, 3), [random_graph(800, "3/1600", 0)])
+    assert all(_refused_in_both_orders(graph) for graph in refusing)
 
 
 def test_find_path_bipartite_partition_k2():

@@ -187,8 +187,8 @@ def _one_pair_short(route):
 
 
 def _mirrored_only(wrong):
-    """`wrong` only where the largest label lies in A: the order whose be-path oracle answer
-    sweeps t3.4 and t3.9 mirror from its complement instead of enumerating it."""
+    """`wrong` only where the largest label lies in A: the order whose oracle answer
+    sweeps t3.4, t3.6 and t3.9 mirror from its complement instead of computing it."""
     def make(route):
         bad = wrong(route)
         return lambda graph, parts: (bad if max(parts.union) in parts.a else route)(graph, parts)
@@ -201,10 +201,11 @@ def _mirrored_only(wrong):
     ("t3.4", dict(max_n=3), "bpath_pairs", _one_pair_short),
     ("t3.4", dict(max_n=3), "bpath_pairs", _mirrored_only(_one_pair_short)),
     ("t3.6", dict(max_n=3), "is_path_complete", _negated),
+    ("t3.6", dict(max_n=3), "is_path_complete", _mirrored_only(_negated)),
     ("c3.10", dict(max_n=4), "find_path_bipartite_partition", lambda route: lambda graph: None),
     ("t3.5", dict(count=10, seed=2), "check_structural_conditions", _negated),
     ("t3.10", dict(max_n=3, count=2, seed=1), "witness_ultrametric", lambda route: lambda graph: None),
-], ids=["t3.9", "t3.9-mirrored", "t3.4", "t3.4-mirrored", "t3.6", "c3.10", "t3.5", "t3.10"])
+], ids=["t3.9", "t3.9-mirrored", "t3.4", "t3.4-mirrored", "t3.6", "t3.6-mirrored", "c3.10", "t3.5", "t3.10"])
 def test_sweep_reports_a_wrong_fast_route(monkeypatch, sweep_id, bounds, route, wrong):
     spec = SWEEPS[sweep_id]
     clean = spec.run(**bounds)
@@ -227,12 +228,15 @@ def test_fast_routes_run_on_every_instance_and_the_be_path_oracle_once_per_compl
             return original(*args)
         monkeypatch.setattr(theorems, name, count)
 
-    for name in ("is_path_bipartite", "union_of_be_paths", "bpath_pairs", "be_paths_from_a"):
+    for name in ("is_path_bipartite", "union_of_be_paths", "bpath_pairs", "be_paths_from_a",
+                 "is_path_complete", "induced_bpath_pairs"):
         counted(name)
     assert sweep_t3_9(max_n=4).checked == 948
     assert sweep_t3_4(max_n=4).checked == 948
+    assert sweep_t3_6(max_n=4).checked == 948
     # 948 ordered instances are 474 unordered bipartitions
-    assert calls == {"is_path_bipartite": 948, "union_of_be_paths": 474, "bpath_pairs": 948, "be_paths_from_a": 474}
+    assert calls == {"is_path_bipartite": 948, "union_of_be_paths": 474, "bpath_pairs": 948, "be_paths_from_a": 474,
+                     "is_path_complete": 948, "induced_bpath_pairs": 474}
 
 
 def test_space_counterexample_line_rebuilds_the_space(monkeypatch):
@@ -407,6 +411,7 @@ ROUTE_FLOOR = {
     "t2.1": {"spaces.check_theorem_2_1"},
     "t3.5": {"path_proximinal.check_structural_conditions", "bepaths.quotient_graph", "spaces.proximity_report"},
 }
+CERTIFYING = ("c3.10", "t3.16", "t3.10")  # sweeps whose fast route returns a certificate or None
 # Routines an oracle legitimately shares with its fast side: never stubbed, and the oracle must call them
 SHARED = {"t2.1": ("spaces.proximity_report",), "t3.5": ("spaces.build_threshold_graph",)}
 # Each sweep's smallest family for the independence check; the graph sweeps not named run at max_n=4
@@ -458,10 +463,18 @@ def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
     instances = list(spec.family(**SMALL_BOUNDS.get(sweep_id, dict(max_n=4))))
     oracle = spec.oracle or _t2_1_statement_1
     expected = [oracle(*instance) for instance in instances]
-    # the family tells the answers apart, but in c2.9 a singleton part that every
-    # component meets leaves one component, so both sides read true on all of it
-    distinct = len(set(map(repr, expected)))
-    assert distinct == 1 if sweep_id == "c2.9" else distinct > 1
+    fast = [spec.fast(*instance) for instance in instances]
+    # Each side gives more than one answer on the family; a certifying fast route gives both None and a
+    # certificate.  The one exception is c2.9 (ROADMAP item 1): a singleton part that every component
+    # meets leaves one component, so both sides read true on all of its family.
+    if sweep_id == "c2.9":
+        assert set(fast) == set(expected) == {True}
+    else:
+        assert len(set(map(repr, expected))) > 1
+        if sweep_id in CERTIFYING:
+            assert {answer is None for answer in fast} == {True, False}
+        else:
+            assert len(set(fast)) > 1
 
     def stub(route):
         def raises(*args, **kwargs):
@@ -489,10 +502,16 @@ def test_graph_sweep_oracle_never_calls_a_fast_route(monkeypatch, sweep_id):
 
 
 class _UnreadableMemo(dict):
-    def __contains__(self, key):
-        raise AssertionError("a fast route read the induced-components memo")
+    """A graph memo whose every read raises, naming the memo."""
 
-    __getitem__ = __contains__
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+
+    def __contains__(self, key):
+        raise AssertionError(f"the {self.name} memo was read")
+
+    __getitem__ = get = __contains__
 
 
 def test_fast_routes_never_read_the_induced_components_memo(monkeypatch):
@@ -513,11 +532,37 @@ def test_fast_routes_never_read_the_induced_components_memo(monkeypatch):
     answers = []
     for graph, parts in family:
         fresh = graphs.SimpleGraph(graph.vertices, graph.edges)
-        fresh.__dict__["_induced"] = _UnreadableMemo()
+        fresh.__dict__["_induced"] = _UnreadableMemo("induced-components")
         answers.append([route(fresh, parts) for route in routes])
     assert answers == expected
     with pytest.raises(AssertionError, match="called induced_components"):
         theorems.induced_bpath_pairs(*family[0])
+
+
+def test_oracles_never_read_the_quotient_memo(monkeypatch):
+    """The t3.4 and t3.6 oracles answer alike while `quotient_graph` raises wherever it is bound and
+    each graph's quotient memo raises on a read: the fast routes' memo never feeds the oracles."""
+    family = list(SWEEPS["t3.6"].family(max_n=4))
+    oracles = (SWEEPS["t3.4"].oracle, SWEEPS["t3.6"].oracle)
+    expected = [[oracle(graph, parts) for oracle in oracles] for graph, parts in family]
+
+    def stub(original):
+        def raises(*args, **kwargs):
+            raise AssertionError("an oracle called quotient_graph")
+        return raises
+
+    unstubbed = bepaths.quotient_graph
+    assert "proxigraph.bepaths" in _rebind_everywhere(monkeypatch, "bepaths.quotient_graph", stub)
+    answers = []
+    for graph, parts in family:
+        fresh = graphs.SimpleGraph(graph.vertices, graph.edges)
+        fresh.__dict__["_quotients"] = _UnreadableMemo("quotient")
+        answers.append([oracle(fresh, parts) for oracle in oracles])
+    assert answers == expected
+    with pytest.raises(AssertionError, match="called quotient_graph"):
+        bepaths.bpath_pairs(*family[0])
+    with pytest.raises(AssertionError, match="the quotient memo was read"):
+        unstubbed(fresh, parts)
 
 
 # The stdout of `verify` for every graph sweep at --max-n 4, pinned byte for byte:

@@ -37,6 +37,7 @@ SEARCH_VS_DEFINITION = "tests/test_bepaths.py::test_the_search_finds_exactly_the
 CERTIFICATE_CHECKS = "tests/test_theorems.py::test_sweep_reports_a_certificate_failing_verification"
 P3_9_LINE = "tests/test_theorems.py::test_p3_9_counterexample_line_rebuilds_the_graph_parts_and_perturbed_space"
 BOTH_ORDERS = "tests/test_spaces.py::test_both_orders_of_a_pair_answer_as_a_fresh_space_asked_once"
+BOTH_ORDERS_OF_PARTS = "tests/test_bepaths.py::test_both_orders_of_a_pair_answer_as_a_fresh_graph_asked_once"
 
 EDITS = (
     Edit("threshold-strict", "src/proxigraph/spaces.py",
@@ -146,6 +147,12 @@ EDITS = (
     Edit("reverse-report-pairs-unreversed", "src/proxigraph/spaces.py",
          "frozenset((y, x) for x, y in pairs))", "pairs)",
          (BOTH_ORDERS,)),
+    Edit("reverse-quotient-edges-unswapped", "src/proxigraph/bepaths.py",
+         "frozenset((j, i) for i, j in edges))", "edges)",
+         (BOTH_ORDERS_OF_PARTS,)),
+    Edit("reverse-quotient-blocks-unswapped", "src/proxigraph/bepaths.py",
+         "QuotientGraph(tuple(comps[1]), tuple(comps[0]),", "QuotientGraph(tuple(comps[0]), tuple(comps[1]),",
+         (BOTH_ORDERS_OF_PARTS,)),
     Edit("statement-1-strict", "src/proxigraph/spaces.py",
          "_scaled_diameter(space, parts.b) <= _cross_minimum(", "_scaled_diameter(space, parts.b) < _cross_minimum(",
          (BOTH_ORDERS,)),
@@ -229,16 +236,25 @@ EDITS = (
          "           lambda instance, names, answers: _compare(instance, names, answers[1]), mirror=lambda same: same)\n",
          ("tests/test_theorems.py",)),
     Edit("t3.4-fast-route-mirrored-with-the-oracle", "src/proxigraph/theorems.py",
-         "@_declared(\"t3.4\", _graph_pairs, lambda graph, parts: bpath_pairs(graph, parts),\n"
-         "           lambda graph, parts: pairs_from_witnesses(be_paths_from_a(graph, parts), parts),\n"
+         "@_declared(\"t3.4\", _graph_pairs, lambda graph, parts: bpath_pairs(graph, parts), _t3_4_oracle,\n"
          "           (\"component-set\", \"enumerated\"), _BEPATHS_FAST, _check_t3_4,\n"
-         "           mirror=lambda pairs: frozenset((b, a) for a, b in pairs))\n",
+         "           mirror=lambda found: (frozenset((b, a) for a, b in found[0]), sorted((b, a, n) for a, b, n in found[1])))\n",
          "@_declared(\"t3.4\", _graph_pairs, lambda graph, parts: None,\n"
-         "           lambda graph, parts: (bpath_pairs(graph, parts),\n"
-         "                                 pairs_from_witnesses(be_paths_from_a(graph, parts), parts)),\n"
+         "           lambda graph, parts: (bpath_pairs(graph, parts), _t3_4_oracle(graph, parts)),\n"
          "           (\"component-set\", \"enumerated\"), _BEPATHS_FAST,\n"
          "           lambda instance, names, answers: _check_t3_4(instance, names, answers[1]),\n"
-         "           mirror=lambda answers: tuple(frozenset((b, a) for a, b in pairs) for pairs in answers))\n",
+         "           mirror=lambda found: (frozenset((b, a) for a, b in found[0]), (\n"
+         "               frozenset((b, a) for a, b in found[1][0]), sorted((b, a, n) for a, b, n in found[1][1]))))\n",
+         ("tests/test_theorems.py",)),
+    Edit("t3.6-fast-route-mirrored-with-the-oracle", "src/proxigraph/theorems.py",
+         "@_declared(\"t3.6\", _graph_pairs, lambda graph, parts: is_path_complete(graph, parts),\n"
+         "           lambda graph, parts: len(induced_bpath_pairs(graph, parts)) == len(parts.a) * len(parts.b),\n"
+         "           (\"quotient-complete\", \"blocks-induce-connected\"), _BEPATHS_FAST, mirror=lambda same: same)\n",
+         "@_declared(\"t3.6\", _graph_pairs, lambda graph, parts: None,\n"
+         "           lambda graph, parts: (is_path_complete(graph, parts),\n"
+         "                                 len(induced_bpath_pairs(graph, parts)) == len(parts.a) * len(parts.b)),\n"
+         "           (\"quotient-complete\", \"blocks-induce-connected\"), _BEPATHS_FAST,\n"
+         "           lambda instance, names, answers: _compare(instance, names, answers[1]), mirror=lambda same: same)\n",
          ("tests/test_theorems.py",)),
     Edit("declaration-drops-a-route", "src/proxigraph/theorems.py",
          "(*_BEPATHS_FAST, \"bepaths.find_path_bipartite_partition\"), _check_c3_10)",
