@@ -254,9 +254,10 @@ class QuotientGraph:
 def quotient_graph(graph: SimpleGraph, parts: Bipartition) -> QuotientGraph:
     """Contract the components of G[A] and G[B] and keep the B_path relation.
 
-    One union-find pass over the within-part edges yields the blocks of both
-    parts and each vertex's root; each crossing edge, read from its end in A,
-    joins the numbers its part gives the roots of its ends.  O(V + E).
+    One pass splits the edges into within-part and crossing lists; the blocks
+    of the within-part edges are those of both parts, and each vertex takes
+    its block's index in its part's list.  Each crossing edge, read from its
+    end in A, joins the numbers of its ends.  O(V log V + E).
     Kept on the graph once the parts pass `require_cover`, and for (B, A)
     transposed (block lists and edge ends swapped): one pass per unordered pair.
     """
@@ -265,15 +266,15 @@ def quotient_graph(graph: SimpleGraph, parts: Bipartition) -> QuotientGraph:
         return found
     require_cover(graph.vertices, parts)
     in_a = parts.a
-    within = (e for e in graph.edges if (e[0] in in_a) == (e[1] in in_a))
-    blocks, root = component_roots(graph.vertices, within)
-    comps, number = ([], []), {}  # the blocks of A and of B; each root's index in its part's list
-    for r, block in blocks.items():
+    within, crossing = [], []
+    for e in graph.edges:
+        (within if (e[0] in in_a) == (e[1] in in_a) else crossing).append(e)
+    comps, number = ([], []), {}  # the blocks of A and of B; each vertex's block index in its part's list
+    for r, block in component_roots(graph.vertices, within).items():
         side = comps[r not in in_a]
-        number[r] = len(side)
+        number.update(dict.fromkeys(block, len(side)))
         side.append(block)
-    edges = frozenset((number[root[u]], number[root[v]]) if u in in_a else (number[root[v]], number[root[u]])
-                      for u, v in graph.edges if (u in in_a) != (v in in_a))
+    edges = frozenset((number[u], number[v]) if u in in_a else (number[v], number[u]) for u, v in crossing)
     graph._quotients[parts.b, parts.a] = QuotientGraph(tuple(comps[1]), tuple(comps[0]),
                                                        frozenset((j, i) for i, j in edges))
     found = graph._quotients[parts.a, parts.b] = QuotientGraph(tuple(comps[0]), tuple(comps[1]), edges)

@@ -4,13 +4,13 @@ Vertices are identified by their label text.  All tie-breaking (component
 ordering, BFS expansion, canonical representatives) uses lexicographic label
 order so that every derived object is reproducible.
 
-A graph keeps what the bipartitions of an exhaustive sweep ask of it again:
-its blocks, which every whole-graph component question reads
-(`connected_components`, `is_connected`), the blocks of each induced
-subgraph G[S] per vertex set S (`induced_components`, read by the oracles),
-and the quotient per pair of parts (`bepaths.quotient_graph`, read by the
-fast routes).  All live as long as the graph object, so a sweep that holds
-one graph at a time holds one graph's memo at a time.
+A graph keeps what the bipartitions of an exhaustive sweep ask of it again, each
+split by the one merge-by-size kernel `component_roots`: its blocks, which every
+whole-graph component question reads (`connected_components`, `is_connected`),
+the blocks of each induced subgraph G[S] per vertex set S (`induced_components`,
+read by the oracles), and the quotient per pair of parts (`bepaths.quotient_graph`,
+read by the fast routes).  All live as long as the graph object, so a sweep that
+holds one graph at a time holds one graph's memo at a time.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class SimpleGraph:
     @cached_attribute
     def _blocks(self) -> dict[str, frozenset[str]]:
         """The blocks `component_roots` finds in the graph; every whole-graph component question reads them."""
-        return component_roots(self.vertices, self.edges)[0]
+        return component_roots(self.vertices, self.edges)
 
     @cached_attribute
     def _induced(self) -> dict[frozenset[str], tuple[frozenset[str], ...]]:
@@ -188,32 +188,29 @@ def induced_bipartite_subgraph(graph: SimpleGraph, parts: Bipartition) -> Simple
     return SimpleGraph(parts.union, kept)
 
 
-def component_roots(
-    vertices: Iterable[str], edges: Iterable[tuple[str, str]]
-) -> tuple[dict[str, frozenset[str]], dict[str, str]]:
-    """Blocks of the graph (vertices, edges) keyed by their smallest label, in label order,
-    and the root map: each vertex to the smallest label of its block.
+def component_roots(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
+    """Blocks of the graph (vertices, edges) keyed by their smallest label, in label order.
 
-    Union-find with path halving, inlined for speed on tiny graphs.  Each
-    union hangs the larger root under the smaller, so root[v] <= v always
-    and every root is the smallest label of its block.
+    Each vertex maps to the set of its block; an edge between two blocks pours the smaller
+    set into the larger, so a vertex moves O(log V) times.  A pass in label order keys each
+    block by the first, hence smallest, vertex it meets and empties it for its later members.
     """
-    root = {v: v for v in vertices}
+    block = {v: {v} for v in vertices}
     for u, v in edges:
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        if v < u:
-            u, v = v, u
-        root[v] = u  # a no-op when u and v already share a root
-    blocks: dict[str, list[str]] = {}
-    for v in sorted(root):  # root[v] <= v was visited already and points at its final root
-        root[v] = root[root[v]]
-        blocks.setdefault(root[v], []).append(v)
-    return {r: frozenset(block) for r, block in blocks.items()}, root
+        bu, bv = block[u], block[v]
+        if bu is not bv:
+            if len(bu) < len(bv):
+                bu, bv = bv, bu
+            bu |= bv
+            for w in bv:
+                block[w] = bu
+    blocks: dict[str, frozenset[str]] = {}
+    for v in sorted(block):
+        b = block[v]
+        if b:
+            blocks[v] = frozenset(b)
+            b.clear()
+    return blocks
 
 
 def connected_components(graph: SimpleGraph) -> list[frozenset[str]]:
@@ -230,7 +227,7 @@ def induced_components(graph: SimpleGraph, subset: frozenset[str]) -> tuple[froz
     """
     memo = graph._induced
     if subset not in memo:
-        memo[subset] = tuple(component_roots(subset, _induced_edges(graph, subset))[0].values())
+        memo[subset] = tuple(component_roots(subset, _induced_edges(graph, subset)).values())
     return memo[subset]
 
 

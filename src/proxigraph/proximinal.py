@@ -19,7 +19,9 @@ def adjacency_metric(graph: SimpleGraph) -> FiniteSemimetricSpace:
     """The {0,1,2}-valued space on the vertices: 1 on edges, 2 on other distinct pairs, as int rows at scale 1."""
     pts = tuple(graph.sorted_vertices())
     n, index = len(pts), {p: i for i, p in enumerate(pts)}
-    rows = [[2] * i + [0] + [2] * (n - 1 - i) for i in range(n)]
+    rows = [[2] * n for _ in pts]
+    for i, row in enumerate(rows):
+        row[i] = 0
     for u, v in graph.edges:
         i, j = index[u], index[v]
         rows[i][j] = rows[j][i] = 1

@@ -20,7 +20,7 @@ from proxigraph import (
     validate_path,
 )
 from proxigraph import graphs as graphs_module
-from proxigraph.graphs import check_label, induced_components
+from proxigraph.graphs import check_label, component_roots, induced_components
 from proxigraph.instances import (
     all_bipartitions,
     enumerate_labeled_graphs,
@@ -233,6 +233,53 @@ def test_induced_components_are_kept_per_host_graph_and_check_the_subset():
         with pytest.raises(GraphError, match=message):
             induced_components(graph, bad)
         assert bad not in graph._induced
+
+
+def _bfs_blocks(vertices, edges):
+    """The blocks of (vertices, edges) by breadth-first search from each unseen vertex in label order."""
+    nbrs = {v: [] for v in vertices}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    blocks, seen = {}, set()
+    for start in sorted(nbrs):
+        if start not in seen:
+            seen.add(start)
+            queue = [start]
+            for x in queue:
+                fresh = [y for y in nbrs[x] if y not in seen]
+                seen.update(fresh)
+                queue += fresh
+            blocks[start] = frozenset(queue)
+    return blocks
+
+
+def _kernel_inputs():
+    """(name, vertices, edges): vertices in reverse label order, so keys cannot follow input order."""
+    for n in range(1, 6):
+        for graph in enumerate_labeled_graphs(n):
+            yield f"all-n{n}", graph.sorted_vertices()[::-1], sorted(graph.edges)
+    for n, q, seed in ((50, 40, 1), (300, 250, 2), (2000, 1500, 3), (2000, 900, 4)):
+        graph = random_graph(n, f"1/{q}", seed)
+        yield f"random-n{n}", sorted(graph.vertices, reverse=True), sorted(graph.edges)
+    labels = [f"v{i}" for i in range(1, 3001)]  # "v10" sorts before "v2"
+    path = [(labels[i], labels[i + 1]) for i in range(2999)]
+    yield "pairs-then-joins", labels[::-1], path[0::2] + path[1::2]  # (v1, v2), (v3, v4), ... first
+    random.Random(5).shuffle(path)
+    yield "shuffled-path", labels[::-1], path
+
+
+def test_component_kernel_matches_breadth_first_search():
+    for name, vertices, edges in _kernel_inputs():
+        found = component_roots(vertices, edges)
+        assert list(found.items()) == list(_bfs_blocks(vertices, edges).items()), name
+        assert sorted(v for block in found.values() for v in block) == sorted(vertices), name  # a partition
+        assert all(key == min(block) for key, block in found.items()) and list(found) == sorted(found), name
+        touched = {w for edge in edges for w in edge}
+        assert all(found[v] == {v} for v in vertices if v not in touched), name
+        doubled = edges + [(v, u) for u, v in edges]
+        for same in (component_roots(vertices, iter(edges)), component_roots(vertices, doubled)):
+            assert list(same.items()) == list(found.items()), name
 
 
 @pytest.mark.parametrize("cut", [None, 500], ids=["path", "path-cut-at-v500"])

@@ -38,6 +38,7 @@ CERTIFICATE_CHECKS = "tests/test_theorems.py::test_sweep_reports_a_certificate_f
 P3_9_LINE = "tests/test_theorems.py::test_p3_9_counterexample_line_rebuilds_the_graph_parts_and_perturbed_space"
 BOTH_ORDERS = "tests/test_spaces.py::test_both_orders_of_a_pair_answer_as_a_fresh_space_asked_once"
 BOTH_ORDERS_OF_PARTS = "tests/test_bepaths.py::test_both_orders_of_a_pair_answer_as_a_fresh_graph_asked_once"
+COMPONENT_KERNEL = "tests/test_graphs.py::test_component_kernel_matches_breadth_first_search"
 
 EDITS = (
     Edit("threshold-strict", "src/proxigraph/spaces.py",
@@ -124,12 +125,21 @@ EDITS = (
          ("tests/test_theorems.py",)),
     Edit("induced-memo-keyed-by-size", "src/proxigraph/graphs.py",
          "    if subset not in memo:\n"
-         "        memo[subset] = tuple(component_roots(subset, _induced_edges(graph, subset))[0].values())\n"
+         "        memo[subset] = tuple(component_roots(subset, _induced_edges(graph, subset)).values())\n"
          "    return memo[subset]\n",
          "    if len(subset) not in memo:\n"
-         "        memo[len(subset)] = tuple(component_roots(subset, _induced_edges(graph, subset))[0].values())\n"
+         "        memo[len(subset)] = tuple(component_roots(subset, _induced_edges(graph, subset)).values())\n"
          "    return memo[len(subset)]\n",
          ("tests/test_graphs.py",)),
+    Edit("kernel-members-keep-the-poured-set", "src/proxigraph/graphs.py",
+         "            for w in bv:\n                block[w] = bu\n", "",
+         (COMPONENT_KERNEL,)),
+    Edit("kernel-keys-blocks-in-vertex-order", "src/proxigraph/graphs.py",
+         "    for v in sorted(block):\n", "    for v in block:\n",
+         (COMPONENT_KERNEL,)),
+    Edit("kernel-keys-every-member", "src/proxigraph/graphs.py",
+         "            b.clear()\n", "",
+         (COMPONENT_KERNEL,)),
     Edit("partition-list-keyed-by-size", "src/proxigraph/theorems.py",
          "        if labels not in partitions:\n"
          "            partitions[labels] = list(all_bipartitions(labels))\n"
@@ -167,11 +177,13 @@ EDITS = (
          "_random_spaces(random_semimetric_space, count, 6, seed)",
          ("tests/test_cli.py",)),
     Edit("quotient-crossing-edge-unoriented", "src/proxigraph/bepaths.py",
-         "(number[root[u]], number[root[v]]) if u in in_a else (number[root[v]], number[root[u]])",
-         "(number[root[u]], number[root[v]])",
+         "(number[u], number[v]) if u in in_a else (number[v], number[u])", "(number[u], number[v])",
          ("tests/test_bepaths.py",)),
     Edit("adjacency-non-edges-at-3", "src/proxigraph/proximinal.py",
-         "[[2] * i + [0] + [2] * (n - 1 - i) for i in range(n)]", "[[3] * i + [0] + [3] * (n - 1 - i) for i in range(n)]",
+         "[[2] * n for _ in pts]", "[[3] * n for _ in pts]",
+         ("tests/test_proximinal.py",)),
+    Edit("adjacency-diagonal-left-at-2", "src/proxigraph/proximinal.py",
+         "        row[i] = 0\n", "        row[i] = 2\n",
          ("tests/test_proximinal.py",)),
     Edit("singleton-read-as-pair", "src/proxigraph/bepaths.py",
          "any(len(block) == 1 for block in graph._blocks.values())",
