@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -92,8 +93,7 @@ class SimpleGraph:
         return edge_key(u, v) in self.edges
 
     def isolated_vertices(self) -> frozenset[str]:
-        touched = {w for e in self.edges for w in e}
-        return self.vertices - touched
+        return self.vertices.difference(chain.from_iterable(self.edges))
 
     def sorted_vertices(self) -> list[str]:
         return sorted(self.vertices)
@@ -191,23 +191,33 @@ def induced_bipartite_subgraph(graph: SimpleGraph, parts: Bipartition) -> Simple
 def component_roots(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
     """Blocks of the graph (vertices, edges) keyed by their smallest label, in label order.
 
-    Each vertex maps to the set of its block; an edge between two blocks pours the smaller
-    set into the larger, so a vertex moves O(log V) times.  A pass in label order keys each
-    block by the first, hence smallest, vertex it meets and empties it for its later members.
+    A vertex gets the set of its block when an edge first touches it; an edge between two
+    blocks pours the smaller set into the larger, so a vertex moves O(log V) times.  A pass
+    in label order keys each block by the first, hence smallest, vertex it meets and empties
+    it for its later members; a vertex no edge touches becomes a singleton there.
     """
-    block = {v: {v} for v in vertices}
+    block: dict[str, set[str]] = {}
     for u, v in edges:
-        bu, bv = block[u], block[v]
-        if bu is not bv:
+        bu, bv = block.get(u), block.get(v)
+        if bu is None:
+            bu, bv, u, v = bv, bu, v, u  # now bu is None only when neither end has a block
+        if bu is None:
+            block[u] = block[v] = {u, v}
+        elif bv is None:
+            bu.add(v)
+            block[v] = bu
+        elif bu is not bv:
             if len(bu) < len(bv):
                 bu, bv = bv, bu
             bu |= bv
             for w in bv:
                 block[w] = bu
     blocks: dict[str, frozenset[str]] = {}
-    for v in sorted(block):
-        b = block[v]
-        if b:
+    for v in sorted(vertices):
+        b = block.get(v)
+        if b is None:
+            blocks[v] = frozenset((v,))
+        elif b:
             blocks[v] = frozenset(b)
             b.clear()
     return blocks
@@ -244,8 +254,7 @@ def prune_isolated(graph: SimpleGraph) -> SimpleGraph:
     """
     if not graph.edges:
         raise GraphError("cannot prune an empty graph: every vertex is isolated")
-    touched = frozenset(w for e in graph.edges for w in e)
-    return SimpleGraph(touched, graph.edges)
+    return SimpleGraph(frozenset(chain.from_iterable(graph.edges)), graph.edges)
 
 
 def validate_path(graph: SimpleGraph, seq: Sequence[str]) -> tuple[str, ...]:

@@ -13,7 +13,7 @@ four statements are checked where its certificates are built, in sweep t3.10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from .bepaths import find_path_bipartite_partition, is_path_bipartite, path_bipartite_defect, quotient_graph
@@ -110,9 +110,9 @@ def check_within_part_separation(space: FiniteSemimetricSpace, parts: Bipartitio
 
 
 def all_degrees_one(graph: SimpleGraph) -> bool:
-    """True iff every vertex has exactly one neighbor: the 2|E| edge ends are distinct and cover V."""
-    touched = {w for e in graph.edges for w in e}
-    return bool(touched) and 2 * len(graph.edges) == len(touched) == len(graph.vertices)
+    """True iff every vertex has exactly one neighbor: 2|E| = |V| > 0 and the 2|E| edge ends are distinct,
+    hence cover V.  The ends are collected only once the count holds."""
+    return 0 < len(graph.vertices) == 2 * len(graph.edges) == len(set(chain.from_iterable(graph.edges)))
 
 
 def witness_ultrametric(graph: SimpleGraph) -> Optional[PathProximinalCertificate]:

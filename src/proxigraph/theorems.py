@@ -394,8 +394,9 @@ def _p3_9_family(max_n: int, count: int, seed: int) -> Iterator[tuple]:
     """(graph, parts, space): the witness metric of each proximinal graph without isolated vertices, then `count`
     random same-part perturbations of it; cross distances stay untouched, so G stays the proximinal graph."""
     rng = random.Random(seed)
-    for graph, parts in _graph_pairs(max_n):
-        if not graph.edges or graph.isolated_vertices() or not is_bipartite_with_parts(graph, parts):
+    graphs = (graph for graph in _labeled_graphs(max_n, 2) if not graph.isolated_vertices())  # so |E| > 0
+    for graph, parts in _with_bipartitions(graphs):
+        if not is_bipartite_with_parts(graph, parts):
             continue
         base = witness_proximinal_metric(graph, parts)
         perturbed = [_perturbed_within_part(base, parts, rng) for _ in range(count)]  # drawn before any is checked

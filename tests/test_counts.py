@@ -11,6 +11,7 @@ true and a false false that cancel; it adds to the per-instance oracles.
 """
 
 from collections import Counter
+from itertools import groupby
 from math import comb, prod
 
 import pytest
@@ -66,3 +67,34 @@ def test_fast_route_true_counts_match_their_formula(sweep_id):
     for instance in spec.family(max_n=sizes[-1]):
         counts[len(instance[0].vertices)] += spec.fast(*instance) not in (None, False)
     assert dict(counts) == {n: formula[n] for n in sizes}
+
+
+def _component_sizes(graph) -> list[int]:
+    """Vertex counts of the components, by breadth-first search over the edge list: no graph code."""
+    nbrs = {v: [] for v in graph.vertices}
+    for u, v in graph.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    sizes, seen = [], set()
+    for start in nbrs:
+        if start not in seen:
+            seen.add(start)
+            queue = [start]
+            for x in queue:
+                fresh = [y for y in nbrs[x] if y not in seen]
+                seen.update(fresh)
+                queue += fresh
+            sizes.append(len(queue))
+    return sizes
+
+
+def test_each_graph_has_its_product_of_path_bipartite_bipartitions():
+    """Theorem 3.9 per graph: a bipartition is path-bipartite iff it splits each component C, in one of 2^|C| − 2
+    ways, so G has Π over C of (2^|C| − 2) of them; a false true and a false false cannot cancel across graphs."""
+    spec = SWEEPS["t3.9"]
+    totals = Counter()
+    for graph, instances in groupby(spec.family(max_n=5), key=lambda instance: instance[0]):
+        trues = sum(spec.fast(*instance) for instance in instances)
+        assert trues == prod(2 ** k - 2 for k in _component_sizes(graph)), sorted(graph.edges)
+        totals[len(graph.vertices)] += trues
+    assert dict(totals) == {2: 2, 3: 24, 4: 544, 5: 22320}

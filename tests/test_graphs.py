@@ -267,6 +267,11 @@ def _kernel_inputs():
     yield "pairs-then-joins", labels[::-1], path[0::2] + path[1::2]  # (v1, v2), (v3, v4), ... first
     random.Random(5).shuffle(path)
     yield "shuffled-path", labels[::-1], path
+    touched = labels[::3]  # untouched labels fall between touched ones in label order
+    chained = [(touched[i], touched[i + 1]) for i in range(len(touched) - 1) if i % 7]
+    random.Random(6).shuffle(chained)
+    yield "every-third-label-touched", labels[::-1], chained
+    yield "no-edges", labels[::-1], []
 
 
 def test_component_kernel_matches_breadth_first_search():

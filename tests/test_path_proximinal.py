@@ -215,6 +215,9 @@ def test_all_degrees_one():
     assert not all_degrees_one(build_graph(["a", "b", "c"], [["a", "b"], ["b", "c"]]))
     assert not all_degrees_one(build_graph(["a", "b"], []))
     assert not all_degrees_one(SimpleGraph(frozenset(), frozenset()))
+    # 2|E| = |V| holds but the ends repeat: a path a-b-c beside an isolated d, and P3 + K2 + K1
+    assert not all_degrees_one(build_graph(["a", "b", "c", "d"], [["a", "b"], ["b", "c"]]))
+    assert not all_degrees_one(build_graph(["a", "b", "c", "d", "e", "f"], [["a", "b"], ["b", "c"], ["d", "e"]]))
 
 
 def test_witness_ultrametric_2k2():

@@ -135,10 +135,13 @@ EDITS = (
          "            for w in bv:\n                block[w] = bu\n", "",
          (COMPONENT_KERNEL,)),
     Edit("kernel-keys-blocks-in-vertex-order", "src/proxigraph/graphs.py",
-         "    for v in sorted(block):\n", "    for v in block:\n",
+         "    for v in sorted(vertices):\n", "    for v in vertices:\n",
          (COMPONENT_KERNEL,)),
     Edit("kernel-keys-every-member", "src/proxigraph/graphs.py",
          "            b.clear()\n", "",
+         (COMPONENT_KERNEL,)),
+    Edit("kernel-drops-untouched-vertices", "src/proxigraph/graphs.py",
+         "            blocks[v] = frozenset((v,))\n", "            continue\n",
          (COMPONENT_KERNEL,)),
     Edit("partition-list-keyed-by-size", "src/proxigraph/theorems.py",
          "        if labels not in partitions:\n"
@@ -198,6 +201,10 @@ EDITS = (
          "    neighbour: dict[str, str] = {}\n",
          "    return all_degrees_one(graph)\n    neighbour: dict[str, str] = {}\n",
          ("tests/test_theorems.py",)),
+    Edit("degrees-one-count-only", "src/proxigraph/path_proximinal.py",
+         " == len(set(chain.from_iterable(graph.edges)))", "",
+         ("tests/test_counts.py::test_fast_route_true_counts_match_their_formula[c3.12]",
+          "tests/test_counts.py::test_fast_route_true_counts_match_their_formula[t3.10]")),
     Edit("c3.12-components-read-degrees", "src/proxigraph/path_proximinal.py",
          "    return bool(graph.vertices) and all(len(block) == 2 for block in connected_components(graph))\n",
          "    return all_degrees_one(graph)\n",
