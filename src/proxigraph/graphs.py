@@ -127,14 +127,14 @@ class Bipartition:
 
 def require_cover(vertices: frozenset[str], parts: Bipartition, what: str = "vertex set", exact: bool = True) -> None:
     """Raise GraphError unless A ∪ B is exactly `vertices` (with exact=False: lies inside it)."""
-    extraneous = parts.union - vertices
-    if extraneous and not exact:
-        raise GraphError(f"partition mentions unknown vertices: {sorted(extraneous)}")
-    if exact and parts.union != vertices:
-        raise GraphError(
-            f"parts must cover the {what} exactly; uncovered={sorted(vertices - parts.union)},"
-            f" extraneous={sorted(extraneous)}"
-        )
+    if parts.union == vertices if exact else parts.union <= vertices:
+        return
+    extraneous = sorted(parts.union - vertices)
+    if not exact:
+        raise GraphError(f"partition mentions unknown vertices: {extraneous}")
+    raise GraphError(
+        f"parts must cover the {what} exactly; uncovered={sorted(vertices - parts.union)}, extraneous={extraneous}"
+    )
 
 
 def build_graph(vertices: Sequence[str], edges: Iterable[Sequence[str]]) -> SimpleGraph:

@@ -19,7 +19,7 @@ from typing import Optional
 from .bepaths import find_path_bipartite_partition, is_path_bipartite, path_bipartite_defect, quotient_graph
 from .graphs import Bipartition, GraphError, SimpleGraph, connected_components, require_cover
 from .proximinal import adjacency_metric, require_same_points, verify_proximinal_graph
-from .spaces import FiniteSemimetricSpace, build_threshold_graph, proximity_report, set_distance
+from .spaces import FiniteSemimetricSpace, _cross_minimum, build_threshold_graph, proximity_report
 
 
 def path_proximinal_defect(graph: SimpleGraph, parts: Bipartition, space: FiniteSemimetricSpace) -> Optional[tuple]:
@@ -46,8 +46,8 @@ def check_structural_conditions(space: FiniteSemimetricSpace, parts: Bipartition
     """
     quotient = quotient_graph(build_threshold_graph(space, parts), parts)
     report = proximity_report(space, parts)
-    return all(block & report.a0 for block in quotient.a_components) and \
-        all(block & report.b0 for block in quotient.b_components)
+    return not any(block.isdisjoint(report.a0) for block in quotient.a_components) and \
+        not any(block.isdisjoint(report.b0) for block in quotient.b_components)
 
 
 def witness_metric_for_path_bipartite(
@@ -105,8 +105,8 @@ def check_prop_3_22(
 def check_within_part_separation(space: FiniteSemimetricSpace, parts: Bipartition) -> bool:
     """True iff all distinct same-part pairs are strictly farther than dist(A, B)."""
     require_cover(space.point_set(), parts, "point set")
-    threshold = set_distance(space, parts.a, parts.b)
-    return all(space.d(x, y) > threshold for part in (parts.a, parts.b) for x, y in combinations(part, 2))
+    m, ia, ib = _cross_minimum(space, parts.a, parts.b)  # dist(A, B) on the scale of the rows
+    return all(space.rows[i][j] > m for part in (ia, ib) for i, j in combinations(part, 2))
 
 
 def all_degrees_one(graph: SimpleGraph) -> bool:

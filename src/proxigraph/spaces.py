@@ -22,7 +22,8 @@ holds at (i, j) iff (S_i | S_j) & G == G, and the triangle inequality iff
 
 A space also keeps what its bipartitions derive again: the cross minimum and
 the proximity report of each validated pair of frozensets, one scan for both
-orders of a pair, and the threshold graph per dist(A, B).
+orders of a pair, the threshold graph per dist(A, B), and one `Fraction` per
+distinct scaled distance that it answers, built on its first ask.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ class FiniteSemimetricSpace:
     @cached_attribute
     def _reports(self) -> dict[tuple[frozenset[str], frozenset[str]], ProximityReport]:
         return {}  # per validated (A, B), both orientations: what `proximity_report` returns
+
+    @cached_attribute
+    def _fractions(self) -> dict[int | Fraction, Fraction]:
+        return {}  # per scaled value answered: its Fraction, built by `_fraction`
 
     @cached_attribute
     def _point_set(self) -> frozenset[str]:
@@ -307,8 +312,8 @@ def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[s
     passed the checks, so an unknown point or an empty set still raises however often asked.
     """
     memo, kept = space._cross_minima, type(a) is frozenset and type(b) is frozenset
-    if kept and (a, b) in memo:
-        return memo[a, b]
+    if kept and (found := memo.get((a, b))):
+        return found
     ia = _indices(space, a, "first set")
     ib = _indices(space, b, "second set")
     if not ia or not ib:
@@ -321,9 +326,15 @@ def _cross_minimum(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[s
     return found
 
 
+def _fraction(space: FiniteSemimetricSpace, value: int | Fraction) -> Fraction:
+    """Fraction(value, scale), one per distinct scaled value of the space, built on its first ask."""
+    fractions = space._fractions
+    return fractions.get(value) or fractions.setdefault(value, Fraction(value, space.scale))
+
+
 def set_distance(space: FiniteSemimetricSpace, a: Iterable[str], b: Iterable[str]) -> Fraction:
     """Minimum distance over all cross pairs of two nonempty point sets."""
-    return Fraction(_cross_minimum(space, a, b)[0], space.scale)
+    return _fraction(space, _cross_minimum(space, a, b)[0])
 
 
 def best_approximations(space: FiniteSemimetricSpace, x: str, candidates: Iterable[str]) -> frozenset[str]:
@@ -350,16 +361,11 @@ def is_proximinal(space: FiniteSemimetricSpace, subset: Iterable[str]) -> bool:
     return True
 
 
-def _scaled_diameter(space: FiniteSemimetricSpace, subset: Iterable[str]):
-    """The largest row entry within a set, on the scale of the rows; 0 for empty or singleton sets."""
-    s = _indices(space, subset, "subset")
-    rows = space.rows
-    return max((rows[i][j] for i, j in combinations(s, 2)), default=0)
-
-
 def diameter(space: FiniteSemimetricSpace, subset: Iterable[str]) -> Fraction:
     """Maximum pairwise distance within a set; 0 for empty or singleton sets."""
-    return Fraction(_scaled_diameter(space, subset), space.scale)
+    s = _indices(space, subset, "subset")
+    rows = space.rows
+    return _fraction(space, max((rows[i][j] for i, j in combinations(s, 2)), default=0))
 
 
 @dataclass(frozen=True)
@@ -381,16 +387,16 @@ def proximity_report(space: FiniteSemimetricSpace, parts: Bipartition) -> Proxim
     (B, A) by the same list, with A0 and B0 swapped and every pair reversed."""
     a, b = parts.a, parts.b
     reports, kept = space._reports, type(a) is frozenset and type(b) is frozenset
-    if kept and (a, b) in reports:
-        return reports[a, b]
+    if kept and (report := reports.get((a, b))):
+        return report
     m, ia, ib = _cross_minimum(space, a, b)
-    rows = space.rows
-    pairs = frozenset((space.points[i], space.points[j]) for i in ia for j in ib if rows[i][j] == m)
-    a0 = frozenset(x for x, _ in pairs)
-    b0 = frozenset(y for _, y in pairs)
-    report = ProximityReport(Fraction(m, space.scale), a0, b0, pairs)
+    rows, pts = space.rows, space.points
+    hits = [(pts[i], pts[j]) for i in ia for j in ib if rows[i][j] == m]
+    xs, ys = zip(*hits)  # m is attained, so there is a hit
+    a0, b0, distance = frozenset(xs), frozenset(ys), _fraction(space, m)
+    report = ProximityReport(distance, a0, b0, frozenset(hits))
     if kept:
-        reports[b, a] = ProximityReport(report.distance, b0, a0, frozenset((y, x) for x, y in pairs))
+        reports[b, a] = ProximityReport(distance, b0, a0, frozenset(zip(ys, xs)))
         reports[a, b] = report
     return report
 
@@ -424,14 +430,18 @@ def check_theorem_2_1(space: FiniteSemimetricSpace, parts: Bipartition) -> tuple
       1. diam(B) <= dist(A, B);
       2. A0 is proximinal, B0 = B, and every pair in A0 x B0 attains
          dist(A, B).
-    Both are evaluated independently and returned as (stmt1, stmt2).  A0 is
-    nonempty, as dist(A, B) is attained, and every nonempty subset of a finite
-    space is proximinal, so statement 2 does not test it.
+    Both are evaluated independently and returned as (stmt1, stmt2).  Statement
+    1 reads "no pair of B is farther apart than dist(A, B)" on the row scale,
+    over the B indices of the cross minimum, and stops at the first pair that
+    fails.  A0 is nonempty, as dist(A, B) is attained, and every nonempty
+    subset of a finite space is proximinal, so statement 2 does not test it.
     """
     if classify(space) is not SpaceClass.ULTRAMETRIC:
         raise SpaceError("the diameter equivalence is stated for ultrametric spaces only")
     report = proximity_report(space, parts)
-    stmt1 = _scaled_diameter(space, parts.b) <= _cross_minimum(space, parts.a, parts.b)[0]  # on the row scale
+    m, _, ib = _cross_minimum(space, parts.a, parts.b)
+    rows = space.rows
+    stmt1 = all(rows[i][j] <= m for i, j in combinations(ib, 2))
     stmt2 = (
         report.b0 == parts.b
         # the listed pairs lie in A0 x B0, so all of it attains dist(A, B) iff all of it is listed

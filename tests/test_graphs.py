@@ -20,7 +20,7 @@ from proxigraph import (
     validate_path,
 )
 from proxigraph import graphs as graphs_module
-from proxigraph.graphs import check_label, component_roots, induced_components
+from proxigraph.graphs import check_label, component_roots, induced_components, require_cover
 from proxigraph.instances import (
     all_bipartitions,
     enumerate_labeled_graphs,
@@ -147,6 +147,30 @@ def test_induced_bipartite_hypercube_has_14_cross_edges():
 def test_induced_bipartite_rejects_unknown_vertices():
     with pytest.raises(GraphError, match="unknown vertices"):
         induced_bipartite_subgraph(p4(), Bipartition.of(["a1"], ["zz"]))
+
+
+@pytest.mark.parametrize("a, b, exact, message", [
+    (["a"], ["b"], True, "parts must cover the vertex set exactly; uncovered=['c'], extraneous=[]"),
+    (["a"], ["b", "c", "zz", "yy"], True, "parts must cover the vertex set exactly; uncovered=[], extraneous=['yy', 'zz']"),
+    (["a", "zz"], ["b"], True, "parts must cover the vertex set exactly; uncovered=['c'], extraneous=['zz']"),
+    (["a"], ["b"], False, None),
+    (["a"], ["b", "c", "zz", "yy"], False, "partition mentions unknown vertices: ['yy', 'zz']"),
+    (["a", "zz"], ["b"], False, "partition mentions unknown vertices: ['zz']"),
+    (["c", "a"], ["b"], True, None),
+], ids=["exact-uncovered", "exact-extraneous", "exact-both", "inside-uncovered", "inside-extraneous",
+        "inside-both", "exact-cover"])
+def test_require_cover_messages(a, b, exact, message):
+    vertices = frozenset("abc")
+    if message is None:
+        assert require_cover(vertices, Bipartition.of(a, b), exact=exact) is None
+        return
+    with pytest.raises(GraphError) as caught:
+        require_cover(vertices, Bipartition.of(a, b), exact=exact)
+    assert str(caught.value) == message
+    if exact:
+        with pytest.raises(GraphError) as caught:
+            require_cover(vertices, Bipartition.of(a, b), "point set")
+        assert str(caught.value) == message.replace("vertex set", "point set")
 
 
 def test_components_two_disjoint_edges():

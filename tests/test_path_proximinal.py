@@ -208,6 +208,15 @@ def test_within_part_separation():
     assert not check_within_part_separation(hspace, hparts)
     two = build_space(["a", "b"], [[0, 1], [1, 0]])
     assert check_within_part_separation(two, Bipartition.of(["a"], ["b"]))
+    # a denominator past 512 bits keeps the rows Fractions: the within-part pair (c, d) decides
+    near, far = Fraction(1, 2**607 - 1), Fraction(1, 2**521 - 1)
+    for cd, separated in ((far, True), (near, False), (near / 2, False)):
+        space = build_space(["a", "b", "c", "d"], [[0, far, near, far], [far, 0, far, near],
+                                                   [near, far, 0, cd], [far, near, cd, 0]])
+        assert type(space.rows[0][1]) is Fraction
+        assert check_within_part_separation(space, Bipartition.of(["a", "b"], ["c", "d"])) is separated
+    with pytest.raises(GraphError, match=r"uncovered=\['d'\], extraneous=\[\]"):
+        check_within_part_separation(space, Bipartition.of(["a", "b"], ["c"]))
 
 
 def test_all_degrees_one():

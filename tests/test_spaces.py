@@ -737,10 +737,10 @@ def test_distance_layer_matches_plain_fraction_scans():
         for parts in all_bipartitions(space.point_set()):
             dist = set_distance(space, parts.a, parts.b)
             assert type(dist) is Fraction and dist == scan_set_distance(d, parts.a, parts.b)
-            assert set_distance(space, parts.a, parts.b) == dist
+            assert set_distance(space, parts.a, parts.b) is dist  # one Fraction per scaled distance
             report = proximity_report(space, parts)
             pairs = {(x, y) for x in parts.a for y in parts.b if d[x, y] == dist}
-            assert report.distance == dist and report.pairs == pairs
+            assert report.distance is dist and report.pairs == pairs
             assert report.a0 == {x for x, _ in pairs} and report.b0 == {y for _, y in pairs}
             for part in (parts.a, parts.b):
                 assert diameter(space, part) == max(d[x, y] for x in part for y in part)

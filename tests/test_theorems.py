@@ -579,3 +579,19 @@ def test_graph_sweep_stdout_is_pinned(capsys, sweep_id):
     extra, checked = GOLDEN_VERIFY[sweep_id]
     assert main(["verify", sweep_id, "--max-n", "4", *extra]) == 0
     assert capsys.readouterr().out == f"true\nsweep {sweep_id}: checked {checked} instances\ncounterexamples: 0\n"
+
+
+# The same for the randomized space sweeps at fixed seeds, note line included.
+GOLDEN_SPACE_VERIFY = {
+    "t2.1": (["--count", "20", "--seed", "11"], "sweep t2.1: checked 964 instances\n"),
+    "t3.5": (["--count", "20", "--seed", "2"], "sweep t3.5: checked 1044 instances\n"),
+    "t3.10": (["--max-n", "4", "--count", "5", "--seed", "1"],
+              "sweep t3.10: checked 269 instances\nnote: backward direction fired on 2 (space, partition) instances\n"),
+}
+
+
+@pytest.mark.parametrize("sweep_id", sorted(GOLDEN_SPACE_VERIFY))
+def test_space_sweep_stdout_is_pinned(capsys, sweep_id):
+    extra, body = GOLDEN_SPACE_VERIFY[sweep_id]
+    assert main(["verify", sweep_id, *extra]) == 0
+    assert capsys.readouterr().out == f"true\n{body}counterexamples: 0\n"

@@ -39,6 +39,7 @@ P3_9_LINE = "tests/test_theorems.py::test_p3_9_counterexample_line_rebuilds_the_
 BOTH_ORDERS = "tests/test_spaces.py::test_both_orders_of_a_pair_answer_as_a_fresh_space_asked_once"
 BOTH_ORDERS_OF_PARTS = "tests/test_bepaths.py::test_both_orders_of_a_pair_answer_as_a_fresh_graph_asked_once"
 COMPONENT_KERNEL = "tests/test_graphs.py::test_component_kernel_matches_breadth_first_search"
+DISTANCE_LAYER = "tests/test_spaces.py::test_distance_layer_matches_plain_fraction_scans"
 
 EDITS = (
     Edit("threshold-strict", "src/proxigraph/spaces.py",
@@ -155,10 +156,10 @@ EDITS = (
          "        memo[b, a] = found[0], ib, ia\n", "        memo[b, a] = found\n",
          (BOTH_ORDERS,)),
     Edit("reverse-report-parts-unswapped", "src/proxigraph/spaces.py",
-         "ProximityReport(report.distance, b0, a0,", "ProximityReport(report.distance, a0, b0,",
+         "ProximityReport(distance, b0, a0,", "ProximityReport(distance, a0, b0,",
          (BOTH_ORDERS,)),
     Edit("reverse-report-pairs-unreversed", "src/proxigraph/spaces.py",
-         "frozenset((y, x) for x, y in pairs))", "pairs)",
+         "frozenset(zip(ys, xs)))", "frozenset(hits))",
          (BOTH_ORDERS,)),
     Edit("reverse-quotient-edges-unswapped", "src/proxigraph/bepaths.py",
          "frozenset((j, i) for i, j in edges))", "edges)",
@@ -167,11 +168,21 @@ EDITS = (
          "QuotientGraph(tuple(comps[1]), tuple(comps[0]),", "QuotientGraph(tuple(comps[0]), tuple(comps[1]),",
          (BOTH_ORDERS_OF_PARTS,)),
     Edit("statement-1-strict", "src/proxigraph/spaces.py",
-         "_scaled_diameter(space, parts.b) <= _cross_minimum(", "_scaled_diameter(space, parts.b) < _cross_minimum(",
+         "all(rows[i][j] <= m for i, j in combinations(ib, 2))", "all(rows[i][j] < m for i, j in combinations(ib, 2))",
+         (BOTH_ORDERS,)),
+    Edit("statement-1-reads-part-a", "src/proxigraph/spaces.py",
+         "    m, _, ib = _cross_minimum(space, parts.a, parts.b)\n", "    m, ib, _ = _cross_minimum(space, parts.a, parts.b)\n",
          (BOTH_ORDERS,)),
     Edit("report-distance-drops-scale", "src/proxigraph/spaces.py",
-         "Fraction(m, space.scale)", "Fraction(m)",
+         "Fraction(value, space.scale))", "Fraction(value))",
          ("tests/test_spaces.py",)),
+    Edit("fraction-memo-constant-key", "src/proxigraph/spaces.py",
+         "fractions.get(value) or fractions.setdefault(value,", "fractions.get(0) or fractions.setdefault(0,",
+         (DISTANCE_LAYER,)),
+    Edit("exact-cover-accepts-a-subset", "src/proxigraph/graphs.py",
+         "    if parts.union == vertices if exact else parts.union <= vertices:\n",
+         "    if parts.union <= vertices:\n",
+         ("tests/test_graphs.py::test_require_cover_messages",)),
     Edit("components-read-block-roots", "src/proxigraph/graphs.py",
          "list(graph._blocks.values())", "list(graph._blocks)",
          ("tests/test_graphs.py",)),
